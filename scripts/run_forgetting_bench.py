@@ -3,16 +3,19 @@
 
 Reproduces the headline table: every objective crossed with every seed on
 the synthetic two-domain benchmark, aggregated into results/pareto.csv.
+The grid runs through ``eaftlab bench`` with a protocol file written to the
+output directory, so the cell files are byte-identical to the CLI's.
 """
 
 import argparse
-import dataclasses
+import csv
 import json
+import sys
 import time
 from pathlib import Path
 
+from eaftlab import cli
 from eaftlab import forgebench as fb
-from eaftlab import landscape as ls
 
 
 def main():
@@ -26,34 +29,33 @@ def main():
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    domain = fb.DomainSpec(peak_mass=args.peak_mass, seed=0)
+    protocol = out / "protocol.json"
+    protocol.write_text(json.dumps({
+        "domain": {"peak_mass": args.peak_mass, "seed": 0},
+        "objectives": list(fb.DEFAULT_OBJECTIVE_GRID),
+        "seeds": list(range(args.seeds)),
+    }, indent=2) + "\n")
     t0 = time.perf_counter()
-    cells = fb.run_grid(
-        objective_names=list(fb.DEFAULT_OBJECTIVE_GRID),
-        seeds=tuple(range(args.seeds)),
-        domain=domain,
-        parallel=args.parallel,
-    )
+    code = cli.main(["bench", str(protocol), str(out), "--parallel", str(args.parallel)])
+    if code:
+        return code
     elapsed = time.perf_counter() - t0
-    for cell in cells:
-        with open(out / f"cell_{cell.objective}_{cell.seed}.json", "w") as fh:
-            json.dump(dataclasses.asdict(cell), fh, sort_keys=True, indent=2)
-    rows = fb.pareto_report(cells)
-    fields = (
-        "objective", "n_seeds",
-        "retention_delta_mean", "retention_delta_sd",
-        "acquisition_nll_mean", "acquisition_nll_sd", "acquisition_acc_mean",
-    )
-    ls.export_rows(rows, fields, out / "pareto.csv", "csv")
-    print(f"{len(cells)} cells in {elapsed:.0f}s -> {out/'pareto.csv'}")
+    with open(out / "pareto.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    n_cells = sum(int(r["n_seeds"]) for r in rows)
+    print(f"{n_cells} cells in {elapsed:.0f}s -> {out/'pareto.csv'}")
     width = max(len(r["objective"]) for r in rows)
     for r in rows:
         print(
-            f"  {r['objective']:{width}s}  retention {r['retention_delta_mean']:+.3f}"
-            f" ± {r['retention_delta_sd']:.3f}   acquisition {r['acquisition_nll_mean']:.3f}"
-            f" ± {r['acquisition_nll_sd']:.3f}   acc {r['acquisition_acc_mean']:.3f}"
+            f"  {r['objective']:{width}s}"
+            f"  retention {float(r['retention_delta_mean']):+.3f}"
+            f" ± {float(r['retention_delta_sd']):.3f}"
+            f"   acquisition {float(r['acquisition_nll_mean']):.3f}"
+            f" ± {float(r['acquisition_nll_sd']):.3f}"
+            f"   acc {float(r['acquisition_acc_mean']):.3f}"
         )
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

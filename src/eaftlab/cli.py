@@ -23,7 +23,7 @@ import sys
 from pathlib import Path
 
 from . import forgebench, landscape, objectives, toylm
-from .errors import ConfigError, EaftLabError
+from .errors import ConfigError, EaftLabError, TrainingDivergedError
 
 TRAINLOG_FIELDS = (
     "step",
@@ -377,10 +377,10 @@ def main(argv=None) -> int:
         if args.command == "dynamics":
             return cmd_dynamics(args)
         raise ConfigError(f"unknown command {args.command!r}")
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except EaftLabError as exc:
+    except TrainingDivergedError as exc:
+        print(f"runtime error: {exc}", file=sys.stderr)
+        return 2
+    except EaftLabError as exc:  # configuration and validation errors
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # runtime failures

@@ -13,6 +13,18 @@ class InvalidArgumentError(EaftLabError, ValueError):
     """Raised when an argument is outside its documented domain."""
 
 
+class NonFiniteLogitsError(InvalidInputError):
+    """Raised when a forward pass yields non-finite logits (diverged parameters)."""
+
+
+class TrainingDivergedError(EaftLabError, RuntimeError):
+    """Raised when training drives the parameters to non-finite logits; carries the step."""
+
+    def __init__(self, message: str, step: int):
+        super().__init__(f"parameters diverged at step {step}: {message}")
+        self.step = step
+
+
 class DegenerateVarianceError(EaftLabError, ValueError):
     """Raised when a statistic requires variance but the input is constant."""
 

@@ -219,14 +219,23 @@ def _build_tables(domain: DomainSpec, rng: np.random.Generator):
     return rows, dominant, peaked_mask
 
 
-def _walk(rng: np.random.Generator, rows: np.ndarray, order: int, active: int, length: int):
+def _transition_cdf(rows: np.ndarray) -> np.ndarray:
+    """Per-state CDF rows, normalized exactly as ``Generator.choice`` does."""
+    cdf = rows.cumsum(axis=1)
+    cdf /= cdf[:, -1:]
+    return cdf
+
+
+def _walk(rng: np.random.Generator, cdf: np.ndarray, order: int, active: int, length: int):
+    # cdf[state].searchsorted(u, side="right") on one rng.random() draw is
+    # Generator.choice(V, p=rows[state]) step for step, without its checks
     seq = [int(t) for t in rng.integers(0, active, size=order)]
     state = 0
     for tok in seq:
         state = state * active + tok
     strip = active**order
     for _ in range(length - order):
-        nxt = int(rng.choice(rows.shape[1], p=rows[state]))
+        nxt = int(cdf[state].searchsorted(rng.random(), side="right"))
         seq.append(nxt)
         state = (state * active + nxt) % strip
     return seq
@@ -264,8 +273,9 @@ def generate_domains(
     order = domain.markov_order
     rows, dominant, peaked_mask = _build_tables(domain, rng)
     n_states = rows.shape[0]
+    cdf = _transition_cdf(rows)
 
-    pre_seqs = [_walk(rng, rows, order, m, sizes.sequence_len) for _ in range(sizes.pretrain_sequences)]
+    pre_seqs = [_walk(rng, cdf, order, m, sizes.sequence_len) for _ in range(sizes.pretrain_sequences)]
     pre_ctx, pre_tgt, pre_states = _positions(pre_seqs, context_len, order, m)
 
     # curated fine-tune pool: walk the chain, keep at most `cap` positions per
@@ -274,7 +284,7 @@ def generate_domains(
     kept: dict[int, int] = {}
     ft_ctx, ft_tgt, ft_states = [], [], []
     for _ in range(sizes.finetune_walks):
-        seq = _walk(rng, rows, order, m, sizes.sequence_len)
+        seq = _walk(rng, cdf, order, m, sizes.sequence_len)
         for i in range(len(seq) - context_len):
             window = seq[i : i + context_len]
             state = 0
@@ -290,7 +300,7 @@ def generate_domains(
     ft_states = np.array(ft_states, dtype=np.int64)
     ft_n = len(ft_tgt)
 
-    eval_seqs = [_walk(rng, rows, order, m, sizes.sequence_len) for _ in range(sizes.eval_sequences)]
+    eval_seqs = [_walk(rng, cdf, order, m, sizes.sequence_len) for _ in range(sizes.eval_sequences)]
     ev_ctx, ev_tgt, ev_states = _positions(eval_seqs, context_len, order, m)
 
     pre_visits = np.bincount(pre_states, minlength=n_states)

@@ -31,6 +31,10 @@ GATE_KINDS = (
     "conflict-mask",
 )
 
+# Gate kinds whose weight never reads the entropy gate value; ``eval_gate_rows``
+# accepts ``gates=None`` for them.
+GATE_FREE_KINDS = ("constant-one", "prob-weight")
+
 AGG_MEAN = "token-mean"
 AGG_SUM = "token-sum"
 
@@ -118,10 +122,12 @@ def eval_gate(spec: GateSpec, dist: TokenDistribution) -> float:
     raise InvalidArgumentError(f"unknown gate kind {spec.kind!r}")
 
 
-def eval_gate_rows(spec: GateSpec, gates: np.ndarray, p_targets: np.ndarray) -> np.ndarray:
+def eval_gate_rows(
+    spec: GateSpec, gates: np.ndarray | None, p_targets: np.ndarray
+) -> np.ndarray:
     """Vectorized ``eval_gate`` over per-token gate values and target probs."""
     if spec.kind == "constant-one":
-        return np.ones_like(gates)
+        return np.ones(np.shape(p_targets))
     if spec.kind == "linear":
         return np.asarray(gates, dtype=np.float64)
     if spec.kind == "power":

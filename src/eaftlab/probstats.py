@@ -152,16 +152,21 @@ def _topk_probs(probs: np.ndarray, k: int) -> np.ndarray:
 
 def normalized_gate(p: ProbVector, k: int, norm: str = NORM_EXACT) -> float:
     """Top-k entropy scaled into [0, 1] by ln(k) or by the 3.0 shorthand."""
-    if norm not in NORM_MODES:
-        raise InvalidArgumentError(f"unknown norm mode {norm!r}")
-    if norm == NORM_PAPER and k != 20:
-        raise InvalidArgumentError("paper-3.0 normalization is defined only for k=20")
+    check_gate_norm(k, norm)
     h = topk_entropy(p, k)
     if norm == NORM_PAPER:
         return min(1.0, max(0.0, h / 3.0))
     if k == 1:
         return 0.0
     return min(1.0, max(0.0, h / np.log(k)))
+
+
+def check_gate_norm(k: int, norm: str) -> None:
+    """Reject a normalizer mode that is unknown or undefined for this k."""
+    if norm not in NORM_MODES:
+        raise InvalidArgumentError(f"unknown norm mode {norm!r}")
+    if norm == NORM_PAPER and k != 20:
+        raise InvalidArgumentError("paper-3.0 normalization is defined only for k=20")
 
 
 def describe_distribution(
@@ -255,10 +260,7 @@ def topk_entropy_rows(probs: np.ndarray, k: int) -> np.ndarray:
 
 
 def gate_rows(probs: np.ndarray, k: int, norm: str = NORM_EXACT) -> np.ndarray:
-    if norm not in NORM_MODES:
-        raise InvalidArgumentError(f"unknown norm mode {norm!r}")
-    if norm == NORM_PAPER and k != 20:
-        raise InvalidArgumentError("paper-3.0 normalization is defined only for k=20")
+    check_gate_norm(k, norm)
     h = topk_entropy_rows(probs, k)
     denom = 3.0 if norm == NORM_PAPER else (np.log(k) if k > 1 else np.inf)
     return np.clip(h / denom, 0.0, 1.0)

@@ -14,12 +14,18 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import objectives as obj
 from . import probstats
-from .errors import InvalidArgumentError, InvalidInputError
+from .errors import (
+    InvalidArgumentError,
+    InvalidInputError,
+    NonFiniteLogitsError,
+    TrainingDivergedError,
+)
 
 CHECKPOINT_MAGIC = b"EAFTCKPT"
 CHECKPOINT_VERSION = 1
@@ -144,7 +150,7 @@ def forward_batch(params: ToyModelParams, contexts: np.ndarray):
     a = np.tanh(e @ params.hidden_weight + params.hidden_bias)
     logits = a @ params.out_weight + params.out_bias
     if not np.all(np.isfinite(logits)):
-        raise InvalidInputError("non-finite logits; parameters have diverged")
+        raise NonFiniteLogitsError("non-finite logits; parameters have diverged")
     return logits, (ctx, e, a)
 
 
@@ -171,24 +177,46 @@ def backprop_logits(params: ToyModelParams, cache, grad_logits: np.ndarray) -> d
     }
 
 
+class _TokenTerms(NamedTuple):
+    """Per-token quantities of one batch under one objective."""
+
+    losses: np.ndarray
+    weights: np.ndarray
+    ce: np.ndarray
+    probs: np.ndarray             # (B, V) softmax of the logits
+    p_target: np.ndarray
+    gates: np.ndarray | None      # None when the gate kind does not read it
+    entropy_full: np.ndarray
+    grad: np.ndarray              # (B, V) d(loss)/d(logits), unscaled
+
+
 def _batch_token_terms(
     spec: obj.ObjectiveSpec,
     logits: np.ndarray,
     targets: np.ndarray,
     ref_logits: np.ndarray | None,
     position_weights: np.ndarray | None,
-):
+) -> _TokenTerms:
     """Per-token losses, weights, stats, and d(loss)/d(logits) rows.
 
     The gate weight is evaluated on the live distribution and detached;
     ``position_weights`` (sample weights in [0, 1]) multiply the gate.
     """
     B = logits.shape[0]
-    p = probstats.softmax_rows(logits)
-    logp = probstats.log_softmax_rows(logits)
+    # one pass for both: bit-equal to softmax_rows and log_softmax_rows
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    p = np.exp(shifted)
+    total = p.sum(axis=-1, keepdims=True)
+    logp = shifted - np.log(total)
+    p /= total
     idx = np.arange(B)
     p_t = p[idx, targets]
-    gates = probstats.gate_rows(p, min(spec.k, p.shape[1]), spec.norm_mode)
+    k = min(spec.k, p.shape[1])
+    if spec.gate.kind in obj.GATE_FREE_KINDS:
+        probstats.check_gate_norm(k, spec.norm_mode)
+        gates = None
+    else:
+        gates = probstats.gate_rows(p, k, spec.norm_mode)
     ent_full = probstats.entropy_rows(p)
     w = obj.eval_gate_rows(spec.gate, gates, p_t)
     if position_weights is not None:
@@ -207,7 +235,7 @@ def _batch_token_terms(
         kl = kl_terms.sum(axis=1)
         losses = losses + spec.kl_coefficient * kl
         grad = grad + spec.kl_coefficient * (p * (logp - logq - kl[:, None]))
-    return losses, w, ce, p_t, gates, ent_full, grad
+    return _TokenTerms(losses, w, ce, p, p_t, gates, ent_full, grad)
 
 
 def loss_and_grads(
@@ -226,13 +254,11 @@ def loss_and_grads(
     ref_logits = None
     if ref_params is not None:
         ref_logits, _ = forward_batch(ref_params, batch.contexts)
-    losses, w, ce, p_t, gates, ent_full, grad_rows = _batch_token_terms(
-        objective, logits, batch.targets, ref_logits, position_weights
-    )
+    terms = _batch_token_terms(objective, logits, batch.targets, ref_logits, position_weights)
+    losses, w, prob_rows, grad_rows = terms.losses, terms.weights, terms.probs, terms.grad
     scale = 1.0 / len(batch) if objective.aggregation == obj.AGG_MEAN else 1.0
     grads = backprop_logits(params, cache, grad_rows * scale)
     loss = float(losses.sum() * scale)
-    prob_rows = probstats.softmax_rows(logits)
     per_token = []
     for i in range(len(batch)):
         dist = probstats.describe_distribution(
@@ -268,44 +294,58 @@ class OptimizerState:
             raise InvalidArgumentError("learning_rate must be positive")
 
 
+def apply_update_inplace(params: ToyModelParams, grads: dict, state: OptimizerState) -> None:
+    """One deterministic optimizer step that overwrites ``params`` and ``state``.
+
+    Each in-place operation rounds exactly like the expression in its comment,
+    so the result is bit-equal to the textbook form.
+    """
+    for name in PARAM_FIELDS:
+        if grads[name].shape != getattr(params, name).shape:
+            raise InvalidArgumentError(f"gradient shape mismatch for {name}")
+    state.step_count += 1
+    t = state.step_count
+    lr = state.learning_rate
+    for name in PARAM_FIELDS:
+        g = grads[name]
+        p = getattr(params, name)
+        buf = state.buffers.setdefault(name, {})
+        if state.kind == "sgd-momentum":
+            if "velocity" not in buf:
+                buf["velocity"] = np.zeros_like(p)
+            v = buf["velocity"]
+            v *= 0.9  # v = 0.9 * v + g
+            v += g
+            p -= lr * v
+        else:  # adam-lite
+            if "m" not in buf:
+                buf["m"], buf["v"] = np.zeros_like(p), np.zeros_like(p)
+            m, v = buf["m"], buf["v"]
+            m *= 0.9  # m = 0.9 * m + 0.1 * g
+            m += 0.1 * g
+            v *= 0.999  # v = 0.999 * v + 0.001 * (g * g)
+            v += 0.001 * (g * g)
+            step = m / (1.0 - 0.9**t)  # p -= lr * m_hat / (sqrt(v_hat) + 1e-8)
+            step *= lr
+            denom = v / (1.0 - 0.999**t)
+            np.sqrt(denom, out=denom)
+            denom += 1e-8
+            step /= denom
+            p -= step
+
+
 def apply_update(
     params: ToyModelParams, grads: dict, state: OptimizerState
 ) -> tuple[ToyModelParams, OptimizerState]:
     """One deterministic optimizer step; returns fresh params and state."""
-    for name in PARAM_FIELDS:
-        if grads[name].shape != getattr(params, name).shape:
-            raise InvalidArgumentError(f"gradient shape mismatch for {name}")
     new_params = params.copy()
     new_state = OptimizerState(
         kind=state.kind,
         learning_rate=state.learning_rate,
-        step_count=state.step_count + 1,
+        step_count=state.step_count,
         buffers={k: {n: b.copy() for n, b in v.items()} for k, v in state.buffers.items()},
     )
-    t = new_state.step_count
-    lr = state.learning_rate
-    for name in PARAM_FIELDS:
-        g = grads[name]
-        p = getattr(new_params, name)
-        buf = new_state.buffers.setdefault(name, {})
-        if state.kind == "sgd-momentum":
-            v = buf.get("velocity")
-            if v is None:
-                v = np.zeros_like(p)
-            v = 0.9 * v + g
-            buf["velocity"] = v
-            p -= lr * v
-        else:  # adam-lite
-            m = buf.get("m")
-            v = buf.get("v")
-            if m is None:
-                m, v = np.zeros_like(p), np.zeros_like(p)
-            m = 0.9 * m + 0.1 * g
-            v = 0.999 * v + 0.001 * (g * g)
-            buf["m"], buf["v"] = m, v
-            m_hat = m / (1.0 - 0.9**t)
-            v_hat = v / (1.0 - 0.999**t)
-            p -= lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+    apply_update_inplace(new_params, grads, new_state)
     return new_params, new_state
 
 
@@ -379,26 +419,25 @@ def train(run: TrainRun) -> TrainResult:
         idx = rng.integers(0, n, size=run.batch_size)
         contexts = run.corpus.contexts[idx]
         targets = run.corpus.targets[idx]
-        logits, cache = forward_batch(params, contexts)
+        logits, cache = _forward_live(params, contexts, step)
         ref_logits = None
         if run.objective.kl_coefficient > 0.0:
             if run.ref_params is None:
                 raise InvalidArgumentError("kl objective requires ref_params")
             ref_logits, _ = forward_batch(run.ref_params, contexts)
         pw = None if run.position_weights is None else run.position_weights[idx]
-        losses, w, ce, p_t, gates, ent_full, grad_rows = _batch_token_terms(
-            run.objective, logits, targets, ref_logits, pw
-        )
+        terms = _batch_token_terms(run.objective, logits, targets, ref_logits, pw)
         scale = 1.0 / run.batch_size if run.objective.aggregation == obj.AGG_MEAN else 1.0
-        grads = backprop_logits(params, cache, grad_rows * scale)
+        grads = backprop_logits(params, cache, terms.grad * scale)
         gnorm = float(np.sqrt(sum(float((g * g).sum()) for g in grads.values())))
-        hi = ent_full >= run.high_entropy_min
-        lo = ent_full <= run.low_entropy_max
+        ce = terms.ce
+        hi = terms.entropy_full >= run.high_entropy_min
+        lo = terms.entropy_full <= run.low_entropy_max
         log.append(
             TrainLogEntry(
                 step=step,
-                mean_loss=float(losses.mean()),
-                mean_gate=float(w.mean()),
+                mean_loss=float(terms.losses.mean()),
+                mean_gate=float(terms.weights.mean()),
                 high_entropy_ce=float(ce[hi].mean()) if hi.any() else None,
                 high_entropy_count=int(hi.sum()),
                 low_entropy_ce=float(ce[lo].mean()) if lo.any() else None,
@@ -406,10 +445,19 @@ def train(run: TrainRun) -> TrainResult:
                 grad_norm=gnorm,
             )
         )
-        params, state = apply_update(params, grads, state)
+        apply_update_inplace(params, grads, state)
     if run.capture_every > 0:
         capture(run.steps)
     return TrainResult(params=params, log=log, captures=captures)
+
+
+def _forward_live(params: ToyModelParams, contexts: np.ndarray, step: int):
+    """``forward_batch`` on the parameters being trained, where non-finite
+    logits mean the run has diverged, not that its input was bad."""
+    try:
+        return forward_batch(params, contexts)
+    except NonFiniteLogitsError as exc:
+        raise TrainingDivergedError("non-finite logits", step) from exc
 
 
 def _capture_records(run: TrainRun, params: ToyModelParams, probe_idx, step: int):
@@ -417,18 +465,19 @@ def _capture_records(run: TrainRun, params: ToyModelParams, probe_idx, step: int
 
     contexts = run.corpus.contexts[probe_idx]
     targets = run.corpus.targets[probe_idx]
-    logits, _ = forward_batch(params, contexts)
+    logits, _ = _forward_live(params, contexts, step)
     ref_logits = None
     if run.objective.kl_coefficient > 0.0 and run.ref_params is not None:
         ref_logits, _ = forward_batch(run.ref_params, contexts)
     pw = None if run.position_weights is None else run.position_weights[probe_idx]
-    losses, w, ce, p_t, gates, ent_full, grad_rows = _batch_token_terms(
-        run.objective, logits, targets, ref_logits, pw
-    )
-    prob_rows = probstats.softmax_rows(logits)
-    k = min(run.objective.k, prob_rows.shape[1])
-    ent_topk = probstats.topk_entropy_rows(prob_rows, k)
-    grad_norms = np.sqrt((grad_rows * grad_rows).sum(axis=1))
+    terms = _batch_token_terms(run.objective, logits, targets, ref_logits, pw)
+    k = min(run.objective.k, terms.probs.shape[1])
+    ent_topk = probstats.topk_entropy_rows(terms.probs, k)
+    gates = terms.gates
+    if gates is None:
+        gates = probstats.gate_rows(terms.probs, k, run.objective.norm_mode)
+    p_t, ent_full, w = terms.p_target, terms.entropy_full, terms.weights
+    grad_norms = np.sqrt((terms.grad * terms.grad).sum(axis=1))
     out = []
     for i, pos in enumerate(probe_idx):
         out.append(

@@ -78,6 +78,19 @@ class TestTrain:
         assert cli.main(["train", str(cfg), str(tmp_path / "out")]) == 1
         assert "extra_knob" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_is_runtime_error(self, tmp_path, capsys):
+        # a learning rate that overflows the logits is a runtime failure
+        # (exit 2) that names the step, not a configuration error (exit 1)
+        cfg = train_config(
+            tmp_path,
+            objective={"name": "ce", "k": 16},
+            optimizer={"kind": "sgd-momentum", "learning_rate": 1e308},
+        )
+        assert cli.main(["train", str(cfg), str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "diverged at step" in err
+
     def test_unknown_objective_named(self, tmp_path, capsys):
         cfg = train_config(tmp_path, objective={"name": "flow"})
         assert cli.main(["train", str(cfg), str(tmp_path / "out")]) == 1

@@ -25,6 +25,28 @@ SMALL_SIZES = fb.GenerationSizes(
 )
 
 
+class TestSampler:
+    def test_cdf_draws_match_generator_choice(self):
+        # _walk's inverse-CDF draw must stay numpy's own Generator.choice
+        # algorithm, draw for draw and state for state
+        rng = np.random.default_rng(11)
+        v = 24
+        rows = np.zeros((6, v))
+        rows[0, 3] = 1.0
+        rows[1, [0, 5, 23]] = [1e-300, 1.0 - 1e-12, 1e-12]
+        rows[2, :4] = rng.dirichlet(np.full(4, 0.05))
+        rows[3, ::3] = rng.dirichlet(np.ones(8))
+        rows[4] = rng.dirichlet(np.full(v, 2.0))
+        rows[5, [2, 7]] = [0.5, 0.5]
+        cdf = fb._transition_cdf(rows)
+        a, b = np.random.default_rng(3), np.random.default_rng(3)
+        for i in range(12000):
+            s = i % len(rows)
+            want = int(a.choice(v, p=rows[s]))
+            assert int(cdf[s].searchsorted(b.random(), side="right")) == want
+        assert a.bit_generator.state == b.bit_generator.state
+
+
 class TestSpecs:
     def test_conflict_rates_must_fit(self):
         with pytest.raises(InvalidArgumentError):

@@ -9,7 +9,7 @@ from eaftlab import forgebench as fb
 from eaftlab import objectives as obj
 from eaftlab import probstats as ps
 from eaftlab import toylm
-from eaftlab.errors import InvalidArgumentError, InvalidInputError
+from eaftlab.errors import InvalidArgumentError, InvalidInputError, TrainingDivergedError
 
 TINY = toylm.ModelConfig(vocab_size=8, context_len=3, embed_dim=2, hidden_dim=4, seed=5)
 
@@ -194,6 +194,42 @@ class TestApplyUpdate:
             delta = params.out_bias - new.out_bias
             np.testing.assert_allclose(delta, 0.01, rtol=1e-3)
 
+    @pytest.mark.parametrize("kind", ["sgd-momentum", "adam-lite"])
+    def test_inputs_not_mutated(self, kind):
+        # apply_update is the pure wrapper around the in-place optimizer
+        params = toylm.init_model(TINY)
+        rng = np.random.default_rng(4)
+        grads = {f: rng.normal(size=getattr(params, f).shape) for f in toylm.PARAM_FIELDS}
+        _, state = toylm.apply_update(
+            params, grads, toylm.OptimizerState(kind=kind, learning_rate=0.1)
+        )
+        before = (params.copy(), {f: g.copy() for f, g in grads.items()})
+        buffers = {k: {n: b.copy() for n, b in v.items()} for k, v in state.buffers.items()}
+        new, new_state = toylm.apply_update(params, grads, state)
+        assert params_equal(params, before[0])
+        assert all(np.array_equal(grads[f], before[1][f]) for f in toylm.PARAM_FIELDS)
+        assert state.step_count == 1 and new_state.step_count == 2
+        assert state.buffers.keys() == buffers.keys()
+        for name, buf in buffers.items():
+            assert state.buffers[name].keys() == buf.keys()
+            for key, value in buf.items():
+                assert np.array_equal(state.buffers[name][key], value)
+                assert new_state.buffers[name][key] is not state.buffers[name][key]
+        assert not params_equal(new, params)
+
+    @pytest.mark.parametrize("kind", ["sgd-momentum", "adam-lite"])
+    def test_inplace_matches_pure(self, kind):
+        params = toylm.init_model(TINY)
+        rng = np.random.default_rng(6)
+        pure_params, pure = params, toylm.OptimizerState(kind=kind, learning_rate=0.05)
+        live_params, live = params.copy(), toylm.OptimizerState(kind=kind, learning_rate=0.05)
+        for _ in range(4):
+            grads = {f: rng.normal(size=getattr(params, f).shape) for f in toylm.PARAM_FIELDS}
+            pure_params, pure = toylm.apply_update(pure_params, grads, pure)
+            toylm.apply_update_inplace(live_params, grads, live)
+        assert params_equal(pure_params, live_params)
+        assert live.step_count == pure.step_count == 4
+
     def test_shape_mismatch(self):
         params = toylm.init_model(TINY)
         grads = {f: np.zeros_like(getattr(params, f)) for f in toylm.PARAM_FIELDS}
@@ -228,6 +264,75 @@ class TestTrain:
         assert params_equal(a.params, b.params)
         assert a.log == b.log
         assert a.captures == b.captures
+
+    def test_init_and_reference_untouched(self):
+        # one snapshot seeds every cell of a grid; an in-place leak would
+        # silently change the later cells
+        init = toylm.init_model(replace(TINY, seed=8))
+        ref = toylm.init_model(replace(TINY, seed=9))
+        before = (init.copy(), ref.copy())
+        for name, optimizer in (("sft_kl", "adam-lite"), ("eaft", "sgd-momentum")):
+            toylm.train(
+                toylm.TrainRun(
+                    config=TINY,
+                    corpus=tiny_corpus(30, seed=2),
+                    objective=obj.named_objective(name, k=8),
+                    optimizer=optimizer,
+                    steps=12,
+                    batch_size=8,
+                    capture_every=4,
+                    init=init,
+                    ref_params=ref,
+                )
+            )
+            assert params_equal(init, before[0])
+            assert params_equal(ref, before[1])
+
+    def test_gate_computed_only_where_read(self, monkeypatch):
+        def no_gate(*args, **kwargs):
+            raise AssertionError("gate_rows called for a gate-free objective")
+
+        monkeypatch.setattr(ps, "gate_rows", no_gate)
+        for name in ("ce", "dft", "sft_kl"):
+            run = toylm.TrainRun(
+                config=TINY,
+                corpus=tiny_corpus(20),
+                objective=obj.named_objective(name, k=8),
+                steps=5,
+                batch_size=4,
+                ref_params=toylm.init_model(TINY),
+            )
+            toylm.train(run)
+        with pytest.raises(AssertionError):
+            toylm.train(replace(run, objective=obj.named_objective("eaft", k=8)))
+
+    def test_gate_free_objective_still_checks_norm(self):
+        # paper-3.0 is undefined for k != 20 whether or not the gate is read
+        run = toylm.TrainRun(
+            config=TINY,
+            corpus=tiny_corpus(20),
+            objective=obj.named_objective("ce", k=8, norm_mode=ps.NORM_PAPER),
+            steps=2,
+            batch_size=4,
+        )
+        with pytest.raises(InvalidArgumentError):
+            toylm.train(run)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_names_step(self):
+        run = toylm.TrainRun(
+            config=TINY,
+            corpus=tiny_corpus(30, seed=1),
+            objective=obj.named_objective("ce", k=8),
+            optimizer="sgd-momentum",
+            learning_rate=1e308,
+            steps=40,
+            batch_size=8,
+        )
+        with pytest.raises(TrainingDivergedError) as err:
+            toylm.train(run)
+        assert 0 < err.value.step < 40
+        assert f"step {err.value.step}" in str(err.value)
 
     def test_ce_training_reduces_nll(self):
         # 200-sequence chain corpus, 500 CE steps: mean NLL falls >= 30%
