@@ -165,11 +165,14 @@ def backprop_logits(params: ToyModelParams, cache, grad_logits: np.ndarray) -> d
     g_hidden_bias = gz.sum(axis=0)
     g_hidden_weight = e.T @ gz
     ge = (gz @ params.hidden_weight.T).reshape(ctx.shape[0], n, d)
-    g_embedding = np.zeros_like(params.embedding)
-    for j in range(n):
-        np.add.at(g_embedding, ctx[:, j], ge[:, j])
+    # one scatter-add over the flattened table: each entry receives the same
+    # additions in the same order (context slot, then batch row) as one
+    # np.add.at per slot, and the 1-D form is several times faster
+    g_embedding = np.zeros(params.embedding.size)
+    slots = (ctx.T[:, :, None] * d + np.arange(d)).ravel()
+    np.add.at(g_embedding, slots, ge.transpose(1, 0, 2).ravel())
     return {
-        "embedding": g_embedding,
+        "embedding": g_embedding.reshape(params.embedding.shape),
         "hidden_weight": g_hidden_weight,
         "hidden_bias": g_hidden_bias,
         "out_weight": g_out_weight,
