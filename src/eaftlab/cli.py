@@ -143,8 +143,12 @@ def cmd_train(config_path, out_dir) -> int:
         if not ckpt.exists():
             raise ConfigError(f"init_checkpoint not found: {ckpt}")
         init_cfg, init = toylm.load_checkpoint(ckpt)
-        if init_cfg.vocab_size != model_cfg.vocab_size:
-            raise ConfigError("init_checkpoint vocab_size differs from model config")
+        for name in ("vocab_size", "context_len", "embed_dim", "hidden_dim"):
+            ckpt_dim, model_dim = getattr(init_cfg, name), getattr(model_cfg, name)
+            if ckpt_dim != model_dim:
+                raise ConfigError(
+                    f"init_checkpoint {name} {ckpt_dim} differs from model config {model_dim}"
+                )
     run = toylm.TrainRun(
         config=model_cfg,
         corpus=corpus,

@@ -29,10 +29,6 @@ class DegenerateVarianceError(EaftLabError, ValueError):
     """Raised when a statistic requires variance but the input is constant."""
 
 
-class DivergenceUndefinedError(EaftLabError, ValueError):
-    """Raised when KL(p || q) is undefined because q has a zero where p > 0."""
-
-
 class RecordValidationError(EaftLabError, ValueError):
     """Raised when a token record violates its field invariants."""
 

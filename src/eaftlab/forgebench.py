@@ -30,7 +30,6 @@ from . import probstats, toylm
 from .errors import InvalidArgumentError
 
 TOKEN_KINDS = ("conflict", "novel", "unchanged")
-QUADRANTS = ("confident-conflict", "confident-correct", "exploratory", "other")
 
 
 @dataclass(frozen=True)
@@ -426,15 +425,7 @@ def classify_conflicts(
     if len(corpus) == 0:
         raise InvalidArgumentError("corpus must be non-empty")
     gates, p_t = score_gates(params, corpus, k)
-    tau_h = probstats.percentile_threshold(gates, q)
-    tau_p = probstats.percentile_threshold(p_t, q)
-    low_h = gates <= tau_h
-    low_p = p_t <= tau_p
-    labels = np.full(len(corpus), "other", dtype=object)
-    labels[low_h & low_p] = "confident-conflict"
-    labels[low_h & ~low_p] = "confident-correct"
-    labels[~low_h & low_p] = "exploratory"
-    return labels, (float(tau_h), float(tau_p))
+    return probstats.quadrant_labels(gates, p_t, q)
 
 
 def sample_rollouts(

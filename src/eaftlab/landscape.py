@@ -316,27 +316,11 @@ def quadrant_stats(
         raise InvalidArgumentError("need at least one record")
     hs = _axis_values(records, entropy_axis)
     ps = _axis_values(records, "p_target")
-    if thresholds is None:
-        tau_h = probstats.percentile_threshold(hs, q)
-        tau_p = probstats.percentile_threshold(ps, q)
-    else:
-        tau_h, tau_p = float(thresholds[0]), float(thresholds[1])
-    low_h = hs <= tau_h
-    low_p = ps <= tau_p
-    labels = np.full(len(records), "other", dtype=object)
-    labels[low_h & low_p] = "confident-conflict"
-    labels[low_h & ~low_p] = "confident-correct"
-    labels[~low_h & low_p] = "exploratory"
-    counts = {name: int((labels == name).sum()) for name in
-              ("confident-conflict", "confident-correct", "exploratory", "other")}
+    labels, thresholds = probstats.quadrant_labels(hs, ps, q, thresholds)
+    counts = {name: int((labels == name).sum()) for name in probstats.QUADRANTS}
     total = len(records)
     shares = {name: counts[name] / total for name in counts}
-    return {
-        "counts": counts,
-        "shares": shares,
-        "thresholds": (float(tau_h), float(tau_p)),
-        "labels": labels,
-    }
+    return {"counts": counts, "shares": shares, "thresholds": thresholds, "labels": labels}
 
 
 def quadrant_token_ranking(records, labels, quadrant: str, top_n: int) -> list[dict]:

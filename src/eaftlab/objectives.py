@@ -14,12 +14,13 @@ produce an exactly-zero gradient.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from . import probstats
-from .errors import DivergenceUndefinedError, InvalidArgumentError
-from .probstats import NORM_EXACT, ProbVector, TokenDistribution
+from .errors import InvalidArgumentError
+from .probstats import NORM_EXACT
 
 GATE_KINDS = (
     "constant-one",
@@ -92,40 +93,10 @@ class ObjectiveSpec:
             raise InvalidArgumentError(f"unknown aggregation {self.aggregation!r}")
 
 
-@dataclass(frozen=True)
-class TokenLossResult:
-    loss: float
-    weight: float
-    grad_logits: np.ndarray
-    grad_norm: float
-    stats: TokenDistribution
-
-
-def eval_gate(spec: GateSpec, dist: TokenDistribution) -> float:
-    """Map one token's statistics to its loss weight in [0, 1]."""
-    h = dist.gate
-    if spec.kind == "constant-one":
-        return 1.0
-    if spec.kind == "linear":
-        return float(h)
-    if spec.kind == "power":
-        return float(h**spec.p_exponent)
-    if spec.kind == "sigmoid":
-        return float(_sigmoid(spec.alpha * (h - spec.beta)))
-    if spec.kind == "hard-mask":
-        return 1.0 if h > spec.tau_entropy else 0.0
-    if spec.kind == "prob-weight":
-        return float(dist.p_target)
-    if spec.kind == "conflict-mask":
-        masked = h <= spec.tau_entropy and dist.p_target <= spec.tau_prob
-        return 0.0 if masked else 1.0
-    raise InvalidArgumentError(f"unknown gate kind {spec.kind!r}")
-
-
 def eval_gate_rows(
     spec: GateSpec, gates: np.ndarray | None, p_targets: np.ndarray
 ) -> np.ndarray:
-    """Vectorized ``eval_gate`` over per-token gate values and target probs."""
+    """Map per-token gate values and target probs to loss weights in [0, 1]."""
     if spec.kind == "constant-one":
         return np.ones(np.shape(p_targets))
     if spec.kind == "linear":
@@ -154,108 +125,70 @@ def _sigmoid(z):
     out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
-    return out if out.ndim else float(out)
+    return out
 
 
-def kl_divergence(p: ProbVector, q: ProbVector) -> float:
-    """Forward KL in nats: sum p * ln(p/q); requires q > 0 wherever p > 0."""
-    if p.vocab_size != q.vocab_size:
-        raise InvalidArgumentError("distributions live on different vocabularies")
-    pp, qq = p.probs, q.probs
-    support = pp > 0.0
-    if np.any(qq[support] == 0.0):
-        raise DivergenceUndefinedError("q has zero mass where p > 0")
-    val = float(np.sum(pp[support] * np.log(pp[support] / qq[support])))
-    return max(val, 0.0)
+class TokenTerms(NamedTuple):
+    """Per-token quantities of one batch under one objective."""
+
+    losses: np.ndarray
+    weights: np.ndarray
+    ce: np.ndarray
+    probs: np.ndarray             # (B, V) softmax of the logits
+    p_target: np.ndarray
+    gates: np.ndarray | None      # None when the gate kind does not read it
+    entropy_full: np.ndarray
+    grad: np.ndarray              # (B, V) d(loss)/d(logits), unscaled
 
 
-def token_loss(
+def token_terms(
     spec: ObjectiveSpec,
-    logits,
-    target_id: int,
-    ref_logits=None,
-) -> TokenLossResult:
-    """Gated cross-entropy (plus optional reference KL) for one token."""
-    z = np.asarray(logits, dtype=np.float64)
-    _check_ref(spec, z, ref_logits)
-    probs = probstats.softmax(z)
-    k = min(spec.k, probs.vocab_size)
-    dist = probstats.describe_distribution(probs, target_id, k, spec.norm_mode)
-    w = eval_gate(spec.gate, dist)
-    logp = probstats.log_softmax(z)
-    loss = w * (-float(logp[target_id]))
-    grad = w * (probs.probs - _onehot(target_id, probs.vocab_size))
-    if spec.kl_coefficient > 0.0:
-        ref_probs = probstats.softmax(np.asarray(ref_logits, dtype=np.float64))
-        kl = kl_divergence(probs, ref_probs)
-        loss += spec.kl_coefficient * kl
-        grad = grad + spec.kl_coefficient * _kl_grad(
-            probs.probs, probstats.log_softmax(z),
-            probstats.log_softmax(np.asarray(ref_logits, dtype=np.float64)), kl,
-        )
-    return TokenLossResult(
-        loss=float(loss),
-        weight=float(w),
-        grad_logits=grad,
-        grad_norm=float(np.sqrt((grad * grad).sum())),
-        stats=dist,
-    )
+    logits: np.ndarray,
+    targets: np.ndarray,
+    ref_logits: np.ndarray | None = None,
+    position_weights: np.ndarray | None = None,
+) -> TokenTerms:
+    """Per-token losses, weights, stats, and d(loss)/d(logits) of (B, V) logits.
 
-
-def token_grad(spec: ObjectiveSpec, logits, target_id: int, ref_logits=None) -> np.ndarray:
-    """Analytic gradient of ``token_loss`` with respect to the logits."""
-    return token_loss(spec, logits, target_id, ref_logits).grad_logits
-
-
-def _kl_grad(p: np.ndarray, logp: np.ndarray, logq: np.ndarray, kl: float) -> np.ndarray:
-    # d/dz sum_i p_i (logp_i - logq_i)  =  p ⊙ (logp - logq - KL)
-    return p * (logp - logq - kl)
-
-
-def _onehot(idx: int, size: int) -> np.ndarray:
-    v = np.zeros(size)
-    v[idx] = 1.0
-    return v
-
-
-def _check_ref(spec: ObjectiveSpec, logits: np.ndarray, ref_logits) -> None:
+    The gate weight is evaluated on the live distribution and detached;
+    ``position_weights`` (sample weights in [0, 1]) multiply the gate. A
+    single token is a batch of one row.
+    """
+    B = logits.shape[0]
+    # one pass for both: bit-equal to softmax_rows and log_softmax_rows
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    p = np.exp(shifted)
+    total = p.sum(axis=-1, keepdims=True)
+    logp = shifted - np.log(total)
+    p /= total
+    idx = np.arange(B)
+    p_t = p[idx, targets]
+    k = min(spec.k, p.shape[1])
+    if spec.gate.kind in GATE_FREE_KINDS:
+        probstats.check_gate_norm(k, spec.norm_mode)
+        gates = None
+    else:
+        gates = probstats.gate_rows(p, k, spec.norm_mode)
+    ent_full = probstats.entropy_rows(p)
+    w = eval_gate_rows(spec.gate, gates, p_t)
+    if position_weights is not None:
+        w = w * position_weights
+    ce = -logp[idx, targets]
+    losses = w * ce
+    grad = p.copy()
+    grad[idx, targets] -= 1.0
+    grad *= w[:, None]
     if spec.kl_coefficient > 0.0:
         if ref_logits is None:
-            raise InvalidArgumentError("kl_coefficient > 0 requires ref_logits")
-        r = np.asarray(ref_logits)
-        if r.shape != logits.shape:
-            raise InvalidArgumentError("ref_logits shape mismatch")
-
-
-def sequence_loss(
-    spec: ObjectiveSpec,
-    logit_rows,
-    targets,
-    ref_rows=None,
-) -> tuple[float, list[TokenLossResult]]:
-    """Aggregate token losses over a sequence (token-mean or token-sum)."""
-    rows = [np.asarray(r, dtype=np.float64) for r in logit_rows]
-    tg = list(targets)
-    if len(rows) == 0 or len(rows) != len(tg):
-        raise InvalidArgumentError("need T >= 1 logit rows matching the target count")
-    if ref_rows is not None and len(ref_rows) != len(rows):
-        raise InvalidArgumentError("ref_rows length mismatch")
-    per_token = []
-    for i, (row, t) in enumerate(zip(rows, tg)):
-        ref = None if ref_rows is None else ref_rows[i]
-        per_token.append(token_loss(spec, row, t, ref))
-    total = sum(r.loss for r in per_token)
-    if spec.aggregation == AGG_MEAN:
-        total /= len(per_token)
-    return float(total), per_token
-
-
-def grad_magnitude_landscape(records) -> list[tuple[float, float, float]]:
-    """Project loss results onto (p_target, full entropy, gradient norm)."""
-    results = list(records)
-    if not results:
-        raise InvalidArgumentError("need at least one record")
-    return [(r.stats.p_target, r.stats.entropy_full, r.grad_norm) for r in results]
+            raise InvalidArgumentError("kl_coefficient > 0 requires reference logits")
+        logq = probstats.log_softmax_rows(ref_logits)
+        with np.errstate(invalid="ignore"):
+            kl_terms = np.where(p > 0.0, p * (logp - logq), 0.0)
+        kl = kl_terms.sum(axis=1)
+        losses = losses + spec.kl_coefficient * kl
+        # d/dz sum_i p_i (logp_i - logq_i)  =  p ⊙ (logp - logq - KL)
+        grad = grad + spec.kl_coefficient * (p * (logp - logq - kl[:, None]))
+    return TokenTerms(losses, w, ce, p, p_t, gates, ent_full, grad)
 
 
 # ---------------------------------------------------------------------------

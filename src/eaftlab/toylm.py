@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -180,65 +179,37 @@ def backprop_logits(params: ToyModelParams, cache, grad_logits: np.ndarray) -> d
     }
 
 
-class _TokenTerms(NamedTuple):
-    """Per-token quantities of one batch under one objective."""
-
-    losses: np.ndarray
-    weights: np.ndarray
-    ce: np.ndarray
-    probs: np.ndarray             # (B, V) softmax of the logits
-    p_target: np.ndarray
-    gates: np.ndarray | None      # None when the gate kind does not read it
-    entropy_full: np.ndarray
-    grad: np.ndarray              # (B, V) d(loss)/d(logits), unscaled
-
-
-def _batch_token_terms(
-    spec: obj.ObjectiveSpec,
-    logits: np.ndarray,
+def _step(
+    params: ToyModelParams,
+    objective: obj.ObjectiveSpec,
+    contexts: np.ndarray,
     targets: np.ndarray,
-    ref_logits: np.ndarray | None,
+    ref_params: ToyModelParams | None,
     position_weights: np.ndarray | None,
-) -> _TokenTerms:
-    """Per-token losses, weights, stats, and d(loss)/d(logits) rows.
+    step: int | None = None,
+    backprop: bool = True,
+):
+    """One batch through the model and the objective kernel.
 
-    The gate weight is evaluated on the live distribution and detached;
-    ``position_weights`` (sample weights in [0, 1]) multiply the gate.
+    Runs the forward pass, the reference forward (only for a KL objective),
+    the per-token kernel and, if ``backprop``, the exact parameter gradients
+    of the aggregated loss. Returns ``(loss, grads, terms)``; ``grads`` is
+    None without backprop. When ``step`` is given, non-finite logits of
+    ``params`` mean the run diverged at that step.
     """
-    B = logits.shape[0]
-    # one pass for both: bit-equal to softmax_rows and log_softmax_rows
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    p = np.exp(shifted)
-    total = p.sum(axis=-1, keepdims=True)
-    logp = shifted - np.log(total)
-    p /= total
-    idx = np.arange(B)
-    p_t = p[idx, targets]
-    k = min(spec.k, p.shape[1])
-    if spec.gate.kind in obj.GATE_FREE_KINDS:
-        probstats.check_gate_norm(k, spec.norm_mode)
-        gates = None
-    else:
-        gates = probstats.gate_rows(p, k, spec.norm_mode)
-    ent_full = probstats.entropy_rows(p)
-    w = obj.eval_gate_rows(spec.gate, gates, p_t)
-    if position_weights is not None:
-        w = w * position_weights
-    ce = -logp[idx, targets]
-    losses = w * ce
-    grad = p.copy()
-    grad[idx, targets] -= 1.0
-    grad *= w[:, None]
-    if spec.kl_coefficient > 0.0:
-        if ref_logits is None:
-            raise InvalidArgumentError("kl_coefficient > 0 requires reference logits")
-        logq = probstats.log_softmax_rows(ref_logits)
-        with np.errstate(invalid="ignore"):
-            kl_terms = np.where(p > 0.0, p * (logp - logq), 0.0)
-        kl = kl_terms.sum(axis=1)
-        losses = losses + spec.kl_coefficient * kl
-        grad = grad + spec.kl_coefficient * (p * (logp - logq - kl[:, None]))
-    return _TokenTerms(losses, w, ce, p, p_t, gates, ent_full, grad)
+    try:
+        logits, cache = forward_batch(params, contexts)
+    except NonFiniteLogitsError as exc:
+        if step is None:
+            raise
+        raise TrainingDivergedError("non-finite logits", step) from exc
+    ref_logits = None
+    if objective.kl_coefficient > 0.0:
+        ref_logits, _ = forward_batch(ref_params, contexts)
+    terms = obj.token_terms(objective, logits, targets, ref_logits, position_weights)
+    scale = 1.0 / len(targets) if objective.aggregation == obj.AGG_MEAN else 1.0
+    grads = backprop_logits(params, cache, terms.grad * scale) if backprop else None
+    return float(terms.losses.sum() * scale), grads, terms
 
 
 def loss_and_grads(
@@ -247,40 +218,13 @@ def loss_and_grads(
     objective: obj.ObjectiveSpec,
     ref_params: ToyModelParams | None = None,
     position_weights: np.ndarray | None = None,
-):
-    """Batch loss, exact parameter gradients, and per-token loss results."""
+) -> tuple[float, dict, obj.TokenTerms]:
+    """Batch loss, exact parameter gradients, and the per-token terms."""
     if len(batch) == 0:
         raise InvalidArgumentError("batch must be non-empty")
     if objective.kl_coefficient > 0.0 and ref_params is None:
         raise InvalidArgumentError("kl_coefficient > 0 requires ref_params")
-    logits, cache = forward_batch(params, batch.contexts)
-    ref_logits = None
-    if ref_params is not None:
-        ref_logits, _ = forward_batch(ref_params, batch.contexts)
-    terms = _batch_token_terms(objective, logits, batch.targets, ref_logits, position_weights)
-    losses, w, prob_rows, grad_rows = terms.losses, terms.weights, terms.probs, terms.grad
-    scale = 1.0 / len(batch) if objective.aggregation == obj.AGG_MEAN else 1.0
-    grads = backprop_logits(params, cache, grad_rows * scale)
-    loss = float(losses.sum() * scale)
-    per_token = []
-    for i in range(len(batch)):
-        dist = probstats.describe_distribution(
-            probstats.ProbVector.from_array(prob_rows[i]),
-            int(batch.targets[i]),
-            min(objective.k, prob_rows.shape[1]),
-            objective.norm_mode,
-        )
-        g = grad_rows[i]
-        per_token.append(
-            obj.TokenLossResult(
-                loss=float(losses[i]),
-                weight=float(w[i]),
-                grad_logits=g,
-                grad_norm=float(np.sqrt((g * g).sum())),
-                stats=dist,
-            )
-        )
-    return loss, grads, per_token
+    return _step(params, objective, batch.contexts, batch.targets, ref_params, position_weights)
 
 
 @dataclass
@@ -297,7 +241,7 @@ class OptimizerState:
             raise InvalidArgumentError("learning_rate must be positive")
 
 
-def apply_update_inplace(params: ToyModelParams, grads: dict, state: OptimizerState) -> None:
+def apply_update(params: ToyModelParams, grads: dict, state: OptimizerState) -> None:
     """One deterministic optimizer step that overwrites ``params`` and ``state``.
 
     Each in-place operation rounds exactly like the expression in its comment,
@@ -335,21 +279,6 @@ def apply_update_inplace(params: ToyModelParams, grads: dict, state: OptimizerSt
             denom += 1e-8
             step /= denom
             p -= step
-
-
-def apply_update(
-    params: ToyModelParams, grads: dict, state: OptimizerState
-) -> tuple[ToyModelParams, OptimizerState]:
-    """One deterministic optimizer step; returns fresh params and state."""
-    new_params = params.copy()
-    new_state = OptimizerState(
-        kind=state.kind,
-        learning_rate=state.learning_rate,
-        step_count=state.step_count,
-        buffers={k: {n: b.copy() for n, b in v.items()} for k, v in state.buffers.items()},
-    )
-    apply_update_inplace(new_params, grads, new_state)
-    return new_params, new_state
 
 
 @dataclass(frozen=True)
@@ -397,13 +326,24 @@ def train(run: TrainRun) -> TrainResult:
 
     Batches are sampled with replacement. Token records for landscape
     analysis are captured on a fixed probe subset every ``capture_every``
-    steps (pre-update) plus once after the final step.
+    steps (pre-update) plus once after the final step. The corpus token ids
+    and the reference model are checked once, before the first step.
     """
     if len(run.corpus) == 0:
         raise InvalidArgumentError("corpus must be non-empty")
     if run.position_weights is not None and len(run.position_weights) != len(run.corpus):
         raise InvalidArgumentError("position_weights length must match corpus")
+    if run.objective.kl_coefficient > 0.0 and run.ref_params is None:
+        raise InvalidArgumentError("kl objective requires ref_params")
     params = run.init.copy() if run.init is not None else init_model(run.config)
+    v = params.embedding.shape[0]
+    for name in ("contexts", "targets"):
+        ids = getattr(run.corpus, name)
+        bad = ids[(ids < 0) | (ids >= v)]
+        if bad.size:
+            raise InvalidArgumentError(
+                f"corpus {name} holds token id {int(bad[0])} outside [0, {v})"
+            )
     state = OptimizerState(kind=run.optimizer, learning_rate=run.learning_rate)
     rng = np.random.default_rng(run.seed)
     n = len(run.corpus)
@@ -420,18 +360,11 @@ def train(run: TrainRun) -> TrainResult:
         if run.capture_every > 0 and step % run.capture_every == 0:
             capture(step)
         idx = rng.integers(0, n, size=run.batch_size)
-        contexts = run.corpus.contexts[idx]
-        targets = run.corpus.targets[idx]
-        logits, cache = _forward_live(params, contexts, step)
-        ref_logits = None
-        if run.objective.kl_coefficient > 0.0:
-            if run.ref_params is None:
-                raise InvalidArgumentError("kl objective requires ref_params")
-            ref_logits, _ = forward_batch(run.ref_params, contexts)
         pw = None if run.position_weights is None else run.position_weights[idx]
-        terms = _batch_token_terms(run.objective, logits, targets, ref_logits, pw)
-        scale = 1.0 / run.batch_size if run.objective.aggregation == obj.AGG_MEAN else 1.0
-        grads = backprop_logits(params, cache, terms.grad * scale)
+        _, grads, terms = _step(
+            params, run.objective, run.corpus.contexts[idx], run.corpus.targets[idx],
+            run.ref_params, pw, step,
+        )
         gnorm = float(np.sqrt(sum(float((g * g).sum()) for g in grads.values())))
         ce = terms.ce
         hi = terms.entropy_full >= run.high_entropy_min
@@ -448,32 +381,21 @@ def train(run: TrainRun) -> TrainResult:
                 grad_norm=gnorm,
             )
         )
-        apply_update_inplace(params, grads, state)
+        apply_update(params, grads, state)
     if run.capture_every > 0:
         capture(run.steps)
     return TrainResult(params=params, log=log, captures=captures)
 
 
-def _forward_live(params: ToyModelParams, contexts: np.ndarray, step: int):
-    """``forward_batch`` on the parameters being trained, where non-finite
-    logits mean the run has diverged, not that its input was bad."""
-    try:
-        return forward_batch(params, contexts)
-    except NonFiniteLogitsError as exc:
-        raise TrainingDivergedError("non-finite logits", step) from exc
-
-
 def _capture_records(run: TrainRun, params: ToyModelParams, probe_idx, step: int):
     from .landscape import TokenRecord  # deferred: landscape imports toylm
 
-    contexts = run.corpus.contexts[probe_idx]
     targets = run.corpus.targets[probe_idx]
-    logits, _ = _forward_live(params, contexts, step)
-    ref_logits = None
-    if run.objective.kl_coefficient > 0.0 and run.ref_params is not None:
-        ref_logits, _ = forward_batch(run.ref_params, contexts)
     pw = None if run.position_weights is None else run.position_weights[probe_idx]
-    terms = _batch_token_terms(run.objective, logits, targets, ref_logits, pw)
+    _, _, terms = _step(
+        params, run.objective, run.corpus.contexts[probe_idx], targets,
+        run.ref_params, pw, step, backprop=False,
+    )
     k = min(run.objective.k, terms.probs.shape[1])
     ent_topk = probstats.topk_entropy_rows(terms.probs, k)
     gates = terms.gates

@@ -91,6 +91,28 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "diverged at step" in err
 
+    def test_warm_start_checks_every_dimension(self, tmp_path, capsys):
+        # a checkpoint of another shape must not train into an unreadable one
+        pre = tmp_path / "pre"
+        assert cli.main(["train", str(train_config(tmp_path)), str(pre)]) == 0
+        doc = json.loads(train_config(tmp_path).read_text())
+        doc["model"]["hidden_dim"] = 12
+        doc["init_checkpoint"] = str(pre / "checkpoint.ckpt")
+        cfg = tmp_path / "warm.json"
+        cfg.write_text(json.dumps(doc))
+        assert cli.main(["train", str(cfg), str(tmp_path / "out")]) == 1
+        assert "hidden_dim" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "checkpoint.ckpt").exists()
+
+    @pytest.mark.parametrize("bad_id", [-1, 16])
+    def test_token_id_outside_vocab_rejected(self, tmp_path, capsys, bad_id):
+        seqs = small_sequences()
+        seqs[-1][-1] = bad_id
+        cfg = train_config(tmp_path, corpus={"sequences": seqs})
+        assert cli.main(["train", str(cfg), str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "targets" in err and str(bad_id) in err
+
     def test_unknown_objective_named(self, tmp_path, capsys):
         cfg = train_config(tmp_path, objective={"name": "flow"})
         assert cli.main(["train", str(cfg), str(tmp_path / "out")]) == 1

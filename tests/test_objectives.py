@@ -1,6 +1,5 @@
 """Tests for the objective catalog: gate semantics, losses, gradients, KL."""
 
-import math
 from dataclasses import replace
 
 import numpy as np
@@ -10,26 +9,36 @@ from hypothesis import strategies as st
 
 from eaftlab import objectives as obj
 from eaftlab import probstats as ps
-from eaftlab.errors import (
-    DivergenceUndefinedError,
-    InvalidArgumentError,
-)
+from eaftlab import toylm
+from eaftlab.errors import InvalidArgumentError
 
 LN2 = 0.6931471805599453
 
 
-def dist_from_logits(logits, target, k=20):
-    return ps.describe_distribution(ps.softmax(logits), target, k)
+def one_token(spec, logits, target, ref_logits=None):
+    """The per-token kernel on a single token, passed as a (1, V) batch."""
+    ref = None if ref_logits is None else np.asarray(ref_logits, dtype=np.float64)[None, :]
+    return obj.token_terms(
+        spec, np.asarray(logits, dtype=np.float64)[None, :], np.array([target]), ref
+    )
+
+
+def norm(v):
+    return float(np.sqrt((v * v).sum()))
+
+
+def kl_reference(logits, ref_logits):
+    """Independent oracle: KL(softmax(logits) || softmax(ref_logits)) in nats."""
+    p = ps.softmax_rows(logits)
+    return float((p * (ps.log_softmax_rows(logits) - ps.log_softmax_rows(ref_logits))).sum())
 
 
 def detached_reference_loss(spec, logits, target, ref_logits, frozen_weight):
     """Independent oracle: gated CE with the gate held at its detached value."""
-    logp = ps.log_softmax(logits)
+    logp = ps.log_softmax_rows(logits)
     loss = frozen_weight * (-logp[target])
     if spec.kl_coefficient > 0:
-        loss += spec.kl_coefficient * obj.kl_divergence(
-            ps.softmax(logits), ps.softmax(ref_logits)
-        )
+        loss += spec.kl_coefficient * kl_reference(logits, ref_logits)
     return loss
 
 
@@ -44,6 +53,13 @@ ALL_SPECS = {
     "dft": obj.named_objective("dft"),
     "sft_kl": obj.named_objective("sft_kl"),
 }
+
+# A gate that is never above 1 masks every token, so the loss is the KL term alone.
+KL_ONLY = obj.ObjectiveSpec(gate=obj.GateSpec("hard-mask", tau_entropy=1.0), kl_coefficient=1.0)
+
+
+def kl_divergence(p_logits, q_logits):
+    return float(one_token(KL_ONLY, p_logits, 0, q_logits).losses[0])
 
 
 class TestGateSpec:
@@ -60,46 +76,48 @@ class TestGateSpec:
             obj.GateSpec(kind="hard-mask", tau_entropy=1.5)
 
 
+def weight_at(spec, gate, p_target=1.0 / 64):
+    return float(obj.eval_gate_rows(spec, np.array([gate]), np.array([p_target]))[0])
+
+
 class TestEvalGate:
     def test_linear_passthrough(self):
-        d = dist_from_logits(np.zeros(64), 0)
-        assert d.gate == pytest.approx(1.0, abs=1e-9)
-        assert obj.eval_gate(obj.GateSpec("linear"), d) == pytest.approx(d.gate)
+        gates = ps.gate_rows(ps.softmax_rows(np.zeros((1, 64))), 20)
+        assert gates[0] == pytest.approx(1.0, abs=1e-9)
+        assert weight_at(obj.GateSpec("linear"), gates[0]) == gates[0]
 
     def test_sigmoid_center(self):
         # at the center the sigmoid is exactly one half
         spec = obj.GateSpec("sigmoid", alpha=30.0, beta=0.17)
-        d = _dist_with_gate(0.17)
-        assert obj.eval_gate(spec, d) == pytest.approx(0.5, abs=1e-9)
+        assert weight_at(spec, 0.17) == pytest.approx(0.5, abs=1e-9)
 
     def test_power_two(self):
-        d = _dist_with_gate(0.5)
-        got = obj.eval_gate(obj.GateSpec("power", p_exponent=2.0), d)
+        got = weight_at(obj.GateSpec("power", p_exponent=2.0), 0.5)
         assert got == pytest.approx(0.25, abs=1e-6)
 
     def test_conflict_mask_joint_condition(self):
         spec = obj.GateSpec("conflict-mask", tau_entropy=0.17, tau_prob=0.05)
-        low = _dist_with_gate(0.10, p_target_small=True)
-        assert obj.eval_gate(spec, low) == 0.0
-        high_gate = _dist_with_gate(0.5, p_target_small=True)
-        assert obj.eval_gate(spec, high_gate) == 1.0
+        assert weight_at(spec, 0.10, p_target=0.01) == 0.0
+        assert weight_at(spec, 0.5, p_target=0.01) == 1.0
 
     def test_hard_mask_strict_threshold(self):
         spec = obj.GateSpec("hard-mask", tau_entropy=0.4)
-        assert obj.eval_gate(spec, _dist_with_gate(0.41)) == 1.0
-        assert obj.eval_gate(spec, _dist_with_gate(0.39)) == 0.0
+        assert weight_at(spec, 0.41) == 1.0
+        assert weight_at(spec, 0.39) == 0.0
 
     def test_prob_weight_returns_p_target(self):
-        d = dist_from_logits(np.zeros(64), 7)
-        assert obj.eval_gate(obj.GateSpec("prob-weight"), d) == pytest.approx(1 / 64)
+        res = one_token(obj.named_objective("dft"), np.zeros(64), 7)
+        assert res.weights[0] == pytest.approx(1 / 64)
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=60, deadline=None)
     def test_all_kinds_in_unit_interval(self, seed):
         rng = np.random.default_rng(seed)
-        d = dist_from_logits(rng.normal(0, 4, 64), int(rng.integers(0, 64)))
+        p = ps.softmax_rows(rng.normal(0, 4, (1, 64)))
+        gates = ps.gate_rows(p, 20)
+        p_t = p[:, int(rng.integers(0, 64))]
         for spec in ALL_SPECS.values():
-            w = obj.eval_gate(spec.gate, d)
+            w = obj.eval_gate_rows(spec.gate, gates, p_t)[0]
             assert 0.0 <= w <= 1.0
 
     @given(st.integers(0, 2**31 - 1))
@@ -113,106 +131,75 @@ class TestEvalGate:
             assert np.all(np.diff(ws) >= -1e-12)
 
 
-def _dist_with_gate(gate_value, p_target_small=False):
-    """Construct a TokenDistribution carrying a prescribed gate value."""
-    if p_target_small:
-        vec = np.full(64, 0.99 / 63)
-        vec[0] = 0.01
-    else:
-        vec = np.full(64, 1.0 / 64)
-    probs = ps.ProbVector.from_array(vec)
-    return ps.TokenDistribution(
-        probs=probs,
-        target_id=0,
-        p_target=float(vec[0]),
-        entropy_full=ps.entropy(probs),
-        entropy_topk=gate_value * math.log(20),
-        gate=gate_value,
-        k=20,
-    )
-
-
 class TestKLDivergence:
     def test_identical_is_zero(self):
-        p = ps.ProbVector.from_array([0.3, 0.7])
-        assert obj.kl_divergence(p, p) == 0.0
+        z = np.log([0.3, 0.7])
+        assert kl_divergence(z, z) == 0.0
 
     def test_onehot_vs_uniform(self):
-        p = ps.ProbVector.from_array([1.0, 0.0])
-        q = ps.ProbVector.from_array([0.5, 0.5])
-        assert obj.kl_divergence(p, q) == pytest.approx(LN2, abs=1e-12)
+        # exp(-800) underflows to 0, so p is exactly one-hot
+        assert kl_divergence([0.0, -800.0], [0.0, 0.0]) == pytest.approx(LN2, abs=1e-12)
 
     def test_two_term_oracle(self):
-        p = ps.ProbVector.from_array([0.75, 0.25])
-        q = ps.ProbVector.from_array([0.5, 0.5])
-        assert obj.kl_divergence(p, q) == pytest.approx(0.13081203594113696, abs=1e-15)
-
-    def test_undefined_when_q_zero_on_support(self):
-        p = ps.ProbVector.from_array([0.5, 0.5])
-        q = ps.ProbVector.from_array([1.0, 0.0])
-        with pytest.raises(DivergenceUndefinedError):
-            obj.kl_divergence(p, q)
+        got = kl_divergence(np.log([0.75, 0.25]), [0.0, 0.0])
+        assert got == pytest.approx(0.13081203594113696, abs=1e-15)
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=100, deadline=None)
     def test_nonnegative_zero_iff_equal(self, seed):
         rng = np.random.default_rng(seed)
-        p = ps.softmax(rng.normal(0, 3, 16))
-        q = ps.softmax(rng.normal(0, 3, 16))
-        kl = obj.kl_divergence(p, q)
+        zp, zq = rng.normal(0, 3, 16), rng.normal(0, 3, 16)
+        kl = kl_divergence(zp, zq)
         assert kl >= 0.0
         if kl == 0.0:
-            assert np.abs(p.probs - q.probs).max() < 1e-12
-        assert obj.kl_divergence(p, p) == 0.0
+            p, q = ps.softmax_rows(zp), ps.softmax_rows(zq)
+            assert np.abs(p - q).max() < 1e-12
+        assert kl_divergence(zp, zp) == 0.0
 
 
 class TestTokenLoss:
     def test_uniform_ce(self):
-        spec = obj.named_objective("ce")
-        res = obj.token_loss(spec, np.zeros(2), 0)
-        assert res.loss == pytest.approx(LN2, abs=1e-12)
-        assert res.weight == 1.0
+        res = one_token(obj.named_objective("ce"), np.zeros(2), 0)
+        assert res.losses[0] == pytest.approx(LN2, abs=1e-12)
+        assert res.weights[0] == 1.0
 
     def test_peaked_eaft_suppressed(self):
-        spec = obj.named_objective("eaft")
         logits = np.full(64, -20.0)
         logits[3] = 20.0
-        res = obj.token_loss(spec, logits, 11)
-        assert res.weight == pytest.approx(0.0, abs=1e-6)
-        assert res.loss == pytest.approx(0.0, abs=1e-3)
+        res = one_token(obj.named_objective("eaft"), logits, 11)
+        assert res.weights[0] == pytest.approx(0.0, abs=1e-6)
+        assert res.losses[0] == pytest.approx(0.0, abs=1e-3)
 
     def test_dft_uniform_oracle(self):
         # weight = p_target = 0.5, so loss = 0.5 * ln 2
-        spec = obj.named_objective("dft")
-        res = obj.token_loss(spec, np.zeros(2), 0)
-        assert res.loss == pytest.approx(0.34657359027997265, abs=1e-15)
+        res = one_token(obj.named_objective("dft"), np.zeros(2), 0)
+        assert res.losses[0] == pytest.approx(0.34657359027997265, abs=1e-15)
 
     def test_missing_ref_logits_raises(self):
-        spec = obj.named_objective("sft_kl")
         with pytest.raises(InvalidArgumentError):
-            obj.token_loss(spec, np.zeros(4), 0)
+            one_token(obj.named_objective("sft_kl"), np.zeros(4), 0)
 
     def test_grad_norm_matches_grad(self):
+        # the norm of the kernel's gradient row equals (p - onehot) scaled by w
         rng = np.random.default_rng(5)
-        spec = obj.named_objective("eaft")
-        res = obj.token_loss(spec, rng.normal(0, 2, 64), 9)
-        assert res.grad_norm == pytest.approx(
-            float(np.sqrt((res.grad_logits**2).sum())), abs=1e-12
-        )
+        res = one_token(obj.named_objective("eaft"), rng.normal(0, 2, 64), 9)
+        onehot = np.zeros(64)
+        onehot[9] = 1.0
+        expected = res.weights[0] * norm(res.probs[0] - onehot)
+        assert norm(res.grad[0]) == pytest.approx(expected, abs=1e-12)
 
     def test_zero_weight_means_exactly_zero_grad(self):
         spec = obj.named_objective("hard_mask", tau_entropy=0.99)
         logits = np.full(64, -10.0)
         logits[0] = 10.0
-        res = obj.token_loss(spec, logits, 5)
-        assert res.weight == 0.0
-        assert np.all(res.grad_logits == 0.0)
+        res = one_token(spec, logits, 5)
+        assert res.weights[0] == 0.0
+        assert np.all(res.grad == 0.0)
 
 
 class TestTokenGrad:
     def test_uniform_two_vocab(self):
-        spec = obj.named_objective("ce")
-        g = obj.token_grad(spec, np.zeros(2), 0)
+        g = one_token(obj.named_objective("ce"), np.zeros(2), 0).grad[0]
         np.testing.assert_allclose(g, [-0.5, 0.5], atol=1e-12)
 
     def test_finite_difference_all_kinds(self):
@@ -225,18 +212,19 @@ class TestTokenGrad:
                 z = rng.normal(0, 2.0, 64)
                 ref = rng.normal(0, 2.0, 64) if spec.kl_coefficient > 0 else None
                 t = int(rng.integers(0, 64))
-                res = obj.token_loss(spec, z, t, ref)
+                res = one_token(spec, z, t, ref)
+                w = res.weights[0]
                 fd = np.zeros(64)
                 for j in range(64):
                     zp, zm = z.copy(), z.copy()
                     zp[j] += h
                     zm[j] -= h
                     fd[j] = (
-                        detached_reference_loss(spec, zp, t, ref, res.weight)
-                        - detached_reference_loss(spec, zm, t, ref, res.weight)
+                        detached_reference_loss(spec, zp, t, ref, w)
+                        - detached_reference_loss(spec, zm, t, ref, w)
                     ) / (2 * h)
                 denom = max(np.abs(fd).max(), 1e-8)
-                worst = max(worst, float(np.abs(res.grad_logits - fd).max() / denom))
+                worst = max(worst, float(np.abs(res.grad[0] - fd).max() / denom))
             assert worst < 1e-5, f"{name}: rel err {worst}"
 
     def test_gate_scaling_identity(self):
@@ -247,66 +235,71 @@ class TestTokenGrad:
         for _ in range(50):
             z = rng.normal(0, 3, 64)
             t = int(rng.integers(0, 64))
-            rc = obj.token_loss(ce, z, t)
-            re = obj.token_loss(eaft, z, t)
-            np.testing.assert_allclose(re.grad_logits, re.weight * rc.grad_logits, atol=1e-15)
-            assert re.grad_norm == pytest.approx(re.weight * rc.grad_norm, abs=1e-12)
+            rc = one_token(ce, z, t)
+            re = one_token(eaft, z, t)
+            w = re.weights[0]
+            np.testing.assert_allclose(re.grad[0], w * rc.grad[0], atol=1e-15)
+            assert norm(re.grad[0]) == pytest.approx(w * norm(rc.grad[0]), abs=1e-12)
+
+
+TINY = toylm.ModelConfig(vocab_size=64, context_len=3, embed_dim=2, hidden_dim=4, seed=5)
 
 
 class TestSequenceLoss:
     def test_single_position_matches_token_loss(self):
+        # a row of a larger batch equals the same token as a batch of one
         spec = obj.named_objective("eaft")
-        z = np.linspace(-1, 1, 64)
-        total, per = obj.sequence_loss(spec, [z], [5])
-        assert total == pytest.approx(obj.token_loss(spec, z, 5).loss)
-        assert len(per) == 1
+        rng = np.random.default_rng(4)
+        z = rng.normal(0, 2, (5, 64))
+        batch = obj.token_terms(spec, z, np.arange(5))
+        single = one_token(spec, z[2], 2)
+        assert batch.losses[2] == pytest.approx(single.losses[0])
+        assert len(single.losses) == 1
 
     def test_constant_gate_equals_ce_bitwise(self):
         rng = np.random.default_rng(8)
         ce = obj.named_objective("ce")
         one = replace(ce, gate=obj.GateSpec("constant-one"))
-        rows = [rng.normal(0, 2, 64) for _ in range(16)]
-        targets = list(rng.integers(0, 64, 16))
-        a, pa = obj.sequence_loss(ce, rows, targets)
-        b, pb = obj.sequence_loss(one, rows, targets)
-        assert a == b
-        for x, y in zip(pa, pb):
-            assert x.loss == y.loss
-            assert np.array_equal(x.grad_logits, y.grad_logits)
+        rows = rng.normal(0, 2, (16, 64))
+        targets = rng.integers(0, 64, 16)
+        a = obj.token_terms(ce, rows, targets)
+        b = obj.token_terms(one, rows, targets)
+        assert np.array_equal(a.losses, b.losses)
+        assert np.array_equal(a.grad, b.grad)
 
     def test_sum_is_twice_mean_on_duplicates(self):
         spec = obj.named_objective("eaft")
-        z = np.linspace(-1, 1, 64)
-        mean_total, _ = obj.sequence_loss(spec, [z, z], [3, 3])
+        params = toylm.init_model(TINY)
+        twice = toylm.Corpus(np.array([[1, 2, 3], [1, 2, 3]]), np.array([3, 3]))
+        mean_total, _, _ = toylm.loss_and_grads(params, twice, spec)
         sum_spec = replace(spec, aggregation=obj.AGG_SUM)
-        sum_total, _ = obj.sequence_loss(sum_spec, [z, z], [3, 3])
+        sum_total, _, _ = toylm.loss_and_grads(params, twice, sum_spec)
         assert sum_total == pytest.approx(2.0 * mean_total, abs=1e-12)
 
     def test_length_mismatch(self):
-        spec = obj.named_objective("ce")
         with pytest.raises(InvalidArgumentError):
-            obj.sequence_loss(spec, [np.zeros(8)], [0, 1])
+            toylm.Corpus(np.zeros((1, 3), dtype=np.int64), np.array([0, 1]))
 
 
 class TestGradMagnitudeLandscape:
     def test_projection(self):
-        spec = obj.named_objective("ce")
-        res = obj.token_loss(spec, np.zeros(2), 0)
-        rows = obj.grad_magnitude_landscape([res])
-        assert rows == [(res.stats.p_target, res.stats.entropy_full, res.grad_norm)]
+        res = one_token(obj.named_objective("ce"), np.zeros(2), 0)
+        row = (res.p_target[0], res.entropy_full[0], norm(res.grad[0]))
+        assert row[:2] == pytest.approx((0.5, LN2), abs=1e-12)
         # uniform 2-vocab CE grad norm is sqrt(0.5)
-        assert rows[0][2] == pytest.approx(0.7071067811865476, abs=1e-12)
+        assert row[2] == pytest.approx(0.7071067811865476, abs=1e-12)
 
     def test_gated_ratio_equals_gate(self):
         rng = np.random.default_rng(9)
         ce, eaft = obj.named_objective("ce"), obj.named_objective("eaft")
         z = rng.normal(0, 2, 64)
-        rc, re = obj.token_loss(ce, z, 4), obj.token_loss(eaft, z, 4)
-        assert re.grad_norm / rc.grad_norm == pytest.approx(re.weight, abs=1e-12)
+        rc, re = one_token(ce, z, 4), one_token(eaft, z, 4)
+        assert norm(re.grad[0]) / norm(rc.grad[0]) == pytest.approx(re.weights[0], abs=1e-12)
 
     def test_empty_rejected(self):
+        empty = toylm.Corpus(np.zeros((0, 3), dtype=np.int64), np.zeros(0, dtype=np.int64))
         with pytest.raises(InvalidArgumentError):
-            obj.grad_magnitude_landscape([])
+            toylm.loss_and_grads(toylm.init_model(TINY), empty, obj.named_objective("ce"))
 
 
 class TestNormModes:
@@ -315,8 +308,8 @@ class TestNormModes:
         exact = obj.named_objective("eaft")
         paper = obj.named_objective("eaft", norm_mode=ps.NORM_PAPER)
         z = np.zeros(64)
-        w_exact = obj.token_loss(exact, z, 0).weight
-        w_paper = obj.token_loss(paper, z, 0).weight
+        w_exact = one_token(exact, z, 0).weights[0]
+        w_paper = one_token(paper, z, 0).weights[0]
         assert w_exact == pytest.approx(1.0, abs=1e-9)
         assert w_paper == pytest.approx(0.998577424517997, abs=1e-9)
 

@@ -8,104 +8,82 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eaftlab import probstats as ps
-from eaftlab.errors import (
-    DegenerateVarianceError,
-    InvalidArgumentError,
-    InvalidInputError,
-)
+from eaftlab.errors import DegenerateVarianceError, InvalidArgumentError
 
 LN2 = 0.6931471805599453
 LN64 = 4.1588830833596715
 
 
 def uniform_probs(n):
-    return ps.ProbVector.from_array(np.full(n, 1.0 / n))
+    return np.full((1, n), 1.0 / n)
 
 
-class TestProbVector:
-    def test_rejects_negative(self):
-        with pytest.raises(InvalidInputError):
-            ps.ProbVector.from_array([1.2, -0.2])
-
-    def test_rejects_bad_sum(self):
-        with pytest.raises(InvalidInputError):
-            ps.ProbVector.from_array([0.5, 0.4])
-
-    def test_rejects_nan(self):
-        with pytest.raises(InvalidInputError):
-            ps.ProbVector.from_array([np.nan, 1.0])
-
-    def test_vocab_size_must_match(self):
-        with pytest.raises(InvalidArgumentError):
-            ps.ProbVector(probs=np.array([0.5, 0.5]), vocab_size=3)
+def row(values):
+    """A single distribution (or logit vector) as a (1, V) batch."""
+    return np.asarray(values, dtype=np.float64)[None, :]
 
 
 class TestSoftmax:
     def test_symmetry(self):
-        np.testing.assert_allclose(ps.softmax([0.0, 0.0]).probs, [0.5, 0.5], atol=1e-15)
+        np.testing.assert_allclose(ps.softmax_rows(row([0.0, 0.0]))[0], [0.5, 0.5], atol=1e-15)
 
     def test_closed_form(self):
         np.testing.assert_allclose(
-            ps.softmax([math.log(2.0), 0.0]).probs, [2 / 3, 1 / 3], atol=1e-15
+            ps.softmax_rows(row([math.log(2.0), 0.0]))[0], [2 / 3, 1 / 3], atol=1e-15
         )
 
     def test_no_overflow_on_large_logits(self):
-        p = ps.softmax([1000.0, 0.0]).probs
+        p = ps.softmax_rows(row([1000.0, 0.0]))[0]
         assert np.all(np.isfinite(p))
         assert p[0] == pytest.approx(1.0)
         assert p[1] == pytest.approx(0.0, abs=1e-300)
 
-    def test_rejects_nonfinite(self):
-        with pytest.raises(InvalidInputError):
-            ps.softmax([np.inf, 0.0])
-
     @given(st.lists(st.floats(-30, 30), min_size=2, max_size=64), st.floats(-50, 50))
     @settings(max_examples=100, deadline=None)
     def test_shift_invariance(self, logits, c):
-        a = ps.softmax(np.array(logits)).probs
-        b = ps.softmax(np.array(logits) + c).probs
+        a = ps.softmax_rows(row(logits))
+        b = ps.softmax_rows(row(logits) + c)
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_output_sums_to_one(self):
         rng = np.random.default_rng(0)
-        for _ in range(50):
-            p = ps.softmax(rng.normal(0, 5, 33)).probs
-            assert abs(p.sum() - 1.0) <= 1e-12
+        p = ps.softmax_rows(rng.normal(0, 5, (50, 33)))
+        assert np.all(np.abs(p.sum(axis=1) - 1.0) <= 1e-12)
 
 
 class TestLogSoftmax:
     def test_uniform_pair(self):
-        np.testing.assert_allclose(ps.log_softmax([0.0, 0.0]), [-LN2, -LN2], atol=1e-15)
+        np.testing.assert_allclose(ps.log_softmax_rows(row([0.0, 0.0]))[0], [-LN2, -LN2], atol=1e-15)
 
     def test_closed_form(self):
-        got = ps.log_softmax([math.log(2.0), 0.0])
+        got = ps.log_softmax_rows(row([math.log(2.0), 0.0]))[0]
         np.testing.assert_allclose(got, [math.log(2 / 3), math.log(1 / 3)], atol=1e-15)
 
     def test_matches_softmax_log(self):
         # oracle: softmax first, then elementwise log
         rng = np.random.default_rng(7)
-        logits = rng.normal(0, 3, 64)
+        logits = row(rng.normal(0, 3, 64))
         np.testing.assert_allclose(
-            np.exp(ps.log_softmax(logits)), ps.softmax(logits).probs, atol=1e-12
+            np.exp(ps.log_softmax_rows(logits)), ps.softmax_rows(logits), atol=1e-12
         )
         np.testing.assert_allclose(
-            ps.log_softmax(logits), np.log(ps.softmax(logits).probs), atol=1e-12
+            ps.log_softmax_rows(logits), np.log(ps.softmax_rows(logits)), atol=1e-12
         )
 
 
 class TestEntropy:
     def test_uniform_is_max(self):
-        assert ps.entropy(uniform_probs(64)) == pytest.approx(LN64, abs=1e-12)
+        assert ps.entropy_rows(uniform_probs(64))[0] == pytest.approx(LN64, abs=1e-12)
 
     def test_onehot_is_zero(self):
         v = np.zeros(16)
         v[3] = 1.0
-        assert ps.entropy(ps.ProbVector.from_array(v)) == 0.0
+        assert ps.entropy_rows(row(v))[0] == 0.0
 
     def test_two_point(self):
         v = np.zeros(8)
         v[0] = v[1] = 0.5
-        assert ps.entropy(ps.ProbVector.from_array(v)) == pytest.approx(LN2, abs=1e-12)
+        assert ps.entropy_rows(row(v))[0] == pytest.approx(LN2, abs=1e-12)
 
     @given(st.integers(2, 40), st.floats(0.0, 1.0), st.integers(0, 2**31 - 1))
     @settings(max_examples=80, deadline=None)
@@ -114,98 +92,103 @@ class TestEntropy:
         p = rng.dirichlet(np.ones(n) * 0.7)
         mixed = lam * p + (1 - lam) * np.full(n, 1.0 / n)
         mixed = mixed / mixed.sum()
-        h_p = ps.entropy(ps.ProbVector.from_array(p))
-        h_m = ps.entropy(ps.ProbVector.from_array(mixed))
+        h_p, h_m = ps.entropy_rows(np.stack([p, mixed]))
         assert h_m >= h_p - 1e-12
+
+
+def sorted_topk_entropy(p, k):
+    """Oracle: entropy of the renormalized k largest entries via a full sort."""
+    top = np.sort(p)[::-1][:k]
+    top = top / top.sum()
+    top = top[top > 0]
+    return float(-(top * np.log(top)).sum())
 
 
 class TestTopkEntropy:
     def test_k_equals_v_matches_full(self):
         rng = np.random.default_rng(1)
-        for _ in range(20):
-            p = ps.ProbVector.from_array(rng.dirichlet(np.ones(32)))
-            assert ps.topk_entropy(p, 32) == pytest.approx(ps.entropy(p), abs=1e-12)
+        p = rng.dirichlet(np.ones(32), size=20)
+        np.testing.assert_allclose(
+            ps.topk_entropy_rows(p, 32), ps.entropy_rows(p), rtol=0, atol=1e-12
+        )
 
     def test_three_point_oracle(self):
         # renormalized [0.6, 0.3] -> [2/3, 1/3]; entropy = ln3 - (2/3)ln2
-        p = ps.ProbVector.from_array([0.6, 0.3, 0.1])
         expected = 0.6365141682948128
-        assert ps.topk_entropy(p, 2) == pytest.approx(expected, abs=1e-15)
+        assert ps.topk_entropy_rows(row([0.6, 0.3, 0.1]), 2)[0] == pytest.approx(expected, abs=1e-15)
 
     def test_k_one_is_zero(self):
         rng = np.random.default_rng(2)
-        for _ in range(10):
-            p = ps.ProbVector.from_array(rng.dirichlet(np.ones(12)))
-            assert ps.topk_entropy(p, 1) == 0.0
+        p = rng.dirichlet(np.ones(12), size=10)
+        assert np.all(ps.topk_entropy_rows(p, 1) == 0.0)
 
     def test_k_out_of_range(self):
         p = uniform_probs(4)
         with pytest.raises(InvalidArgumentError):
-            ps.topk_entropy(p, 0)
+            ps.topk_entropy_rows(p, 0)
         with pytest.raises(InvalidArgumentError):
-            ps.topk_entropy(p, 5)
+            ps.topk_entropy_rows(p, 5)
 
     @given(st.integers(2, 32), st.integers(1, 32), st.integers(0, 2**31 - 1))
     @settings(max_examples=80, deadline=None)
     def test_bounded_by_ln_k(self, n, k, seed):
         k = min(k, n)
         rng = np.random.default_rng(seed)
-        p = ps.ProbVector.from_array(rng.dirichlet(np.ones(n)))
-        h = ps.topk_entropy(p, k)
+        h = ps.topk_entropy_rows(row(rng.dirichlet(np.ones(n))), k)[0]
         assert 0.0 <= h <= math.log(k) + 1e-12
 
     def test_rowwise_matches_scalar(self):
+        # each row of a batch equals a one-row-at-a-time sorted oracle
         rng = np.random.default_rng(3)
         mat = rng.dirichlet(np.ones(24), size=16)
         for k in (1, 2, 5, 24):
             rows = ps.topk_entropy_rows(mat, k)
             for i in range(16):
-                one = ps.topk_entropy(ps.ProbVector.from_array(mat[i]), k)
-                assert rows[i] == pytest.approx(one, abs=1e-12)
+                assert rows[i] == pytest.approx(sorted_topk_entropy(mat[i], k), abs=1e-12)
 
 
 class TestNormalizedGate:
     def test_uniform_topk_is_one(self):
-        assert ps.normalized_gate(uniform_probs(64), 20) == pytest.approx(1.0, abs=1e-9)
+        assert ps.gate_rows(uniform_probs(64), 20)[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_onehot_is_zero(self):
         v = np.zeros(64)
         v[5] = 1.0
-        assert ps.normalized_gate(ps.ProbVector.from_array(v), 20) == 0.0
+        assert ps.gate_rows(row(v), 20)[0] == 0.0
 
     def test_paper_norm_oracle(self):
         # uniform top-20 mass under the /3.0 shorthand: ln(20)/3
-        got = ps.normalized_gate(uniform_probs(64), 20, ps.NORM_PAPER)
+        got = ps.gate_rows(uniform_probs(64), 20, ps.NORM_PAPER)[0]
         assert got == pytest.approx(0.998577424517997, abs=1e-12)
 
     def test_paper_norm_requires_k20(self):
         with pytest.raises(InvalidArgumentError):
-            ps.normalized_gate(uniform_probs(64), 10, ps.NORM_PAPER)
+            ps.gate_rows(uniform_probs(64), 10, ps.NORM_PAPER)
 
     def test_exact_norm_equals_topk_over_ln_k(self):
         rng = np.random.default_rng(4)
-        p = ps.ProbVector.from_array(rng.dirichlet(np.ones(40)))
+        p = row(rng.dirichlet(np.ones(40)))
         k = 7
-        assert ps.normalized_gate(p, k) == pytest.approx(
-            ps.topk_entropy(p, k) / math.log(k), abs=1e-12
+        assert ps.gate_rows(p, k)[0] == pytest.approx(
+            ps.topk_entropy_rows(p, k)[0] / math.log(k), abs=1e-12
         )
 
     def test_one_iff_topk_uniform(self):
         # equal top-k probabilities saturate the gate; unequal ones do not
         v = np.zeros(32)
         v[:8] = 1.0 / 8
-        assert ps.normalized_gate(ps.ProbVector.from_array(v), 8) == pytest.approx(1.0, abs=1e-9)
+        assert ps.gate_rows(row(v), 8)[0] == pytest.approx(1.0, abs=1e-9)
         v = np.zeros(32)
         v[0], v[1:8] = 0.3, 0.1
-        assert ps.normalized_gate(ps.ProbVector.from_array(v), 8) < 1.0 - 1e-9
+        assert ps.gate_rows(row(v), 8)[0] < 1.0 - 1e-9
 
     @given(st.integers(2, 32), st.integers(2, 20), st.integers(0, 2**31 - 1))
     @settings(max_examples=60, deadline=None)
     def test_in_unit_interval(self, n, k, seed):
         k = min(k, n)
         rng = np.random.default_rng(seed)
-        p = ps.ProbVector.from_array(rng.dirichlet(np.ones(n) * 0.5))
-        assert 0.0 <= ps.normalized_gate(p, k) <= 1.0
+        g = ps.gate_rows(row(rng.dirichlet(np.ones(n) * 0.5)), k)[0]
+        assert 0.0 <= g <= 1.0
 
 
 class TestPearson:
