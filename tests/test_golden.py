@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eaftlab import cli, forgebench as fb, objectives as obj, toylm
+from eaftlab import cli, forgebench as fb, landscape, objectives as obj, toylm
 
 GOLDEN = {
     "domains_order2": "b120d766d6fedd65649b32a3b0bbd04b3448fdcae671987e2bc67825da536137",
@@ -27,6 +27,8 @@ GOLDEN = {
     "train_log_captures": "60034fee69c75720d051c4438e7b3dfcd0ba40f5b56f10534d84ef154249d74b",
     "cli_train_eaft": "31bf865992876d4a0a3b2b2f4a5bdc0ff04e7ce3fea204272204da916a3f5f52",
     "cli_train_sft_kl": "efde744d81cf3d4292c0e8c25f6cb93d53dc44a59ff00b487ab8ed9a92852632",
+    "cli_diagnostics": "3ff559d7b9f9ad3d09f092b682226e51d9ce0748ff61b64d8208ca5f2527a0d8",
+    "fidelity": "e8b846425c48f69eef7331f66e1b7794c844385293ac40749ae14c7a5e3b800a",
 }
 
 DOMAINS = {
@@ -164,6 +166,35 @@ def cli_train_digest(tmp_path, name: str) -> str:
     return _sha(*((out / f).read_bytes() for f in ("checkpoint.ckpt", "trainlog.csv", "records.jsonl")))
 
 
+def cli_diagnostics_digest(tmp_path) -> str:
+    """``analyze --records``, ``dynamics`` and ``analyze --checkpoint --corpus``
+    on the outputs of the eaft CLI run."""
+    cli_train_digest(tmp_path, "eaft")
+    run = tmp_path / "eaft"
+    (tmp_path / "corpus.json").write_text(json.dumps({"sequences": _sequences()}))
+    commands = (
+        ["analyze", str(tmp_path / "records"), "--records", str(run / "records.jsonl")],
+        ["dynamics", str(run), str(tmp_path / "dynamics")],
+        [
+            "analyze", str(tmp_path / "corpus"), "--checkpoint", str(run / "checkpoint.ckpt"),
+            "--corpus", str(tmp_path / "corpus.json"), "--k", "5",
+        ],
+    )
+    for argv in commands:
+        assert cli.main(argv) == 0
+    tables = ("landscape.csv", "quadrants.csv", "ranking.csv")
+    files = [tmp_path / "records" / f for f in tables]
+    files.append(tmp_path / "dynamics" / "dynamics_records.csv")
+    files += [tmp_path / "corpus" / f for f in tables]
+    return _sha(*(f.read_bytes() for f in files))
+
+
+def fidelity_digest() -> str:
+    probs = landscape.synthetic_fidelity_corpus(n_tokens=500, vocab_size=256)
+    rows = landscape.fidelity_from_probs(probs, landscape.default_k_grid(256))
+    return _sha(*_arrays(probs), rows)
+
+
 @pytest.fixture(scope="module")
 def snapshot():
     return _snapshot()
@@ -191,6 +222,14 @@ def test_cli_train(tmp_path, name):
     assert cli_train_digest(tmp_path, name) == GOLDEN[f"cli_train_{name}"]
 
 
+def test_cli_diagnostics(tmp_path):
+    assert cli_diagnostics_digest(tmp_path) == GOLDEN["cli_diagnostics"]
+
+
+def test_fidelity_study():
+    assert fidelity_digest() == GOLDEN["fidelity"]
+
+
 def _record(tmp_dir) -> dict:
     tmp = Path(tmp_dir)
     snap = _snapshot()
@@ -201,6 +240,9 @@ def _record(tmp_dir) -> dict:
     for name in ("eaft", "sft_kl"):
         (tmp / name).mkdir()
         out[f"cli_train_{name}"] = cli_train_digest(tmp / name, name)
+    (tmp / "diagnostics").mkdir()
+    out["cli_diagnostics"] = cli_diagnostics_digest(tmp / "diagnostics")
+    out["fidelity"] = fidelity_digest()
     return out
 
 
