@@ -24,6 +24,7 @@ from pathlib import Path
 
 from . import forgebench, landscape, objectives, toylm
 from .errors import ConfigError, EaftLabError, TrainingDivergedError
+from .fileio import atomic_write
 
 TRAINLOG_FIELDS = (
     "step",
@@ -200,7 +201,7 @@ def cmd_bench(protocol_path, out_dir, parallel: int = 1) -> int:
         names, seeds, domain, conflict, sizes, protocol, parallel=max(1, int(parallel))
     )
     for cell in cells:
-        with open(out / f"cell_{cell.objective}_{cell.seed}.json", "w") as fh:
+        with atomic_write(out / f"cell_{cell.objective}_{cell.seed}.json") as fh:
             json.dump(dataclasses.asdict(cell), fh, sort_keys=True, indent=2)
             fh.write("\n")
     rows = forgebench.pareto_report(cells)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .errors import (
     RecordParseError,
     RecordValidationError,
 )
+from .fileio import atomic_write
 
 RECORD_FIELDS = (
     "source_id",
@@ -55,16 +56,19 @@ class TokenRecord:
     step: int | None = None
 
     def __post_init__(self):
+        # chained comparisons are false for NaN, so each check rejects it too
         if not 0.0 <= self.p_target <= 1.0:
             raise RecordValidationError(f"p_target {self.p_target} outside [0, 1]")
-        if self.entropy_topk < 0.0:
-            raise RecordValidationError("entropy_topk must be >= 0")
-        if self.entropy_full is not None and self.entropy_full < 0.0:
-            raise RecordValidationError("entropy_full must be >= 0")
+        if not 0.0 <= self.entropy_topk < math.inf:
+            raise RecordValidationError(f"entropy_topk {self.entropy_topk} must be finite and >= 0")
+        if self.entropy_full is not None and not 0.0 <= self.entropy_full < math.inf:
+            raise RecordValidationError(f"entropy_full {self.entropy_full} must be finite and >= 0")
         if not 0.0 <= self.gate <= 1.0:
             raise RecordValidationError(f"gate {self.gate} outside [0, 1]")
         if self.weight is not None and not 0.0 <= self.weight <= 1.0:
             raise RecordValidationError(f"weight {self.weight} outside [0, 1]")
+        if self.grad_norm is not None and not 0.0 <= self.grad_norm < math.inf:
+            raise RecordValidationError(f"grad_norm {self.grad_norm} must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -96,24 +100,28 @@ def score_corpus(
     """One record per corpus position, in corpus (sequence-major) order."""
     if len(corpus) == 0:
         return []
+    toylm.check_corpus_ids(corpus, params.embedding.shape[0])
     logits, _ = toylm.forward_batch(params, corpus.contexts)
     probs = probstats.softmax_rows(logits)
-    idx = np.arange(len(corpus))
-    p_t = probs[idx, corpus.targets]
-    ent_full = probstats.entropy_rows(probs)
-    ent_topk = probstats.topk_entropy_rows(probs, k)
-    gates = probstats.gate_rows(probs, k)
+    p_t = probs[np.arange(len(corpus)), corpus.targets]
+    columns = zip(
+        corpus.targets.tolist(),
+        p_t.tolist(),
+        probstats.entropy_rows(probs).tolist(),
+        probstats.topk_entropy_rows(probs, k).tolist(),
+        probstats.gate_rows(probs, k).tolist(),
+    )
     return [
         TokenRecord(
             source_id=source_id,
-            position=int(i),
-            token_id=int(corpus.targets[i]),
-            p_target=float(p_t[i]),
-            entropy_full=float(ent_full[i]),
-            entropy_topk=float(ent_topk[i]),
-            gate=float(gates[i]),
+            position=i,
+            token_id=token_id,
+            p_target=p,
+            entropy_full=h_full,
+            entropy_topk=h_topk,
+            gate=gate,
         )
-        for i in idx
+        for i, (token_id, p, h_full, h_topk, gate) in enumerate(columns)
     ]
 
 
@@ -123,6 +131,34 @@ def score_corpus(
 
 _FLOAT_FIELDS = {"p_target", "entropy_full", "entropy_topk", "gate", "weight", "grad_norm"}
 _INT_FIELDS = {"position", "token_id", "step"}
+_REQUIRED_FIELDS = frozenset({"source_id", "position", "token_id", "p_target", "entropy_topk", "gate"})
+_CONVERTERS = tuple(
+    (f, float if f in _FLOAT_FIELDS else int if f in _INT_FIELDS else str) for f in RECORD_FIELDS
+)
+# one encoder and one decoder for every line; json.dumps(..., sort_keys=True)
+# and json.loads(..., parse_constant=...) would each build a new one per call
+_ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False)
+
+
+class _NonFiniteLiteral(ValueError):
+    """A NaN, Infinity or -Infinity literal, which is not valid JSON."""
+
+
+def _reject_constant(literal: str):
+    raise _NonFiniteLiteral(literal)
+
+
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
+def _non_finite_field(line: str) -> str:
+    """The top-level field holding a non-finite literal (error path only)."""
+    doc = json.loads(line)
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            if isinstance(value, float) and not math.isfinite(value):
+                return repr(key)
+    return "a value"
 
 
 def _fmt(value) -> str:
@@ -135,33 +171,33 @@ def _fmt(value) -> str:
 
 
 def export_records(records, path, fmt: str = "jsonl") -> None:
+    """Write records as JSONL (absent fields omitted, keys sorted) or CSV."""
     if fmt == "jsonl":
-        with open(path, "w") as fh:
+        encode = _ENCODER.encode
+        with atomic_write(path) as fh:
             for rec in records:
-                doc = {k: v for k, v in asdict(rec).items() if v is not None}
-                fh.write(json.dumps(doc, sort_keys=True) + "\n")
+                doc = {f: v for f in RECORD_FIELDS if (v := getattr(rec, f)) is not None}
+                fh.write(encode(doc) + "\n")
     elif fmt == "csv":
-        with open(path, "w", newline="") as fh:
+        with atomic_write(path, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(RECORD_FIELDS)
             for rec in records:
-                d = asdict(rec)
-                writer.writerow([_fmt(d[f]) for f in RECORD_FIELDS])
+                writer.writerow([_fmt(getattr(rec, f)) for f in RECORD_FIELDS])
     else:
         raise InvalidArgumentError(f"unknown format {fmt!r}")
 
 
 def export_rows(rows, fieldnames, path, fmt: str = "csv") -> None:
     """Write dict rows as CSV (17-significant-digit reals) or JSONL."""
-    rows = list(rows)
     if fmt == "csv":
-        with open(path, "w", newline="") as fh:
+        with atomic_write(path, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(fieldnames)
             for row in rows:
                 writer.writerow([_fmt(row.get(f)) for f in fieldnames])
     elif fmt == "jsonl":
-        with open(path, "w") as fh:
+        with atomic_write(path) as fh:
             for row in rows:
                 fh.write(json.dumps({f: row.get(f) for f in fieldnames}, sort_keys=True) + "\n")
     else:
@@ -170,36 +206,37 @@ def export_rows(rows, fieldnames, path, fmt: str = "csv") -> None:
 
 def ingest_records(path) -> list[TokenRecord]:
     """Parse a JSONL record file; unknown fields are ignored, errors carry
-    the offending line number."""
+    the offending line number. ``NaN`` and ``Infinity`` literals are not
+    JSON and are rejected."""
     records = []
+    decode = _DECODER.decode
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                doc = json.loads(line)
+                doc = decode(line)
             except json.JSONDecodeError as exc:
                 raise RecordParseError(f"invalid JSON: {exc.msg}", lineno) from exc
+            except _NonFiniteLiteral as exc:
+                raise RecordParseError(
+                    f"non-finite literal {exc} in {_non_finite_field(line)}", lineno
+                ) from exc
             if not isinstance(doc, dict):
                 raise RecordParseError("record must be a JSON object", lineno)
+            get = doc.get
             kwargs = {}
-            for field in RECORD_FIELDS:
-                if field not in doc or doc[field] is None:
+            for field, convert in _CONVERTERS:
+                value = get(field)
+                if value is None:
                     continue
-                value = doc[field]
                 try:
-                    if field in _FLOAT_FIELDS:
-                        value = float(value)
-                    elif field in _INT_FIELDS:
-                        value = int(value)
-                    else:
-                        value = str(value)
+                    kwargs[field] = convert(value)
                 except (TypeError, ValueError) as exc:
                     raise RecordParseError(f"bad value for {field!r}: {value!r}", lineno) from exc
-                kwargs[field] = value
-            missing = {"source_id", "position", "token_id", "p_target", "entropy_topk", "gate"} - set(kwargs)
-            if missing:
-                raise RecordParseError(f"missing required fields {sorted(missing)}", lineno)
+            if not _REQUIRED_FIELDS <= kwargs.keys():
+                missing = sorted(_REQUIRED_FIELDS - kwargs.keys())
+                raise RecordParseError(f"missing required fields {missing}", lineno)
             try:
                 records.append(TokenRecord(**kwargs))
             except RecordValidationError as exc:
@@ -426,7 +463,8 @@ def synthetic_fidelity_corpus(
     log-uniformly from [temp_low, temp_high]."""
     rng = np.random.default_rng(seed)
     temps = np.exp(rng.uniform(np.log(temp_low), np.log(temp_high), size=n_tokens))
-    logits = rng.standard_normal((n_tokens, vocab_size)) * (base_scale / temps[:, None])
+    logits = rng.standard_normal((n_tokens, vocab_size))
+    logits *= base_scale / temps[:, None]
     return probstats.softmax_rows(logits)
 
 
@@ -438,6 +476,7 @@ def topk_fidelity_study(
     index_bytes: int = 4,
 ) -> list[dict]:
     """Fidelity study over the distributions a model assigns to a corpus."""
+    toylm.check_corpus_ids(corpus, params.embedding.shape[0])
     logits, _ = toylm.forward_batch(params, corpus.contexts)
     return fidelity_from_probs(
         probstats.softmax_rows(logits), k_grid, float_bytes, index_bytes

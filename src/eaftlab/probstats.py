@@ -95,9 +95,10 @@ def quadrant_labels(h, p_targets, q: float, thresholds=None):
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
     """Max-subtracted softmax of each row; strictly positive, rows sum to 1."""
     z = np.asarray(logits, dtype=np.float64)
-    m = z.max(axis=-1, keepdims=True)
-    e = np.exp(z - m)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = z - z.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def log_softmax_rows(logits: np.ndarray) -> np.ndarray:
@@ -113,8 +114,11 @@ def entropy_rows(probs: np.ndarray) -> np.ndarray:
 
 
 def _entropy_raw(probs: np.ndarray) -> np.ndarray:
+    # p * ln p in one buffer; entries with p > 0 false (0 * -inf, NaN) become 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(probs > 0.0, probs * np.log(probs), 0.0)
+        terms = np.log(probs)
+        terms *= probs
+    terms[~(probs > 0.0)] = 0.0
     return -terms.sum(axis=-1)
 
 
@@ -131,8 +135,8 @@ def topk_entropy_rows(probs: np.ndarray, k: int) -> np.ndarray:
     # tie-breaking cannot change the entropy value (tied entries are equal).
     top = np.partition(p, p.shape[-1] - k, axis=-1)[..., p.shape[-1] - k:]
     total = top.sum(axis=-1, keepdims=True)
-    safe = np.where(total > 0.0, total, 1.0)
-    return _entropy_raw(top / safe)
+    top /= np.where(total > 0.0, total, 1.0)  # the partition is a private copy
+    return _entropy_raw(top)
 
 
 def gate_rows(probs: np.ndarray, k: int, norm: str = NORM_EXACT) -> np.ndarray:

@@ -25,6 +25,7 @@ from .errors import (
     NonFiniteLogitsError,
     TrainingDivergedError,
 )
+from .fileio import atomic_write
 
 CHECKPOINT_MAGIC = b"EAFTCKPT"
 CHECKPOINT_VERSION = 1
@@ -106,6 +107,18 @@ class Corpus:
         if not ctxs:
             raise InvalidArgumentError("sequences yield no training positions")
         return cls(np.array(ctxs, dtype=np.int64), np.array(tgts, dtype=np.int64))
+
+
+def check_corpus_ids(corpus: Corpus, vocab_size: int) -> None:
+    """Reject a context or target token id outside [0, vocab_size), naming
+    which array holds it and the first such id."""
+    for name in ("contexts", "targets"):
+        ids = getattr(corpus, name)
+        bad = ids[(ids < 0) | (ids >= vocab_size)]
+        if bad.size:
+            raise InvalidArgumentError(
+                f"corpus {name} holds token id {int(bad[0])} outside [0, {vocab_size})"
+            )
 
 
 def init_model(config: ModelConfig) -> ToyModelParams:
@@ -224,6 +237,7 @@ def loss_and_grads(
         raise InvalidArgumentError("batch must be non-empty")
     if objective.kl_coefficient > 0.0 and ref_params is None:
         raise InvalidArgumentError("kl_coefficient > 0 requires ref_params")
+    check_corpus_ids(batch, params.embedding.shape[0])
     return _step(params, objective, batch.contexts, batch.targets, ref_params, position_weights)
 
 
@@ -336,14 +350,7 @@ def train(run: TrainRun) -> TrainResult:
     if run.objective.kl_coefficient > 0.0 and run.ref_params is None:
         raise InvalidArgumentError("kl objective requires ref_params")
     params = run.init.copy() if run.init is not None else init_model(run.config)
-    v = params.embedding.shape[0]
-    for name in ("contexts", "targets"):
-        ids = getattr(run.corpus, name)
-        bad = ids[(ids < 0) | (ids >= v)]
-        if bad.size:
-            raise InvalidArgumentError(
-                f"corpus {name} holds token id {int(bad[0])} outside [0, {v})"
-            )
+    check_corpus_ids(run.corpus, params.embedding.shape[0])
     state = OptimizerState(kind=run.optimizer, learning_rate=run.learning_rate)
     rng = np.random.default_rng(run.seed)
     n = len(run.corpus)
@@ -401,25 +408,32 @@ def _capture_records(run: TrainRun, params: ToyModelParams, probe_idx, step: int
     gates = terms.gates
     if gates is None:
         gates = probstats.gate_rows(terms.probs, k, run.objective.norm_mode)
-    p_t, ent_full, w = terms.p_target, terms.entropy_full, terms.weights
     grad_norms = np.sqrt((terms.grad * terms.grad).sum(axis=1))
-    out = []
-    for i, pos in enumerate(probe_idx):
-        out.append(
-            TokenRecord(
-                source_id="probe",
-                position=int(pos),
-                token_id=int(targets[i]),
-                p_target=float(p_t[i]),
-                entropy_full=float(ent_full[i]),
-                entropy_topk=float(ent_topk[i]),
-                gate=float(gates[i]),
-                weight=float(w[i]),
-                grad_norm=float(grad_norms[i]),
-                step=int(step),
-            )
+    columns = zip(
+        probe_idx.tolist(),
+        targets.tolist(),
+        terms.p_target.tolist(),
+        terms.entropy_full.tolist(),
+        ent_topk.tolist(),
+        gates.tolist(),
+        terms.weights.tolist(),
+        grad_norms.tolist(),
+    )
+    return [
+        TokenRecord(
+            source_id="probe",
+            position=pos,
+            token_id=token_id,
+            p_target=p,
+            entropy_full=h_full,
+            entropy_topk=h_topk,
+            gate=gate,
+            weight=weight,
+            grad_norm=grad_norm,
+            step=step,
         )
-    return out
+        for pos, token_id, p, h_full, h_topk, gate, weight, grad_norm in columns
+    ]
 
 
 def evaluate(params: ToyModelParams, eval_set: Corpus) -> dict:
@@ -443,7 +457,7 @@ def evaluate(params: ToyModelParams, eval_set: Corpus) -> dict:
 
 
 def save_checkpoint(path, config: ModelConfig, params: ToyModelParams) -> None:
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))
         fh.write(

@@ -186,6 +186,23 @@ class TestAnalyze:
         ]) == 0
         assert (out / "quadrants.csv").exists()
 
+    @pytest.mark.parametrize("command", ["analyze", "topk-study"])
+    @pytest.mark.parametrize("bad_id", [-1, 16])
+    def test_scored_token_id_outside_vocab_rejected(self, tmp_path, capsys, command, bad_id):
+        run_out = tmp_path / "run"
+        assert cli.main(["train", str(train_config(tmp_path)), str(run_out)]) == 0
+        seqs = small_sequences(40)
+        seqs[-1][-1] = bad_id
+        corpus_doc = tmp_path / "corpus.json"
+        corpus_doc.write_text(json.dumps({"sequences": seqs}))
+        out = tmp_path / "scored"
+        argv = [command, str(out), "--checkpoint", str(run_out / "checkpoint.ckpt"),
+                "--corpus", str(corpus_doc)]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert "targets" in err and str(bad_id) in err
+        assert not out.exists() or not any(out.iterdir())
+
 
 class TestTopkStudy:
     def test_synthetic_mode_needs_no_checkpoint(self, tmp_path):

@@ -3,6 +3,8 @@ and the top-K fidelity study."""
 
 import json
 import math
+import os
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -58,6 +60,55 @@ class TestTokenRecord:
         assert rec.entropy_full is None and rec.step is None
 
 
+NON_FINITE_FIELDS = ("entropy_topk", "entropy_full", "grad_norm")
+REQUIRED = {"source_id": "a", "position": 0, "token_id": 1, "p_target": 0.5,
+            "entropy_topk": 0.1, "gate": 0.2}
+
+
+class TestNonFiniteRecords:
+    @pytest.mark.parametrize("field", NON_FINITE_FIELDS)
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_record_rejects(self, field, value):
+        with pytest.raises(RecordValidationError, match=field):
+            ls.TokenRecord(**dict(REQUIRED, **{field: value}))
+
+    def test_negative_grad_norm_rejected(self):
+        with pytest.raises(RecordValidationError, match="grad_norm"):
+            ls.TokenRecord(**REQUIRED, grad_norm=-1e-9)
+
+    @pytest.mark.parametrize("field", NON_FINITE_FIELDS)
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_ingest_rejects_literal(self, tmp_path, field, literal):
+        path = tmp_path / "r.jsonl"
+        bad = json.dumps(dict(REQUIRED, **{field: 0.25})).replace("0.25", literal)
+        path.write_text(json.dumps(REQUIRED) + "\n" + bad + "\n")
+        with pytest.raises(RecordParseError, match=field) as err:
+            ls.ingest_records(path)
+        assert err.value.line == 2 and literal in str(err.value)
+
+    @pytest.mark.parametrize("field", NON_FINITE_FIELDS)
+    def test_ingest_rejects_overflow_to_inf(self, tmp_path, field):
+        # 1e999 is valid JSON but parses to inf; the record check names the field
+        path = tmp_path / "r.jsonl"
+        path.write_text(json.dumps(dict(REQUIRED, **{field: 0.25})).replace("0.25", "1e999") + "\n")
+        with pytest.raises(RecordParseError, match=field) as err:
+            ls.ingest_records(path)
+        assert err.value.line == 1
+
+    def test_ingest_rejects_negative_grad_norm(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        path.write_text(json.dumps(dict(REQUIRED, grad_norm=-0.5)) + "\n")
+        with pytest.raises(RecordParseError, match="grad_norm") as err:
+            ls.ingest_records(path)
+        assert err.value.line == 1
+
+    def test_ingest_rejects_literal_in_unknown_field(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        path.write_text(json.dumps(dict(REQUIRED, mystery=0.25)).replace("0.25", "NaN") + "\n")
+        with pytest.raises(RecordParseError, match="mystery"):
+            ls.ingest_records(path)
+
+
 class TestScoreCorpus:
     def test_empty_corpus(self):
         params = toylm.init_model(TINY)
@@ -83,6 +134,45 @@ class TestScoreCorpus:
 
 
 class TestExportIngest:
+    def test_jsonl_bytes_match_asdict_oracle(self, tmp_path):
+        recs = make_records(20, with_step=True) + [
+            ls.TokenRecord(source_id="q", position=0, token_id=0, p_target=0.0,
+                           entropy_topk=0.0, gate=0.0, step=0),
+            ls.TokenRecord(source_id='say "hi"\\', position=3, token_id=7, p_target=1.0,
+                           entropy_topk=2.0**-1074, gate=1.0, token_text="caf\u00e9 \u2192 \U0001f600 \"x\"",
+                           entropy_full=0.1 + 0.2, weight=0.0, grad_norm=0.0),
+        ]
+        path = tmp_path / "r.jsonl"
+        ls.export_records(recs, path, "jsonl")
+        oracle = "".join(
+            json.dumps({k: v for k, v in asdict(r).items() if v is not None}, sort_keys=True) + "\n"
+            for r in recs
+        )
+        assert path.read_bytes() == oracle.encode()
+        assert ls.ingest_records(path) == recs
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_failed_export_keeps_old_file(self, tmp_path, fmt):
+        path = tmp_path / f"r.{fmt}"
+        path.write_text("old contents\n")
+
+        def failing():
+            yield from make_records(3)
+            raise RuntimeError("writer failed mid-file")
+
+        with pytest.raises(RuntimeError):
+            ls.export_records(failing(), path, fmt)
+        assert path.read_text() == "old contents\n"
+        assert os.listdir(tmp_path) == [path.name]
+
+    def test_failed_row_export_keeps_old_file(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("old contents\n")
+        with pytest.raises(AttributeError):
+            ls.export_rows([{"x": 1.0}, "not a row"], ("x",), path, "csv")
+        assert path.read_text() == "old contents\n"
+        assert os.listdir(tmp_path) == [path.name]
+
     def test_jsonl_roundtrip(self, tmp_path):
         recs = make_records(50, with_step=True)
         path = tmp_path / "r.jsonl"

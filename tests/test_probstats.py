@@ -147,6 +147,73 @@ class TestTopkEntropy:
                 assert rows[i] == pytest.approx(sorted_topk_entropy(mat[i], k), abs=1e-12)
 
 
+# The row kernels compute each quantity in place on their own buffers. These
+# are the plain expressions they replaced; the results must match bit for bit.
+def plain_softmax(z):
+    m = z.max(axis=-1, keepdims=True)
+    e = np.exp(z - m)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def plain_entropy(p):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(p > 0.0, p * np.log(p), 0.0)
+    return -terms.sum(axis=-1)
+
+
+def plain_topk_entropy(p, k):
+    top = np.partition(p, p.shape[-1] - k, axis=-1)[..., p.shape[-1] - k:]
+    total = top.sum(axis=-1, keepdims=True)
+    safe = np.where(total > 0.0, total, 1.0)
+    return plain_entropy(top / safe)
+
+
+def oracle_logits():
+    """(1, V) and (N, V) logit batches whose softmax underflows to exact zeros."""
+    rng = np.random.default_rng(11)
+    wide = rng.standard_normal((40, 300)) * rng.uniform(0.1, 60.0, size=(40, 1))
+    wide[0, 1:] = -1000.0  # one-hot after softmax: 299 exact zeros
+    wide[1, ::2] = -800.0
+    single = rng.standard_normal((1, 300)) * 80.0
+    single[0, :100] = -2000.0
+    return [wide, single, rng.standard_normal((64, 64)) * 4.0]
+
+
+class TestRowKernelsBitIdentical:
+    @pytest.mark.parametrize("case", range(3))
+    def test_softmax(self, case):
+        z = oracle_logits()[case]
+        before = z.copy()
+        p = ps.softmax_rows(z)
+        assert np.array_equal(p, plain_softmax(z))
+        assert np.array_equal(z, before)
+        if case < 2:
+            assert np.any(p == 0.0)
+
+    @pytest.mark.parametrize("case", range(3))
+    def test_entropy(self, case):
+        p = plain_softmax(oracle_logits()[case])
+        before = p.copy()
+        assert np.array_equal(ps.entropy_rows(p), plain_entropy(p))
+        assert np.array_equal(p, before)
+
+    @pytest.mark.parametrize("case", range(3))
+    def test_topk_entropy(self, case):
+        p = plain_softmax(oracle_logits()[case])
+        before = p.copy()
+        v = p.shape[-1]
+        for k in (1, 2, 20, v - 1, v):
+            assert np.array_equal(ps.topk_entropy_rows(p, k), plain_topk_entropy(p, k))
+        assert np.array_equal(p, before)
+
+    def test_zero_rows_and_non_positive_entries(self):
+        # an all-zero row keeps its zero total; negatives and NaN count as 0·ln0
+        p = np.array([[0.0, 0.0, 0.0, 0.0], [0.5, -0.0, 0.5, 0.0], [0.5, np.nan, -0.25, 0.5]])
+        assert np.array_equal(ps.entropy_rows(p), plain_entropy(p))
+        for k in (1, 2, 4):
+            assert np.array_equal(ps.topk_entropy_rows(p, k), plain_topk_entropy(p, k), equal_nan=True)
+
+
 class TestNormalizedGate:
     def test_uniform_topk_is_one(self):
         assert ps.gate_rows(uniform_probs(64), 20)[0] == pytest.approx(1.0, abs=1e-9)

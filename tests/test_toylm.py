@@ -70,6 +70,15 @@ class TestForward:
 
 
 class TestLossAndGrads:
+    @pytest.mark.parametrize("name,bad_id", [("targets", -1), ("targets", 8), ("contexts", 8)])
+    def test_token_id_outside_vocab_rejected(self, name, bad_id):
+        corpus = tiny_corpus(6)
+        ids = getattr(corpus, name).copy()
+        ids.flat[-1] = bad_id
+        bad = toylm.Corpus(ids, corpus.targets) if name == "contexts" else toylm.Corpus(corpus.contexts, ids)
+        with pytest.raises(InvalidArgumentError, match=f"{name} holds token id {bad_id}"):
+            toylm.loss_and_grads(toylm.init_model(TINY), bad, obj.named_objective("ce", k=8))
+
     def test_constant_gate_matches_ce_bitwise(self):
         params = toylm.init_model(TINY)
         corpus = tiny_corpus(12)
