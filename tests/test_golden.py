@@ -22,6 +22,7 @@ from eaftlab import cli, forgebench as fb, landscape, objectives as obj, toylm
 GOLDEN = {
     "domains_order2": "b120d766d6fedd65649b32a3b0bbd04b3448fdcae671987e2bc67825da536137",
     "domains_order1": "83d3f4d7452436151a34fbd7673613a724d4ad3d0c9b411b8b4e45b3d90914f5",
+    "domains_default": "04538ee0271152c5629b278795500f6cb681f4b58440eeae1ffe25ed2446843a",
     "snapshot": "390a08de7502faef4ef55c3347ce7f296864412690caf565a691763270f54dc3",
     "cells": "4c33abb4bf90d673eb06bf3f0e5fd3ae5f80881fb8de281b78e950bd93066d79",
     "train_log_captures": "60034fee69c75720d051c4438e7b3dfcd0ba40f5b56f10534d84ef154249d74b",
@@ -31,11 +32,13 @@ GOLDEN = {
     "fidelity": "e8b846425c48f69eef7331f66e1b7794c844385293ac40749ae14c7a5e3b800a",
 }
 
-DOMAINS = {
-    "domains_order2": (fb.DomainSpec(peak_mass=0.99, seed=11), 3),
-    "domains_order1": (fb.DomainSpec(markov_order=1, vocab_size=12, active_tokens=5, seed=4), 2),
-}
 SIZES = fb.GenerationSizes(pretrain_sequences=100, finetune_walks=100, eval_sequences=100)
+DOMAINS = {
+    "domains_order2": (fb.DomainSpec(peak_mass=0.99, seed=11), 3, SIZES),
+    "domains_order1": (fb.DomainSpec(markov_order=1, vocab_size=12, active_tokens=5, seed=4), 2, SIZES),
+    # the acceptance domain at default sizes: every walk, dedup and draw at full scale
+    "domains_default": (fb.DomainSpec(peak_mass=0.99), 3, fb.GenerationSizes()),
+}
 PROTOCOL = fb.BenchProtocol(
     hidden_dim=32,
     pretrain_stages=(
@@ -66,8 +69,8 @@ def _params(params: toylm.ToyModelParams) -> list:
 
 
 def domains_digest(name: str) -> str:
-    domain, context_len = DOMAINS[name]
-    data = fb.generate_domains(domain, fb.ConflictSpec(), SIZES, context_len)
+    domain, context_len, sizes = DOMAINS[name]
+    data = fb.generate_domains(domain, fb.ConflictSpec(), sizes, context_len)
     gt = data.ground_truth
     return _sha(
         *_arrays(
