@@ -1,34 +1,35 @@
 #!/usr/bin/env python3
 """Top-K entropy fidelity vs memory cost on the synthetic corpus.
 
-Writes results/fidelity.csv: Pearson correlation of the renormalized top-K
+Runs ``eaftlab topk-study OUT --synthetic`` and prints its table. The CSV
+(OUT/fidelity.csv) holds the Pearson correlation of the renormalized top-K
 entropy against the exact entropy, plus the per-token byte overhead of
 storing K (probability, index) pairs.
 """
 
 import argparse
+import csv
+import sys
 from pathlib import Path
 
-from eaftlab import landscape as ls
+from eaftlab import cli
 
 
-def main():
+def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="results/fidelity", help="output directory")
-    ap.add_argument("--tokens", type=int, default=10000)
-    ap.add_argument("--vocab", type=int, default=4096)
-    ap.add_argument("--seed", type=int, default=20260810)
     args = ap.parse_args()
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    probs = ls.synthetic_fidelity_corpus(args.tokens, args.vocab, args.seed)
-    rows = ls.fidelity_from_probs(probs, ls.default_k_grid(args.vocab))
-    ls.export_rows(rows, ("k", "pearson_r", "extra_bytes_per_token"), out / "fidelity.csv", "csv")
-    for r in rows:
-        r_str = "   --  " if r["pearson_r"] is None else f"{r['pearson_r']:.5f}"
-        print(f"  k={r['k']:5d}  r={r_str}  bytes/token={r['extra_bytes_per_token']}")
+    code = cli.main(["topk-study", args.out, "--synthetic"])
+    if code != 0:
+        return code
+    with open(Path(args.out) / "fidelity.csv", newline="") as fh:
+        for row in csv.DictReader(fh):
+            r = row["pearson_r"]
+            r_str = "   --  " if r == "" else f"{float(r):.5f}"
+            print(f"  k={int(row['k']):5d}  r={r_str}  bytes/token={row['extra_bytes_per_token']}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -10,8 +10,9 @@ Subcommands
   topk-study  top-K entropy fidelity vs memory cost table
   dynamics    per-step subgroup cross-entropy tables from captured records
 
-Exit codes: 0 success, 1 configuration/validation error, 2 runtime error.
-Configs are strict: unknown keys are rejected.
+Exit codes: 0 success, 1 configuration/validation error, 2 runtime error
+(a diverged or overflowing training run among them). Configs are strict:
+unknown keys are rejected.
 """
 
 from __future__ import annotations
@@ -53,6 +54,48 @@ def _build_dataclass(cls, doc: dict, where: str):
         raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad {where}: {exc}") from exc
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _distinct_list(doc: dict, key: str, default: list, check, what: str) -> list:
+    """``doc[key]``: a non-empty list of distinct entries, each ``what``."""
+    items = doc.get(key, default)
+    if not isinstance(items, list) or not items:
+        raise ConfigError(f"{key} must be a non-empty list, got {items!r}")
+    for i, item in enumerate(items):
+        if not check(item):
+            raise ConfigError(f"{key}[{i}] must be {what}, got {item!r}")
+        if item in items[:i]:
+            raise ConfigError(f"{key}[{i}] repeats {item!r}")
+    return items
+
+
+def _pretrain_stages(stages) -> tuple:
+    """Each ``protocol.pretrain_stages`` entry is [steps, optimizer, learning_rate]."""
+    if not isinstance(stages, list):
+        raise ConfigError("protocol.pretrain_stages must be a list of [steps, optimizer, learning_rate]")
+    out = []
+    for i, stage in enumerate(stages):
+        where = f"protocol.pretrain_stages[{i}]"
+        if not isinstance(stage, list) or len(stage) != 3:
+            raise ConfigError(f"{where} must be [steps, optimizer, learning_rate], got {stage!r}")
+        steps, optimizer, lr = stage
+        if not _is_int(steps) or steps < 0:
+            raise ConfigError(f"{where} steps must be a non-negative integer, got {steps!r}")
+        kind, rate = _optimizer(optimizer, lr, f"{where} optimizer", f"{where} learning_rate")
+        out.append(forgebench.TrainStage(steps, kind, rate))
+    return tuple(out)
+
+
+def _optimizer(kind, lr, kind_field: str, lr_field: str) -> tuple[str, float]:
+    if kind not in toylm.OPTIMIZER_KINDS:
+        raise ConfigError(f"{kind_field} must be one of {list(toylm.OPTIMIZER_KINDS)}, got {kind!r}")
+    if isinstance(lr, bool) or not isinstance(lr, (int, float)) or not 0 < lr < float("inf"):
+        raise ConfigError(f"{lr_field} must be a positive finite number, got {lr!r}")
+    return kind, float(lr)
 
 
 def _load_json(path) -> dict:
@@ -134,6 +177,10 @@ def cmd_train(config_path, out_dir) -> int:
     spec = _objective_from_doc(doc.get("objective", {"name": "ce"}), "objective")
     opt = doc.get("optimizer", {})
     _require_keys(opt, ("kind", "learning_rate"), "optimizer")
+    kind, lr = _optimizer(
+        opt.get("kind", "adam-lite"), opt.get("learning_rate", 3e-3),
+        "optimizer.kind", "optimizer.learning_rate",
+    )
     tr = doc.get("train", {})
     _require_keys(
         tr, ("steps", "batch_size", "capture_every", "seed", "probe_size"), "train"
@@ -154,8 +201,8 @@ def cmd_train(config_path, out_dir) -> int:
         config=model_cfg,
         corpus=corpus,
         objective=spec,
-        optimizer=opt.get("kind", "adam-lite"),
-        learning_rate=float(opt.get("learning_rate", 3e-3)),
+        optimizer=kind,
+        learning_rate=lr,
         steps=int(tr.get("steps", 500)),
         batch_size=int(tr.get("batch_size", 64)),
         capture_every=int(tr.get("capture_every", 0)),
@@ -185,16 +232,20 @@ def cmd_bench(protocol_path, out_dir, parallel: int = 1) -> int:
     sizes = _build_dataclass(forgebench.GenerationSizes, doc.get("sizes", {}), "sizes")
     proto_doc = dict(doc.get("protocol", {}))
     if "pretrain_stages" in proto_doc:
-        proto_doc["pretrain_stages"] = tuple(
-            forgebench.TrainStage(int(s), str(o), float(lr))
-            for s, o, lr in proto_doc["pretrain_stages"]
-        )
+        proto_doc["pretrain_stages"] = _pretrain_stages(proto_doc["pretrain_stages"])
     protocol = _build_dataclass(forgebench.BenchProtocol, proto_doc, "protocol")
-    names = doc.get("objectives", forgebench.DEFAULT_OBJECTIVE_GRID)
-    for name in names:
-        if name not in objectives.OBJECTIVE_NAMES:
-            raise ConfigError(f"unknown objective {name!r} in grid")
-    seeds = [int(s) for s in doc.get("seeds", [0, 1, 2, 3, 4])]
+    # a repeated objective or seed would overwrite its cell file and be
+    # counted twice in the report
+    names = _distinct_list(
+        doc, "objectives", forgebench.DEFAULT_OBJECTIVE_GRID,
+        lambda name: name in objectives.OBJECTIVE_NAMES,
+        f"one of {list(objectives.OBJECTIVE_NAMES)}",
+    )
+    seeds = _distinct_list(
+        doc, "seeds", [0, 1, 2, 3, 4],
+        lambda seed: _is_int(seed) and 0 <= seed < 2**64,
+        "an integer in [0, 2**64)",
+    )
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     cells = forgebench.run_grid(

@@ -225,37 +225,58 @@ def _transition_cdf(rows: np.ndarray) -> np.ndarray:
     return cdf
 
 
-def _walk(rng: np.random.Generator, cdf: np.ndarray, order: int, active: int, length: int):
-    # cdf[state].searchsorted(u, side="right") on one rng.random() draw is
-    # Generator.choice(V, p=rows[state]) step for step, without its checks
-    seq = [int(t) for t in rng.integers(0, active, size=order)]
-    state = 0
-    for tok in seq:
-        state = state * active + tok
+def _sample(cdf: np.ndarray, states: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The token drawn by uniform ``u[i]`` from CDF row ``cdf[states[i]]``.
+
+    On a non-decreasing row the count of entries <= u is
+    ``searchsorted(u, side="right")``, which is ``Generator.choice(V, p=row)``
+    on the same ``random()`` draw, without its checks.
+    """
+    return (cdf[states] <= u[:, None]).sum(axis=1)
+
+
+def _walks(rng: np.random.Generator, cdf: np.ndarray, order: int, active: int, n: int, length: int):
+    """``n`` chain walks as an (n, length) array, advanced in lock-step.
+
+    Each walk draws its ``order`` start tokens and then its ``length - order``
+    uniforms, walk after walk: the same stream, in the same order, as one
+    ``Generator.choice`` per token.
+    """
+    seqs = np.empty((n, length), dtype=np.int64)
+    u = np.empty((n, length - order))
+    for w in range(n):
+        seqs[w, :order] = rng.integers(0, active, size=order)
+        u[w] = rng.random(length - order)
+    state = np.zeros(n, dtype=np.int64)
+    for i in range(order):
+        state = state * active + seqs[:, i]
     strip = active**order
-    for _ in range(length - order):
-        nxt = int(cdf[state].searchsorted(rng.random(), side="right"))
-        seq.append(nxt)
+    for i in range(order, length):
+        nxt = _sample(cdf, state, u[:, i - order])
+        seqs[:, i] = nxt
         state = (state * active + nxt) % strip
-    return seq
+    return seqs
 
 
-def _positions(sequences, context_len: int, gt_order: int, active: int):
-    ctxs, tgts, states = [], [], []
-    for seq in sequences:
-        for i in range(len(seq) - context_len):
-            window = seq[i : i + context_len]
-            ctxs.append(window)
-            tgts.append(seq[i + context_len])
-            state = 0
-            for tok in window[-gt_order:]:
-                state = state * active + int(tok)
-            states.append(state)
-    return (
-        np.array(ctxs, dtype=np.int64),
-        np.array(tgts, dtype=np.int64),
-        np.array(states, dtype=np.int64),
-    )
+def _positions(seqs: np.ndarray, context_len: int, order: int, active: int):
+    """Every (context, target, chain state) of the walks, walk by walk."""
+    windows = np.lib.stride_tricks.sliding_window_view(seqs, context_len + 1, axis=1)
+    windows = windows.reshape(-1, context_len + 1)
+    states = np.zeros(len(windows), dtype=np.int64)
+    for i in range(context_len - order, context_len):
+        states = states * active + windows[:, i]
+    return np.ascontiguousarray(windows[:, :context_len]), windows[:, context_len].copy(), states
+
+
+def _first_visits(states: np.ndarray, cap: int) -> np.ndarray:
+    """Mask of the positions among the first ``cap`` visits of their state."""
+    by_state = np.argsort(states, kind="stable")
+    sorted_states = states[by_state]
+    starts = np.flatnonzero(np.r_[True, sorted_states[1:] != sorted_states[:-1]])
+    counts = np.diff(np.r_[starts, len(states)])
+    rank = np.empty(len(states), dtype=np.int64)
+    rank[by_state] = np.arange(len(states)) - np.repeat(starts, counts)
+    return rank < cap
 
 
 def generate_domains(
@@ -274,33 +295,18 @@ def generate_domains(
     n_states = rows.shape[0]
     cdf = _transition_cdf(rows)
 
-    pre_seqs = [_walk(rng, cdf, order, m, sizes.sequence_len) for _ in range(sizes.pretrain_sequences)]
-    pre_ctx, pre_tgt, pre_states = _positions(pre_seqs, context_len, order, m)
+    def positions(n_walks: int):
+        seqs = _walks(rng, cdf, order, m, n_walks, sizes.sequence_len)
+        return _positions(seqs, context_len, order, m)
 
+    pre_ctx, pre_tgt, pre_states = positions(sizes.pretrain_sequences)
     # curated fine-tune pool: walk the chain, keep at most `cap` positions per
     # context so each rewritten fact is seen only a few times per epoch
-    cap = sizes.finetune_cap
-    kept: dict[int, int] = {}
-    ft_ctx, ft_tgt, ft_states = [], [], []
-    for _ in range(sizes.finetune_walks):
-        seq = _walk(rng, cdf, order, m, sizes.sequence_len)
-        for i in range(len(seq) - context_len):
-            window = seq[i : i + context_len]
-            state = 0
-            for tok in window[-order:]:
-                state = state * m + int(tok)
-            if kept.get(state, 0) < cap:
-                kept[state] = kept.get(state, 0) + 1
-                ft_ctx.append(window)
-                ft_tgt.append(seq[i + context_len])
-                ft_states.append(state)
-    ft_ctx = np.array(ft_ctx, dtype=np.int64)
-    ft_tgt = np.array(ft_tgt, dtype=np.int64)
-    ft_states = np.array(ft_states, dtype=np.int64)
+    ft_ctx, ft_tgt, ft_states = positions(sizes.finetune_walks)
+    kept = _first_visits(ft_states, sizes.finetune_cap)
+    ft_ctx, ft_tgt, ft_states = ft_ctx[kept], ft_tgt[kept], ft_states[kept]
     ft_n = len(ft_tgt)
-
-    eval_seqs = [_walk(rng, cdf, order, m, sizes.sequence_len) for _ in range(sizes.eval_sequences)]
-    ev_ctx, ev_tgt, ev_states = _positions(eval_seqs, context_len, order, m)
+    ev_ctx, ev_tgt, ev_states = positions(sizes.eval_sequences)
 
     pre_visits = np.bincount(pre_states, minlength=n_states)
     pre_tails = np.zeros(n_states, dtype=np.int64)
@@ -350,34 +356,40 @@ def generate_domains(
         acc += int(ft_visits[s])
     novel_labels: dict[int, int] = {}
     novel_rows: dict[int, np.ndarray] = {}
+    # domain-B rows by state; rows of other states stay zero and are never read
+    novel_table = np.zeros_like(rows)
     for s in sorted(novel_contexts):
         label = int(rng.integers(0, m))
         novel_labels[s] = label
-        row = np.zeros(domain.vocab_size)
+        row = novel_table[s]
         tail = rng.dirichlet(np.ones(m - 1) * domain.tail_concentration)
         row[np.delete(np.arange(m), label)] = tail * (1.0 - conflict.novel_peak_mass)
         row[label] = conflict.novel_peak_mass
         novel_rows[s] = row
+    is_conflict = np.zeros(n_states, dtype=bool)
+    is_conflict[list(conflict_contexts)] = True
+    is_novel = np.zeros(n_states, dtype=bool)
+    is_novel[list(novel_contexts)] = True
+    label_of = np.zeros(n_states, dtype=np.int64)
+    label_of[list(conflict_labels)] = list(conflict_labels.values())
+    novel_cdf = np.zeros_like(rows)
+    novel_cdf[is_novel] = _transition_cdf(novel_table[is_novel])
+
+    def novel_draws(states: np.ndarray) -> np.ndarray:
+        return _sample(novel_cdf, states, rng.random(len(states)))
 
     kinds = np.full(ft_n, "unchanged", dtype=object)
     new_targets = ft_tgt.copy()
-    for i in range(ft_n):
-        s = int(ft_states[i])
-        if s in conflict_contexts:
-            new_targets[i] = conflict_labels[s]
-            kinds[i] = "conflict"
-        elif s in novel_contexts:
-            new_targets[i] = int(rng.choice(domain.vocab_size, p=novel_rows[s]))
-            kinds[i] = "novel"
+    conflicted = is_conflict[ft_states]
+    new_targets[conflicted] = label_of[ft_states[conflicted]]
+    kinds[conflicted] = "conflict"
+    novel = is_novel[ft_states] & ~conflicted
+    new_targets[novel] = novel_draws(ft_states[novel])
+    kinds[novel] = "novel"
 
-    keep_a = np.array([int(s) not in novel_contexts for s in ev_states])
+    keep_a = ~is_novel[ev_states]
     eval_a = toylm.Corpus(ev_ctx[keep_a], ev_tgt[keep_a])
-    b_idx = np.where(~keep_a)[0]
-    b_targets = np.array(
-        [int(rng.choice(domain.vocab_size, p=novel_rows[int(ev_states[i])])) for i in b_idx],
-        dtype=np.int64,
-    )
-    eval_b = toylm.Corpus(ev_ctx[b_idx], b_targets)
+    eval_b = toylm.Corpus(ev_ctx[~keep_a], novel_draws(ev_states[~keep_a]))
 
     gt = GroundTruth(
         rows=rows,
@@ -409,6 +421,7 @@ def generate_domains(
 
 def score_gates(params: toylm.ToyModelParams, corpus: toylm.Corpus, k: int = 20):
     """Per-position (gate, p_target) under the given model."""
+    toylm.check_corpus_ids(corpus, params.embedding.shape[0])
     logits, _ = toylm.forward_batch(params, corpus.contexts)
     probs = probstats.softmax_rows(logits)
     idx = np.arange(len(corpus))
@@ -438,14 +451,14 @@ def sample_rollouts(
 ) -> toylm.Corpus:
     """Sequences sampled from the model itself at temperature 1 (on-policy)."""
     rng = np.random.default_rng(seed)
-    v = params.embedding.shape[0]
+    only_row = np.zeros(1, dtype=np.int64)
     seqs = []
     for _ in range(n_sequences):
         seq = [int(t) for t in rng.integers(0, ground_truth.active, size=context_len)]
         for _ in range(sequence_len - context_len):
             logits = toylm.forward(params, seq[-context_len:])
-            probs = probstats.softmax_rows(logits[None, :])[0]
-            seq.append(int(rng.choice(v, p=probs)))
+            cdf = _transition_cdf(probstats.softmax_rows(logits[None, :]))
+            seq.append(int(_sample(cdf, only_row, rng.random(1))[0]))
         seqs.append(seq)
     return toylm.Corpus.from_sequences(seqs, context_len)
 

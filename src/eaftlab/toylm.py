@@ -12,6 +12,7 @@ single-threaded and fully determined by its seed.
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass, field
 
@@ -31,6 +32,7 @@ CHECKPOINT_MAGIC = b"EAFTCKPT"
 CHECKPOINT_VERSION = 1
 
 PARAM_FIELDS = ("embedding", "hidden_weight", "hidden_bias", "out_weight", "out_bias")
+OPTIMIZER_KINDS = ("sgd-momentum", "adam-lite")
 
 
 @dataclass(frozen=True)
@@ -151,13 +153,15 @@ def forward(params: ToyModelParams, context) -> np.ndarray:
 
 
 def forward_batch(params: ToyModelParams, contexts: np.ndarray):
-    """Logits for a (B, n) batch; returns (logits, cache) for backprop."""
+    """Logits for a (B, n) batch; returns (logits, cache) for backprop.
+
+    Token ids are not checked here: the public entry points (``forward``,
+    ``evaluate``, ``train``, ``loss_and_grads``, ...) check a corpus once.
+    """
     ctx = np.asarray(contexts, dtype=np.int64)
-    v, n, d, _ = params.config_dims()
+    _, n, d, _ = params.config_dims()
     if ctx.ndim != 2 or ctx.shape[1] != n:
         raise InvalidArgumentError(f"contexts must be (B, {n})")
-    if np.any(ctx < 0) or np.any(ctx >= v):
-        raise InvalidArgumentError("context token id out of range")
     e = params.embedding[ctx].reshape(ctx.shape[0], n * d)
     a = np.tanh(e @ params.hidden_weight + params.hidden_bias)
     logits = a @ params.out_weight + params.out_bias
@@ -166,30 +170,97 @@ def forward_batch(params: ToyModelParams, contexts: np.ndarray):
     return logits, (ctx, e, a)
 
 
-def backprop_logits(params: ToyModelParams, cache, grad_logits: np.ndarray) -> dict:
+def _param_shapes(v: int, n: int, d: int, h: int) -> dict[str, tuple]:
+    """Shape of each parameter of a model with dimensions (V, n, d, h)."""
+    return {
+        "embedding": (v, d),
+        "hidden_weight": (n * d, h),
+        "hidden_bias": (h,),
+        "out_weight": (h, v),
+        "out_bias": (v,),
+    }
+
+
+@functools.lru_cache(maxsize=16)
+def _flat_layout(dims: tuple[int, int, int, int]) -> tuple[int, tuple]:
+    """Total size and ``(field, slice, shape)`` of each field, in field order."""
+    layout, start = [], 0
+    for name, shape in _param_shapes(*dims).items():
+        size = int(np.prod(shape))
+        layout.append((name, slice(start, start + size), shape))
+        start += size
+    return start, tuple(layout)
+
+
+class Gradients(dict):
+    """Parameter gradients by field, as views into one flat vector.
+
+    ``flat`` holds the gradients in ``PARAM_FIELDS`` order and ``squared`` is
+    its elementwise square, formed on first use and read by both the train
+    log's grad norm and adam's second moment; it is not refreshed if the
+    gradients are written to afterwards.
+    """
+
+    def __init__(self, flat: np.ndarray, dims: tuple[int, int, int, int]):
+        self.layout = _flat_layout(dims)[1]
+        super().__init__((name, flat[sl].reshape(shape)) for name, sl, shape in self.layout)
+        self.flat = flat
+        self.dims = dims
+        self._squared = None
+
+    def __setitem__(self, name, value):
+        # a replaced field would leave ``flat`` stale; write into the view
+        raise TypeError("Gradients fields are views into one flat vector; update them in place")
+
+    @classmethod
+    def empty(cls, params: ToyModelParams) -> "Gradients":
+        dims = params.config_dims()
+        return cls(np.empty(_flat_layout(dims)[0]), dims)
+
+    @classmethod
+    def of(cls, grads, params: ToyModelParams) -> "Gradients":
+        """``grads`` itself if it is already flat, else a flat copy of it."""
+        dims = params.config_dims()
+        if isinstance(grads, cls) and grads.dims == dims:
+            return grads
+        for name, _, shape in _flat_layout(dims)[1]:
+            if np.shape(grads[name]) != shape:
+                raise InvalidArgumentError(f"gradient shape mismatch for {name}")
+        flat = np.concatenate([np.ravel(grads[name]) for name in PARAM_FIELDS], dtype=np.float64)
+        return cls(flat, dims)
+
+    @property
+    def squared(self) -> np.ndarray:
+        if self._squared is None:
+            self._squared = self.flat * self.flat
+        return self._squared
+
+    def norm(self) -> float:
+        """sqrt of the per-field sums of squares, added in field order."""
+        sq = self.squared
+        return float(np.sqrt(sum(float(np.add.reduce(sq[sl])) for _, sl, _ in self.layout)))
+
+
+def backprop_logits(params: ToyModelParams, cache, grad_logits: np.ndarray) -> Gradients:
     """Exact parameter gradients given d(loss)/d(logits) for a batch."""
     ctx, e, a = cache
     _, n, d, _ = params.config_dims()
-    g_out_bias = grad_logits.sum(axis=0)
-    g_out_weight = a.T @ grad_logits
-    ga = grad_logits @ params.out_weight.T
-    gz = ga * (1.0 - a * a)
-    g_hidden_bias = gz.sum(axis=0)
-    g_hidden_weight = e.T @ gz
+    grads = Gradients.empty(params)
+    grad_logits.sum(axis=0, out=grads["out_bias"])
+    np.matmul(a.T, grad_logits, out=grads["out_weight"])
+    gz = grad_logits @ params.out_weight.T
+    gz *= 1.0 - a * a  # gz = ga * (1 - a * a)
+    gz.sum(axis=0, out=grads["hidden_bias"])
+    np.matmul(e.T, gz, out=grads["hidden_weight"])
     ge = (gz @ params.hidden_weight.T).reshape(ctx.shape[0], n, d)
     # one scatter-add over the flattened table: each entry receives the same
     # additions in the same order (context slot, then batch row) as one
     # np.add.at per slot, and the 1-D form is several times faster
-    g_embedding = np.zeros(params.embedding.size)
+    g_embedding = grads["embedding"].reshape(-1)
+    g_embedding[:] = 0.0
     slots = (ctx.T[:, :, None] * d + np.arange(d)).ravel()
     np.add.at(g_embedding, slots, ge.transpose(1, 0, 2).ravel())
-    return {
-        "embedding": g_embedding.reshape(params.embedding.shape),
-        "hidden_weight": g_hidden_weight,
-        "hidden_bias": g_hidden_bias,
-        "out_weight": g_out_weight,
-        "out_bias": g_out_bias,
-    }
+    return grads
 
 
 def _step(
@@ -249,7 +320,7 @@ class OptimizerState:
     buffers: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in ("sgd-momentum", "adam-lite"):
+        if self.kind not in OPTIMIZER_KINDS:
             raise InvalidArgumentError(f"unknown optimizer kind {self.kind!r}")
         if not self.learning_rate > 0:
             raise InvalidArgumentError("learning_rate must be positive")
@@ -258,41 +329,40 @@ class OptimizerState:
 def apply_update(params: ToyModelParams, grads: dict, state: OptimizerState) -> None:
     """One deterministic optimizer step that overwrites ``params`` and ``state``.
 
-    Each in-place operation rounds exactly like the expression in its comment,
-    so the result is bit-equal to the textbook form.
+    The optimizer runs once, elementwise, over the flat gradient vector with
+    flat state buffers; each parameter then subtracts its slice of the step.
+    Each in-place operation rounds exactly like the expression in its
+    comment, so the result is bit-equal to the textbook form.
     """
-    for name in PARAM_FIELDS:
-        if grads[name].shape != getattr(params, name).shape:
-            raise InvalidArgumentError(f"gradient shape mismatch for {name}")
+    g = Gradients.of(grads, params)
     state.step_count += 1
     t = state.step_count
     lr = state.learning_rate
-    for name in PARAM_FIELDS:
-        g = grads[name]
+    buf = state.buffers
+    if state.kind == "sgd-momentum":
+        if "velocity" not in buf:
+            buf["velocity"] = np.zeros_like(g.flat)
+        v = buf["velocity"]
+        v *= 0.9  # v = 0.9 * v + g
+        v += g.flat
+        step = lr * v  # p -= lr * v
+    else:  # adam-lite
+        if "m" not in buf:
+            buf["m"], buf["v"] = np.zeros_like(g.flat), np.zeros_like(g.flat)
+        m, v = buf["m"], buf["v"]
+        m *= 0.9  # m = 0.9 * m + 0.1 * g
+        m += 0.1 * g.flat
+        v *= 0.999  # v = 0.999 * v + 0.001 * (g * g)
+        v += 0.001 * g.squared
+        step = m / (1.0 - 0.9**t)  # p -= lr * m_hat / (sqrt(v_hat) + 1e-8)
+        step *= lr
+        denom = v / (1.0 - 0.999**t)
+        np.sqrt(denom, out=denom)
+        denom += 1e-8
+        step /= denom
+    for name, sl, shape in g.layout:
         p = getattr(params, name)
-        buf = state.buffers.setdefault(name, {})
-        if state.kind == "sgd-momentum":
-            if "velocity" not in buf:
-                buf["velocity"] = np.zeros_like(p)
-            v = buf["velocity"]
-            v *= 0.9  # v = 0.9 * v + g
-            v += g
-            p -= lr * v
-        else:  # adam-lite
-            if "m" not in buf:
-                buf["m"], buf["v"] = np.zeros_like(p), np.zeros_like(p)
-            m, v = buf["m"], buf["v"]
-            m *= 0.9  # m = 0.9 * m + 0.1 * g
-            m += 0.1 * g
-            v *= 0.999  # v = 0.999 * v + 0.001 * (g * g)
-            v += 0.001 * (g * g)
-            step = m / (1.0 - 0.9**t)  # p -= lr * m_hat / (sqrt(v_hat) + 1e-8)
-            step *= lr
-            denom = v / (1.0 - 0.999**t)
-            np.sqrt(denom, out=denom)
-            denom += 1e-8
-            step /= denom
-            p -= step
+        p -= step[sl].reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -363,32 +433,38 @@ def train(run: TrainRun) -> TrainResult:
     def capture(step: int) -> None:
         captures.extend(_capture_records(run, params, probe_idx, step))
 
-    for step in range(run.steps):
-        if run.capture_every > 0 and step % run.capture_every == 0:
-            capture(step)
-        idx = rng.integers(0, n, size=run.batch_size)
-        pw = None if run.position_weights is None else run.position_weights[idx]
-        _, grads, terms = _step(
-            params, run.objective, run.corpus.contexts[idx], run.corpus.targets[idx],
-            run.ref_params, pw, step,
-        )
-        gnorm = float(np.sqrt(sum(float((g * g).sum()) for g in grads.values())))
-        ce = terms.ce
-        hi = terms.entropy_full >= run.high_entropy_min
-        lo = terms.entropy_full <= run.low_entropy_max
-        log.append(
-            TrainLogEntry(
-                step=step,
-                mean_loss=float(terms.losses.mean()),
-                mean_gate=float(terms.weights.mean()),
-                high_entropy_ce=float(ce[hi].mean()) if hi.any() else None,
-                high_entropy_count=int(hi.sum()),
-                low_entropy_ce=float(ce[lo].mean()) if lo.any() else None,
-                low_entropy_count=int(lo.sum()),
-                grad_norm=gnorm,
-            )
-        )
-        apply_update(params, grads, state)
+    try:
+        # an overflow anywhere in a step means the parameters are diverging,
+        # even while the logits are still finite
+        with np.errstate(over="raise"):
+            for step in range(run.steps):
+                if run.capture_every > 0 and step % run.capture_every == 0:
+                    capture(step)
+                idx = rng.integers(0, n, size=run.batch_size)
+                pw = None if run.position_weights is None else run.position_weights[idx]
+                _, grads, terms = _step(
+                    params, run.objective, run.corpus.contexts[idx], run.corpus.targets[idx],
+                    run.ref_params, pw, step,
+                )
+                ce = terms.ce
+                hi = terms.entropy_full >= run.high_entropy_min
+                lo = terms.entropy_full <= run.low_entropy_max
+                n_hi, n_lo = int(np.count_nonzero(hi)), int(np.count_nonzero(lo))
+                log.append(
+                    TrainLogEntry(
+                        step=step,
+                        mean_loss=float(terms.losses.mean()),
+                        mean_gate=float(terms.weights.mean()),
+                        high_entropy_ce=float(ce[hi].mean()) if n_hi else None,
+                        high_entropy_count=n_hi,
+                        low_entropy_ce=float(ce[lo].mean()) if n_lo else None,
+                        low_entropy_count=n_lo,
+                        grad_norm=grads.norm(),
+                    )
+                )
+                apply_update(params, grads, state)
+    except FloatingPointError as exc:
+        raise TrainingDivergedError("floating-point overflow", step) from exc
     if run.capture_every > 0:
         capture(run.steps)
     return TrainResult(params=params, log=log, captures=captures)
@@ -440,6 +516,7 @@ def evaluate(params: ToyModelParams, eval_set: Corpus) -> dict:
     """Mean NLL (nats) and top-1 accuracy (argmax ties -> lowest index)."""
     if len(eval_set) == 0:
         raise InvalidArgumentError("eval_set must be non-empty")
+    check_corpus_ids(eval_set, params.embedding.shape[0])
     logits, _ = forward_batch(params, eval_set.contexts)
     logp = probstats.log_softmax_rows(logits)
     idx = np.arange(len(eval_set))
@@ -488,16 +565,8 @@ def load_checkpoint(path) -> tuple[ModelConfig, ToyModelParams]:
         config = ModelConfig(
             vocab_size=v, context_len=n, embed_dim=d, hidden_dim=h, seed=seed
         )
-        shapes = {
-            "embedding": (v, d),
-            "hidden_weight": (n * d, h),
-            "hidden_bias": (h,),
-            "out_weight": (h, v),
-            "out_bias": (v,),
-        }
         tensors = {}
-        for name in PARAM_FIELDS:
-            shape = shapes[name]
+        for name, shape in _param_shapes(v, n, d, h).items():
             count = int(np.prod(shape))
             raw = fh.read(count * 8)
             if len(raw) != count * 8:

@@ -91,6 +91,31 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "diverged at step" in err
 
+    def test_overflow_is_runtime_error(self, tmp_path, capsys):
+        # lr 1e300 leaves finite but overflowing parameters after one step;
+        # the run must stop there instead of writing a checkpoint of them
+        cfg = train_config(
+            tmp_path,
+            objective={"name": "ce", "k": 16},
+            optimizer={"kind": "sgd-momentum", "learning_rate": 1e300},
+        )
+        assert cli.main(["train", str(cfg), str(tmp_path / "out")]) == 2
+        assert "diverged at step 1" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "checkpoint.ckpt").exists()
+
+    @pytest.mark.parametrize(
+        "optimizer,field",
+        [
+            ({"kind": "adam"}, "optimizer.kind"),
+            ({"learning_rate": "fast"}, "optimizer.learning_rate"),
+            ({"learning_rate": 0}, "optimizer.learning_rate"),
+        ],
+    )
+    def test_bad_optimizer_rejected(self, tmp_path, capsys, optimizer, field):
+        cfg = train_config(tmp_path, optimizer=optimizer)
+        assert cli.main(["train", str(cfg), str(tmp_path / "out")]) == 1
+        assert field in capsys.readouterr().err
+
     def test_warm_start_checks_every_dimension(self, tmp_path, capsys):
         # a checkpoint of another shape must not train into an unreadable one
         pre = tmp_path / "pre"
@@ -140,6 +165,39 @@ class TestBench:
         path.write_text(json.dumps(doc))
         assert cli.main(["bench", str(path), str(tmp_path / "out")]) == 1
         assert "talr" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize(
+        "key,value,field",
+        [
+            ("pretrain_stages", [[300, "adam-lite"]], "pretrain_stages[0]"),
+            ("pretrain_stages", [[300, "adam-lite", 0.003], "x"], "pretrain_stages[1]"),
+            ("pretrain_stages", [[1.5, "adam-lite", 0.003]], "pretrain_stages[0] steps"),
+            ("pretrain_stages", [[300, "adam", 0.003]], "pretrain_stages[0] optimizer"),
+            ("pretrain_stages", [[300, "adam-lite", "x"]], "pretrain_stages[0] learning_rate"),
+            ("pretrain_stages", {"steps": 300}, "pretrain_stages"),
+            ("seeds", [0, "a"], "seeds[1]"),
+            ("seeds", [0, 1.5], "seeds[1]"),
+            ("seeds", [-1], "seeds[0]"),
+            ("seeds", [0, 0], "seeds[1]"),
+            ("seeds", [], "seeds"),
+            ("objectives", ["ce", "ce"], "objectives[1]"),
+            ("objectives", "ce", "objectives"),
+            ("objectives", [], "objectives"),
+        ],
+    )
+    def test_bad_protocol_rejected(self, tmp_path, capsys, key, value, field):
+        # rejected before any domain is generated, naming the field
+        doc = json.loads(bench_protocol(tmp_path).read_text())
+        if key == "pretrain_stages":
+            doc["protocol"][key] = value
+        else:
+            doc[key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["bench", str(path), str(tmp_path / "out")]) == 1
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestAnalyze:

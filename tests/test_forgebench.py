@@ -25,26 +25,98 @@ SMALL_SIZES = fb.GenerationSizes(
 )
 
 
+def _choice_walks(rng, rows, order, active, n, length):
+    """Oracle: one Generator.choice per token, walk after walk."""
+    seqs = []
+    for _ in range(n):
+        seq = [int(t) for t in rng.integers(0, active, size=order)]
+        for _ in range(length - order):
+            state = 0
+            for tok in seq[-order:]:
+                state = state * active + tok
+            seq.append(int(rng.choice(rows.shape[1], p=rows[state])))
+        seqs.append(seq)
+    return np.array(seqs, dtype=np.int64)
+
+
+def _dict_dedup(states, cap):
+    """Oracle: the per-position dict loop the fine-tune dedup replaced."""
+    kept, mask = {}, []
+    for s in states.tolist():
+        mask.append(kept.get(s, 0) < cap)
+        if mask[-1]:
+            kept[s] = kept.get(s, 0) + 1
+    return np.array(mask, dtype=bool)
+
+
 class TestSampler:
-    def test_cdf_draws_match_generator_choice(self):
-        # _walk's inverse-CDF draw must stay numpy's own Generator.choice
-        # algorithm, draw for draw and state for state
+    @staticmethod
+    def rows(active, order, v):
+        # transition rows with exact zeros, 1e-300 masses and one-hot rows;
+        # every row reaches a token below `active`, so walks stay in the chain
         rng = np.random.default_rng(11)
-        v = 24
-        rows = np.zeros((6, v))
-        rows[0, 3] = 1.0
-        rows[1, [0, 5, 23]] = [1e-300, 1.0 - 1e-12, 1e-12]
-        rows[2, :4] = rng.dirichlet(np.full(4, 0.05))
-        rows[3, ::3] = rng.dirichlet(np.ones(8))
-        rows[4] = rng.dirichlet(np.full(v, 2.0))
-        rows[5, [2, 7]] = [0.5, 0.5]
-        cdf = fb._transition_cdf(rows)
+        rows = np.zeros((active**order, v))
+        for s in range(len(rows)):
+            kind = s % 5
+            if kind == 0:
+                rows[s, s % active] = 1.0
+            elif kind == 1:
+                rows[s, [0, active - 1]] = [1e-300, 1.0 - 1e-12]
+                rows[s, 1] = 1e-12
+            elif kind == 2:
+                rows[s, :active] = rng.dirichlet(np.full(active, 0.05))
+            elif kind == 3:
+                rows[s, : active : 2] = rng.dirichlet(np.ones(len(range(0, active, 2))))
+            else:
+                rows[s, [1, active - 1]] = [0.5, 0.5]
+        return rows
+
+    @pytest.mark.parametrize("order,active", [(1, 5), (2, 4), (3, 3)])
+    def test_lockstep_walks_match_generator_choice(self, order, active):
+        # the lock-step walks must be numpy's own Generator.choice walks,
+        # draw for draw, and leave the generator in the same state
+        rows = self.rows(active, order, v=active + 3)
         a, b = np.random.default_rng(3), np.random.default_rng(3)
-        for i in range(12000):
-            s = i % len(rows)
-            want = int(a.choice(v, p=rows[s]))
-            assert int(cdf[s].searchsorted(b.random(), side="right")) == want
-        assert a.bit_generator.state == b.bit_generator.state
+        for n, length in ((1, order + 1), (40, 30), (300, 12)):
+            want = _choice_walks(a, rows, order, active, n, length)
+            got = fb._walks(b, fb._transition_cdf(rows), order, active, n, length)
+            assert np.array_equal(got, want)
+            assert a.bit_generator.state == b.bit_generator.state
+
+    def test_sample_is_searchsorted_right(self):
+        # edge draws: u = 0.0, u equal to a CDF entry, and the largest u < 1
+        rows = self.rows(4, 2, v=7)
+        cdf = fb._transition_cdf(rows)
+        states = np.repeat(np.arange(len(cdf)), 4 + cdf.shape[1])
+        u = np.concatenate(
+            [np.r_[0.0, 1e-300, 0.5, np.nextafter(1.0, 0.0), row] for row in cdf]
+        )
+        u = np.minimum(u, np.nextafter(1.0, 0.0))
+        want = [int(cdf[s].searchsorted(x, side="right")) for s, x in zip(states, u)]
+        assert fb._sample(cdf, states, u).tolist() == want
+
+    @pytest.mark.parametrize("cap", [1, 2, 3, 50])
+    def test_first_visits_match_dict_loop(self, cap):
+        rng = np.random.default_rng(cap)
+        for states in (
+            rng.integers(0, 30, size=2000),
+            rng.integers(0, 3, size=7),
+            np.arange(10)[::-1].copy(),
+            np.zeros(0, dtype=np.int64),
+        ):
+            assert np.array_equal(fb._first_visits(states, cap), _dict_dedup(states, cap))
+
+    def test_positions_match_window_loop(self):
+        rng = np.random.default_rng(2)
+        seqs = rng.integers(0, 5, size=(7, 11))
+        for context_len, order in ((3, 2), (2, 2), (4, 1)):
+            ctx, tgt, states = fb._positions(seqs, context_len, order, 5)
+            windows = [s[i : i + context_len] for s in seqs.tolist() for i in range(11 - context_len)]
+            assert ctx.tolist() == windows
+            assert tgt.tolist() == [s[i + context_len] for s in seqs.tolist() for i in range(11 - context_len)]
+            assert states.tolist() == [
+                int(np.ravel_multi_index(w[-order:], (5,) * order)) for w in windows
+            ]
 
 
 class TestSpecs:
@@ -149,6 +221,16 @@ class TestClassifyConflicts:
         n = len(data.finetune)
         assert (gates <= tau_h).sum() >= int(np.ceil(0.15 * n))
         assert (p_t <= tau_p).sum() >= int(np.ceil(0.15 * n))
+
+    @pytest.mark.parametrize("name,bad_id", [("contexts", -1), ("contexts", 64), ("targets", -1), ("targets", 64)])
+    def test_score_gates_rejects_token_id_outside_vocab(self, name, bad_id):
+        params = toylm.init_model(toylm.ModelConfig(hidden_dim=8, seed=0))
+        good = toylm.Corpus(np.zeros((4, 3), dtype=np.int64), np.zeros(4, dtype=np.int64))
+        ids = getattr(good, name).copy()
+        ids.flat[-1] = bad_id
+        bad = toylm.Corpus(ids, good.targets) if name == "contexts" else toylm.Corpus(good.contexts, ids)
+        with pytest.raises(InvalidArgumentError, match=f"{name} holds token id {bad_id}"):
+            fb.score_gates(params, bad)
 
     def test_pretrained_recall_meets_floor(self, pretrained_seed0):
         # scored on the conflict-injected corpus, at least rho/2 of injected

@@ -64,9 +64,10 @@ class TestForward:
         unused.embedding[7] += 0.1
         np.testing.assert_array_equal(toylm.forward(unused, [0, 1, 2]), base)
 
-    def test_rejects_out_of_range_ids(self):
+    @pytest.mark.parametrize("bad_id", [-1, 8])
+    def test_rejects_out_of_range_ids(self, bad_id):
         with pytest.raises(InvalidArgumentError):
-            toylm.forward(toylm.init_model(TINY), [0, 1, 8])
+            toylm.forward(toylm.init_model(TINY), [0, 1, bad_id])
 
 
 class TestLossAndGrads:
@@ -253,6 +254,25 @@ class TestApplyUpdate:
         for f in toylm.PARAM_FIELDS:
             assert np.array_equal(getattr(live, f), p[f]), f
 
+    @pytest.mark.parametrize("kind", ["sgd-momentum", "adam-lite"])
+    def test_flat_gradients_match_field_dict(self, kind):
+        # backprop's flat gradients and a plain per-field dict of the same
+        # values give the same update, and the flat grad norm is the
+        # per-array sum of squares added in field order
+        params = toylm.init_model(TINY)
+        live, plain = params.copy(), params.copy()
+        states = [toylm.OptimizerState(kind=kind, learning_rate=0.05) for _ in range(2)]
+        spec = obj.named_objective("ce", k=8)
+        for seed in range(20):
+            _, grads, _ = toylm.loss_and_grads(live, tiny_corpus(16, seed=seed), spec)
+            assert isinstance(grads, toylm.Gradients)
+            copied = {f: g.copy() for f, g in grads.items()}
+            norm = float(np.sqrt(sum(float((g * g).sum()) for g in copied.values())))
+            assert grads.norm() == norm
+            toylm.apply_update(live, grads, states[0])
+            toylm.apply_update(plain, copied, states[1])
+            assert params_equal(live, plain)
+
     def test_shape_mismatch(self):
         params = toylm.init_model(TINY)
         grads = {f: np.zeros_like(getattr(params, f)) for f in toylm.PARAM_FIELDS}
@@ -357,6 +377,21 @@ class TestTrain:
         assert 0 < err.value.step < 40
         assert f"step {err.value.step}" in str(err.value)
 
+    def test_overflow_with_finite_logits_diverges(self):
+        # at lr 1e300 the first update leaves finite parameters of ~1e300;
+        # the next forward pass overflows, which must stop the run at step 1
+        run = toylm.TrainRun(
+            config=TINY,
+            corpus=tiny_corpus(30, seed=1),
+            objective=obj.named_objective("ce", k=8),
+            optimizer="sgd-momentum",
+            learning_rate=1e300,
+            steps=40,
+            batch_size=8,
+        )
+        with pytest.raises(TrainingDivergedError, match="step 1: floating-point overflow"):
+            toylm.train(run)
+
     def test_ce_training_reduces_nll(self):
         # 200-sequence chain corpus, 500 CE steps: mean NLL falls >= 30%
         domain = fb.DomainSpec(seed=3)
@@ -415,6 +450,15 @@ class TestEvaluate:
             )
         )
         assert toylm.evaluate(result.params, corpus)["mean_nll"] < 0.05
+
+    @pytest.mark.parametrize("name,bad_id", [("contexts", -1), ("contexts", 8), ("targets", -1), ("targets", 8)])
+    def test_token_id_outside_vocab_rejected(self, name, bad_id):
+        corpus = tiny_corpus(6)
+        ids = getattr(corpus, name).copy()
+        ids.flat[0] = bad_id
+        bad = toylm.Corpus(ids, corpus.targets) if name == "contexts" else toylm.Corpus(corpus.contexts, ids)
+        with pytest.raises(InvalidArgumentError, match=f"{name} holds token id {bad_id}"):
+            toylm.evaluate(toylm.init_model(TINY), bad)
 
     def test_order_invariance(self):
         params = toylm.init_model(TINY)
