@@ -71,17 +71,17 @@ class TestSampler:
                 rows[s, [1, active - 1]] = [0.5, 0.5]
         return rows
 
-    @pytest.mark.parametrize("order,active", [(1, 5), (2, 4), (3, 3)])
-    def test_lockstep_walks_match_generator_choice(self, order, active):
+    def test_cdf_draws_match_generator_choice(self):
         # the lock-step walks must be numpy's own Generator.choice walks,
         # draw for draw, and leave the generator in the same state
-        rows = self.rows(active, order, v=active + 3)
-        a, b = np.random.default_rng(3), np.random.default_rng(3)
-        for n, length in ((1, order + 1), (40, 30), (300, 12)):
-            want = _choice_walks(a, rows, order, active, n, length)
-            got = fb._walks(b, fb._transition_cdf(rows), order, active, n, length)
-            assert np.array_equal(got, want)
-            assert a.bit_generator.state == b.bit_generator.state
+        for order, active in ((1, 5), (2, 4), (3, 3)):
+            rows = self.rows(active, order, v=active + 3)
+            a, b = np.random.default_rng(3), np.random.default_rng(3)
+            for n, length in ((1, order + 1), (40, 30), (300, 12)):
+                want = _choice_walks(a, rows, order, active, n, length)
+                got = fb._walks(b, fb._transition_cdf(rows), order, active, n, length)
+                assert np.array_equal(got, want), (order, active, n)
+                assert a.bit_generator.state == b.bit_generator.state
 
     def test_sample_is_searchsorted_right(self):
         # edge draws: u = 0.0, u equal to a CDF entry, and the largest u < 1
