@@ -24,7 +24,7 @@ import sys
 from pathlib import Path
 
 from . import forgebench, landscape, objectives, toylm
-from .errors import ConfigError, EaftLabError, TrainingDivergedError
+from .errors import ConfigError, EaftLabError, InvalidArgumentError, TrainingDivergedError
 from .fileio import atomic_write
 
 TRAINLOG_FIELDS = (
@@ -45,19 +45,32 @@ def _require_keys(doc: dict, allowed, where: str) -> None:
         raise ConfigError(f"unknown keys {sorted(unknown)} in {where}")
 
 
-def _build_dataclass(cls, doc: dict, where: str):
-    names = [f.name for f in dataclasses.fields(cls)]
-    _require_keys(doc, names, where)
+def _construct(cls, where: str, **kwargs):
+    """``cls(**kwargs)`` for a config section ``where``. The dataclass checks
+    start their message with the field name, so a rejected field is named
+    ``where.<field>``."""
     try:
-        return cls(**doc)
+        return cls(**kwargs)
+    except InvalidArgumentError as exc:
+        raise ConfigError(f"{where}.{exc}") from exc
     except EaftLabError:
         raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad {where}: {exc}") from exc
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+def _build_dataclass(cls, doc: dict, where: str):
+    _require_keys(doc, [f.name for f in dataclasses.fields(cls)], where)
+    return _construct(cls, where, **doc)
+
+
+def _read_checkpoint(path, what: str):
+    """Load a checkpoint named by a config field or an option; a missing file
+    is a validation error naming both."""
+    p = Path(path)
+    if not p.is_file():
+        raise ConfigError(f"{what} not found: {p}")
+    return toylm.load_checkpoint(p)
 
 
 def _distinct_list(doc: dict, key: str, default: list, check, what: str) -> list:
@@ -83,7 +96,7 @@ def _pretrain_stages(stages) -> tuple:
         if not isinstance(stage, list) or len(stage) != 3:
             raise ConfigError(f"{where} must be [steps, optimizer, learning_rate], got {stage!r}")
         steps, optimizer, lr = stage
-        if not _is_int(steps) or steps < 0:
+        if not toylm.is_int(steps) or steps < 0:
             raise ConfigError(f"{where} steps must be a non-negative integer, got {steps!r}")
         kind, rate = _optimizer(optimizer, lr, f"{where} optimizer", f"{where} learning_rate")
         out.append(forgebench.TrainStage(steps, kind, rate))
@@ -93,7 +106,7 @@ def _pretrain_stages(stages) -> tuple:
 def _optimizer(kind, lr, kind_field: str, lr_field: str) -> tuple[str, float]:
     if kind not in toylm.OPTIMIZER_KINDS:
         raise ConfigError(f"{kind_field} must be one of {list(toylm.OPTIMIZER_KINDS)}, got {kind!r}")
-    if isinstance(lr, bool) or not isinstance(lr, (int, float)) or not 0 < lr < float("inf"):
+    if not (toylm.is_real(lr) and 0 < lr < float("inf")):
         raise ConfigError(f"{lr_field} must be a positive finite number, got {lr!r}")
     return kind, float(lr)
 
@@ -187,29 +200,24 @@ def cmd_train(config_path, out_dir) -> int:
     )
     init = None
     if "init_checkpoint" in doc:
-        ckpt = Path(doc["init_checkpoint"])
-        if not ckpt.exists():
-            raise ConfigError(f"init_checkpoint not found: {ckpt}")
-        init_cfg, init = toylm.load_checkpoint(ckpt)
+        init_cfg, init = _read_checkpoint(doc["init_checkpoint"], "init_checkpoint")
         for name in ("vocab_size", "context_len", "embed_dim", "hidden_dim"):
             ckpt_dim, model_dim = getattr(init_cfg, name), getattr(model_cfg, name)
             if ckpt_dim != model_dim:
                 raise ConfigError(
                     f"init_checkpoint {name} {ckpt_dim} differs from model config {model_dim}"
                 )
-    run = toylm.TrainRun(
+    run = _construct(
+        toylm.TrainRun,
+        "train",
         config=model_cfg,
         corpus=corpus,
         objective=spec,
         optimizer=kind,
         learning_rate=lr,
-        steps=int(tr.get("steps", 500)),
-        batch_size=int(tr.get("batch_size", 64)),
-        capture_every=int(tr.get("capture_every", 0)),
-        seed=int(tr.get("seed", 0)),
-        probe_size=int(tr.get("probe_size", 512)),
         init=init,
         ref_params=init if spec.kl_coefficient > 0 else None,
+        **tr,
     )
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -243,7 +251,7 @@ def cmd_bench(protocol_path, out_dir, parallel: int = 1) -> int:
     )
     seeds = _distinct_list(
         doc, "seeds", [0, 1, 2, 3, 4],
-        lambda seed: _is_int(seed) and 0 <= seed < 2**64,
+        lambda seed: toylm.is_int(seed) and 0 <= seed < 2**64,
         "an integer in [0, 2**64)",
     )
     out = Path(out_dir)
@@ -284,7 +292,7 @@ def cmd_analyze(args) -> int:
         if not records:
             raise ConfigError(f"no records in {args.records}")
     else:
-        cfg, params = toylm.load_checkpoint(args.checkpoint)
+        cfg, params = _read_checkpoint(args.checkpoint, "--checkpoint")
         corpus_doc = _load_json(args.corpus)
         corpus = _corpus_from_doc(corpus_doc, cfg.context_len, "corpus")
         records = landscape.score_corpus(params, corpus, k=args.k)
@@ -333,7 +341,7 @@ def cmd_topk_study(args) -> int:
     else:
         if not args.corpus:
             raise ConfigError("--checkpoint mode needs --corpus")
-        cfg, params = toylm.load_checkpoint(args.checkpoint)
+        cfg, params = _read_checkpoint(args.checkpoint, "--checkpoint")
         corpus_doc = _load_json(args.corpus)
         corpus = _corpus_from_doc(corpus_doc, cfg.context_len, "corpus")
         rows = landscape.topk_fidelity_study(

@@ -182,8 +182,25 @@ class BenchProtocol:
     k: int = 20
     pilot_quantile: float = 0.15   # joint entropy/probability percentile of the pilot
     mask_quantile: float = 0.60    # entropy percentile for the hard-mask variant
-    capture_every: int = 0
-    probe_size: int = 512
+
+    def __post_init__(self):
+        toylm.check_ints(
+            self, 1, "embed_dim", "hidden_dim", "context_len", "pretrain_batch", "finetune_batch", "k"
+        )
+        toylm.check_ints(self, 0, "finetune_steps")
+        if self.finetune_optimizer not in toylm.OPTIMIZER_KINDS:
+            raise InvalidArgumentError(
+                f"finetune_optimizer must be one of {list(toylm.OPTIMIZER_KINDS)}, "
+                f"got {self.finetune_optimizer!r}"
+            )
+        if not (toylm.is_real(self.finetune_lr) and 0 < self.finetune_lr < np.inf):
+            raise InvalidArgumentError(
+                f"finetune_lr must be a positive finite number, got {self.finetune_lr!r}"
+            )
+        for name in ("pilot_quantile", "mask_quantile"):
+            q = getattr(self, name)
+            if not (toylm.is_real(q) and 0 < q < 1):
+                raise InvalidArgumentError(f"{name} must be a number in (0, 1), got {q!r}")
 
 
 DEFAULT_OBJECTIVE_GRID = list(obj.OBJECTIVE_NAMES)
@@ -507,6 +524,7 @@ def pretrain_snapshot(
                 batch_size=protocol.pretrain_batch,
                 seed=seed * 101 + i,
                 init=params,
+                log_stats=False,
             )
         )
         params = result.params
@@ -572,12 +590,11 @@ def run_cell(
             learning_rate=protocol.finetune_lr,
             steps=protocol.finetune_steps,
             batch_size=protocol.finetune_batch,
-            capture_every=protocol.capture_every,
-            probe_size=protocol.probe_size,
             seed=seed * 977 + 13,
             init=snapshot,
             ref_params=snapshot if spec.kl_coefficient > 0 else None,
             position_weights=position_weights,
+            log_stats=False,
         )
     )
     after = toylm.evaluate(result.params, data.eval_a)

@@ -137,7 +137,7 @@ class TokenTerms(NamedTuple):
     probs: np.ndarray             # (B, V) softmax of the logits
     p_target: np.ndarray
     gates: np.ndarray | None      # None when the gate kind does not read it
-    entropy_full: np.ndarray
+    entropy_full: np.ndarray | None  # None unless asked for
     grad: np.ndarray              # (B, V) d(loss)/d(logits), unscaled
 
 
@@ -147,19 +147,21 @@ def token_terms(
     targets: np.ndarray,
     ref_logits: np.ndarray | None = None,
     position_weights: np.ndarray | None = None,
+    entropy: bool = True,
 ) -> TokenTerms:
     """Per-token losses, weights, stats, and d(loss)/d(logits) of (B, V) logits.
 
     The gate weight is evaluated on the live distribution and detached;
     ``position_weights`` (sample weights in [0, 1]) multiply the gate. A
-    single token is a batch of one row.
+    single token is a batch of one row. ``entropy_full`` is computed only
+    when ``entropy`` is true; no other term depends on it.
     """
     B = logits.shape[0]
     # one pass for both: bit-equal to softmax_rows and log_softmax_rows
     shifted = logits - logits.max(axis=-1, keepdims=True)
     p = np.exp(shifted)
     total = p.sum(axis=-1, keepdims=True)
-    logp = shifted - np.log(total)
+    log_total = np.log(total)
     p /= total
     idx = np.arange(B)
     p_t = p[idx, targets]
@@ -169,11 +171,13 @@ def token_terms(
         gates = None
     else:
         gates = probstats.gate_rows(p, k, spec.norm_mode)
-    ent_full = probstats.entropy_rows(p)
+    ent_full = probstats.entropy_rows(p) if entropy else None
     w = eval_gate_rows(spec.gate, gates, p_t)
     if position_weights is not None:
         w = w * position_weights
-    ce = -logp[idx, targets]
+    # the log_softmax_rows subtraction for the target entries only; negating
+    # the difference (not writing log_total - shifted) keeps a -0.0 loss
+    ce = -(shifted[idx, targets] - log_total[:, 0])
     losses = w * ce
     grad = p.copy()
     grad[idx, targets] -= 1.0
@@ -181,6 +185,7 @@ def token_terms(
     if spec.kl_coefficient > 0.0:
         if ref_logits is None:
             raise InvalidArgumentError("kl_coefficient > 0 requires reference logits")
+        logp = shifted - log_total
         logq = probstats.log_softmax_rows(ref_logits)
         with np.errstate(invalid="ignore"):
             kl_terms = np.where(p > 0.0, p * (logp - logq), 0.0)

@@ -93,12 +93,6 @@ class Corpus:
         return int(self.targets.shape[0])
 
     @classmethod
-    def from_pairs(cls, pairs) -> "Corpus":
-        ctxs = np.array([list(c) for c, _ in pairs], dtype=np.int64)
-        tgts = np.array([t for _, t in pairs], dtype=np.int64)
-        return cls(ctxs, tgts)
-
-    @classmethod
     def from_sequences(cls, sequences, context_len: int) -> "Corpus":
         ctxs, tgts = [], []
         for seq in sequences:
@@ -109,6 +103,25 @@ class Corpus:
         if not ctxs:
             raise InvalidArgumentError("sequences yield no training positions")
         return cls(np.array(ctxs, dtype=np.int64), np.array(tgts, dtype=np.int64))
+
+
+def is_int(value) -> bool:
+    """True for an integer; a bool is not one, and a float is never taken as one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """True for a real number that is not a bool."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
+def check_ints(obj, minimum: int, *names: str) -> None:
+    """Reject a field of ``obj`` that is not an integer >= ``minimum``; the
+    message starts with the field name."""
+    for name in names:
+        value = getattr(obj, name)
+        if not is_int(value) or value < minimum:
+            raise InvalidArgumentError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 def check_corpus_ids(corpus: Corpus, vocab_size: int) -> None:
@@ -272,14 +285,16 @@ def _step(
     position_weights: np.ndarray | None,
     step: int | None = None,
     backprop: bool = True,
+    entropy: bool = True,
 ):
     """One batch through the model and the objective kernel.
 
     Runs the forward pass, the reference forward (only for a KL objective),
     the per-token kernel and, if ``backprop``, the exact parameter gradients
     of the aggregated loss. Returns ``(loss, grads, terms)``; ``grads`` is
-    None without backprop. When ``step`` is given, non-finite logits of
-    ``params`` mean the run diverged at that step.
+    None without backprop, and ``terms.entropy_full`` None without
+    ``entropy``. When ``step`` is given, non-finite logits of ``params``
+    mean the run diverged at that step.
     """
     try:
         logits, cache = forward_batch(params, contexts)
@@ -290,7 +305,7 @@ def _step(
     ref_logits = None
     if objective.kl_coefficient > 0.0:
         ref_logits, _ = forward_batch(ref_params, contexts)
-    terms = obj.token_terms(objective, logits, targets, ref_logits, position_weights)
+    terms = obj.token_terms(objective, logits, targets, ref_logits, position_weights, entropy)
     scale = 1.0 / len(targets) if objective.aggregation == obj.AGG_MEAN else 1.0
     grads = backprop_logits(params, cache, terms.grad * scale) if backprop else None
     return float(terms.losses.sum() * scale), grads, terms
@@ -367,14 +382,17 @@ def apply_update(params: ToyModelParams, grads: dict, state: OptimizerState) -> 
 
 @dataclass(frozen=True)
 class TrainLogEntry:
+    """One optimizer step; a short entry (``TrainRun.log_stats`` false) keeps
+    only ``step`` and ``mean_loss``, and every other field is None."""
+
     step: int
     mean_loss: float
-    mean_gate: float
-    high_entropy_ce: float | None
-    high_entropy_count: int
-    low_entropy_ce: float | None
-    low_entropy_count: int
-    grad_norm: float
+    mean_gate: float | None = None
+    high_entropy_ce: float | None = None
+    high_entropy_count: int | None = None
+    low_entropy_ce: float | None = None
+    low_entropy_count: int | None = None
+    grad_norm: float | None = None
 
 
 @dataclass(frozen=True)
@@ -396,6 +414,11 @@ class TrainRun:
     init: ToyModelParams | None = None
     ref_params: ToyModelParams | None = None
     position_weights: np.ndarray | None = None
+    log_stats: bool = True          # False: short log entries (step, mean_loss)
+
+    def __post_init__(self):
+        check_ints(self, 0, "steps", "capture_every", "seed")
+        check_ints(self, 1, "batch_size", "probe_size")
 
 
 @dataclass
@@ -411,7 +434,10 @@ def train(run: TrainRun) -> TrainResult:
     Batches are sampled with replacement. Token records for landscape
     analysis are captured on a fixed probe subset every ``capture_every``
     steps (pre-update) plus once after the final step. The corpus token ids
-    and the reference model are checked once, before the first step.
+    and the reference model are checked once, before the first step. With
+    ``log_stats`` false the log keeps only each step's mean loss, and the
+    step skips the full entropy, the subgroup CE, the mean gate and the
+    grad norm; the parameters are bit-equal either way.
     """
     if len(run.corpus) == 0:
         raise InvalidArgumentError("corpus must be non-empty")
@@ -444,30 +470,35 @@ def train(run: TrainRun) -> TrainResult:
                 pw = None if run.position_weights is None else run.position_weights[idx]
                 _, grads, terms = _step(
                     params, run.objective, run.corpus.contexts[idx], run.corpus.targets[idx],
-                    run.ref_params, pw, step,
+                    run.ref_params, pw, step, entropy=run.log_stats,
                 )
-                ce = terms.ce
-                hi = terms.entropy_full >= run.high_entropy_min
-                lo = terms.entropy_full <= run.low_entropy_max
-                n_hi, n_lo = int(np.count_nonzero(hi)), int(np.count_nonzero(lo))
-                log.append(
-                    TrainLogEntry(
-                        step=step,
-                        mean_loss=float(terms.losses.mean()),
-                        mean_gate=float(terms.weights.mean()),
-                        high_entropy_ce=float(ce[hi].mean()) if n_hi else None,
-                        high_entropy_count=n_hi,
-                        low_entropy_ce=float(ce[lo].mean()) if n_lo else None,
-                        low_entropy_count=n_lo,
-                        grad_norm=grads.norm(),
-                    )
-                )
+                log.append(_log_entry(run, step, terms, grads))
                 apply_update(params, grads, state)
     except FloatingPointError as exc:
         raise TrainingDivergedError("floating-point overflow", step) from exc
     if run.capture_every > 0:
         capture(run.steps)
     return TrainResult(params=params, log=log, captures=captures)
+
+
+def _log_entry(run: TrainRun, step: int, terms: obj.TokenTerms, grads: Gradients) -> TrainLogEntry:
+    mean_loss = float(terms.losses.mean())
+    if not run.log_stats:
+        return TrainLogEntry(step=step, mean_loss=mean_loss)
+    ce = terms.ce
+    hi = terms.entropy_full >= run.high_entropy_min
+    lo = terms.entropy_full <= run.low_entropy_max
+    n_hi, n_lo = int(np.count_nonzero(hi)), int(np.count_nonzero(lo))
+    return TrainLogEntry(
+        step=step,
+        mean_loss=mean_loss,
+        mean_gate=float(terms.weights.mean()),
+        high_entropy_ce=float(ce[hi].mean()) if n_hi else None,
+        high_entropy_count=n_hi,
+        low_entropy_ce=float(ce[lo].mean()) if n_lo else None,
+        low_entropy_count=n_lo,
+        grad_norm=grads.norm(),
+    )
 
 
 def _capture_records(run: TrainRun, params: ToyModelParams, probe_idx, step: int):

@@ -138,6 +138,20 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "targets" in err and str(bad_id) in err
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("steps", "many"), ("steps", -5), ("steps", 2.9), ("steps", True),
+            ("batch_size", 0), ("probe_size", 0), ("capture_every", -3), ("seed", -1),
+        ],
+    )
+    def test_bad_train_section_rejected(self, tmp_path, capsys, key, value):
+        train = {"steps": 40, "batch_size": 16, "capture_every": 10, "seed": 2, key: value}
+        cfg = train_config(tmp_path, train=train)
+        assert cli.main(["train", str(cfg), str(tmp_path / "out")]) == 1
+        assert f"train.{key}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_objective_named(self, tmp_path, capsys):
         cfg = train_config(tmp_path, objective={"name": "flow"})
         assert cli.main(["train", str(cfg), str(tmp_path / "out")]) == 1
@@ -184,15 +198,29 @@ class TestBench:
             ("objectives", ["ce", "ce"], "objectives[1]"),
             ("objectives", "ce", "objectives"),
             ("objectives", [], "objectives"),
+            ("finetune_steps", -1, "protocol.finetune_steps"),
+            ("hidden_dim", "96", "protocol.hidden_dim"),
+            ("embed_dim", True, "protocol.embed_dim"),
+            ("finetune_batch", 0, "protocol.finetune_batch"),
+            ("pretrain_batch", 1.5, "protocol.pretrain_batch"),
+            ("k", 0, "protocol.k"),
+            ("mask_quantile", 1.0, "protocol.mask_quantile"),
+            ("pilot_quantile", 0.0, "protocol.pilot_quantile"),
+            ("pilot_quantile", "0.15", "protocol.pilot_quantile"),
+            ("finetune_lr", 0, "protocol.finetune_lr"),
+            ("finetune_lr", float("inf"), "protocol.finetune_lr"),
+            ("finetune_optimizer", "adam", "protocol.finetune_optimizer"),
+            ("capture_every", 5, "capture_every"),
+            ("probe_size", 64, "probe_size"),
         ],
     )
     def test_bad_protocol_rejected(self, tmp_path, capsys, key, value, field):
         # rejected before any domain is generated, naming the field
         doc = json.loads(bench_protocol(tmp_path).read_text())
-        if key == "pretrain_stages":
-            doc["protocol"][key] = value
-        else:
+        if key in ("seeds", "objectives"):
             doc[key] = value
+        else:
+            doc["protocol"][key] = value
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         assert cli.main(["bench", str(path), str(tmp_path / "out")]) == 1
@@ -260,6 +288,25 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert "targets" in err and str(bad_id) in err
         assert not out.exists() or not any(out.iterdir())
+
+
+class TestMissingCheckpoint:
+    @pytest.mark.parametrize("command", ["train", "analyze", "topk-study"])
+    def test_missing_checkpoint_names_path(self, tmp_path, capsys, command):
+        missing = tmp_path / "gone.ckpt"
+        out = tmp_path / "out"
+        if command == "train":
+            argv = ["train", str(train_config(tmp_path, init_checkpoint=str(missing))), str(out)]
+            field = "init_checkpoint"
+        else:
+            corpus_doc = tmp_path / "corpus.json"
+            corpus_doc.write_text(json.dumps({"sequences": small_sequences(40)}))
+            argv = [command, str(out), "--checkpoint", str(missing), "--corpus", str(corpus_doc)]
+            field = "--checkpoint"
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert field in err and str(missing) in err
+        assert not out.exists()
 
 
 class TestTopkStudy:

@@ -12,6 +12,7 @@ import pytest
 
 from eaftlab import forgebench as fb
 from eaftlab import objectives as obj
+from eaftlab import probstats as ps
 from eaftlab import toylm
 from eaftlab.errors import InvalidArgumentError
 
@@ -320,3 +321,33 @@ class TestQuadrantGapProperty:
         recs = ls.score_corpus(snapshot, rollouts)
         ro = ls.quadrant_stats(recs, thresholds=thresholds)
         assert share_ft >= 10.0 * ro["shares"]["confident-conflict"]
+
+
+class TestShortLogs:
+    def test_snapshot_and_cells_compute_no_entropy(self, monkeypatch):
+        # their train logs are discarded, so no step computes the full entropy
+        calls = []
+        entropy_rows = ps.entropy_rows
+
+        def counting(probs):
+            calls.append(len(probs))
+            return entropy_rows(probs)
+
+        monkeypatch.setattr(ps, "entropy_rows", counting)
+        domain = fb.DomainSpec(seed=3)
+        pretrained = fb.pretrain_snapshot(domain, fb.ConflictSpec(), SMALL_SIZES, FAST_PROTOCOL, 0)
+        for name in fb.DEFAULT_OBJECTIVE_GRID:
+            fb.run_cell(
+                name, 0, domain, fb.ConflictSpec(), SMALL_SIZES, FAST_PROTOCOL,
+                _pretrained=pretrained,
+            )
+        assert calls == []
+        # the counter sees a run that keeps its log: one call per step
+        config, data, snapshot = pretrained
+        toylm.train(
+            toylm.TrainRun(
+                config=config, corpus=data.finetune, objective=obj.named_objective("ce"),
+                steps=3, batch_size=4, init=snapshot,
+            )
+        )
+        assert calls == [4, 4, 4]

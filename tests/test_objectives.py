@@ -281,6 +281,43 @@ class TestSequenceLoss:
             toylm.Corpus(np.zeros((1, 3), dtype=np.int64), np.array([0, 1]))
 
 
+class TestEntropyOnRequest:
+    @staticmethod
+    def batch(seed):
+        # 40 rows at V=30, the last one so peaked that p_target is exactly 1.0
+        rng = np.random.default_rng(seed)
+        logits = rng.normal(0, 3, (40, 30))
+        targets = rng.integers(0, 30, 40)
+        logits[-1] = -1e4
+        logits[-1, targets[-1]] = 0.0
+        return logits, targets, rng.normal(0, 3, (40, 30))
+
+    @pytest.mark.parametrize("name", sorted(ALL_SPECS))
+    def test_other_terms_bit_equal(self, name):
+        spec = ALL_SPECS[name]
+        logits, targets, ref = self.batch(4)
+        pw = np.linspace(0.0, 1.0, 40)
+        full = obj.token_terms(spec, logits, targets, ref, pw)
+        lean = obj.token_terms(spec, logits, targets, ref, pw, entropy=False)
+        assert lean.entropy_full is None
+        assert np.array_equal(full.entropy_full, ps.entropy_rows(full.probs))
+        for field in obj.TokenTerms._fields:
+            if field == "entropy_full":
+                continue
+            a, b = getattr(full, field), getattr(lean, field)
+            assert (a is None and b is None) or a.tobytes() == b.tobytes(), field
+
+    def test_ce_is_log_softmax_bits(self):
+        # the target-only subtraction gives -log_softmax_rows at the target,
+        # bit for bit and sign for sign: p_target == 1.0 gives a loss of -0.0
+        logits, targets, _ = self.batch(5)
+        res = obj.token_terms(ALL_SPECS["ce"], logits, targets, entropy=False)
+        oracle = -ps.log_softmax_rows(logits)[np.arange(40), targets]
+        assert res.ce.tobytes() == oracle.tobytes()
+        assert res.p_target[-1] == 1.0
+        assert res.ce[-1] == 0.0 and np.signbit(res.ce[-1])
+
+
 class TestGradMagnitudeLandscape:
     def test_projection(self):
         res = one_token(obj.named_objective("ce"), np.zeros(2), 0)

@@ -361,6 +361,44 @@ class TestTrain:
         with pytest.raises(InvalidArgumentError):
             toylm.train(run)
 
+    @pytest.mark.parametrize(
+        "name,optimizer", [("ce", "adam-lite"), ("eaft", "sgd-momentum"), ("sft_kl", "adam-lite")]
+    )
+    def test_short_log_same_params(self, name, optimizer):
+        # skipping the log statistics changes no parameter bit, loss or capture
+        run = toylm.TrainRun(
+            config=TINY,
+            corpus=tiny_corpus(30, seed=2),
+            objective=obj.named_objective(name, k=8),
+            optimizer=optimizer,
+            steps=25,
+            batch_size=8,
+            seed=4,
+            capture_every=10,
+            ref_params=toylm.init_model(replace(TINY, seed=9)),
+        )
+        full = toylm.train(run)
+        short = toylm.train(replace(run, log_stats=False))
+        assert params_equal(full.params, short.params)
+        assert [e.mean_loss for e in short.log] == [e.mean_loss for e in full.log]
+        assert short.log == [toylm.TrainLogEntry(e.step, e.mean_loss) for e in full.log]
+        assert all(e.grad_norm is not None and e.mean_gate is not None for e in full.log)
+        assert short.captures == full.captures
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("steps", -5), ("steps", 2.9), ("steps", True), ("steps", "many"),
+            ("batch_size", 0), ("probe_size", 0), ("capture_every", -3), ("seed", -1),
+        ],
+    )
+    def test_bad_run_rejected(self, field, value):
+        with pytest.raises(InvalidArgumentError, match=f"^{field} must be an integer"):
+            toylm.TrainRun(
+                config=TINY, corpus=tiny_corpus(), objective=obj.named_objective("ce", k=8),
+                **{field: value},
+            )
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_names_step(self):
         run = toylm.TrainRun(
