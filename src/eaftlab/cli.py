@@ -104,10 +104,7 @@ def _pretrain_stages(stages) -> tuple:
 
 
 def _optimizer(kind, lr, kind_field: str, lr_field: str) -> tuple[str, float]:
-    if kind not in toylm.OPTIMIZER_KINDS:
-        raise ConfigError(f"{kind_field} must be one of {list(toylm.OPTIMIZER_KINDS)}, got {kind!r}")
-    if not (toylm.is_real(lr) and 0 < lr < float("inf")):
-        raise ConfigError(f"{lr_field} must be a positive finite number, got {lr!r}")
+    toylm.check_optimizer(kind, lr, kind_field, lr_field)
     return kind, float(lr)
 
 

@@ -188,15 +188,9 @@ class BenchProtocol:
             self, 1, "embed_dim", "hidden_dim", "context_len", "pretrain_batch", "finetune_batch", "k"
         )
         toylm.check_ints(self, 0, "finetune_steps")
-        if self.finetune_optimizer not in toylm.OPTIMIZER_KINDS:
-            raise InvalidArgumentError(
-                f"finetune_optimizer must be one of {list(toylm.OPTIMIZER_KINDS)}, "
-                f"got {self.finetune_optimizer!r}"
-            )
-        if not (toylm.is_real(self.finetune_lr) and 0 < self.finetune_lr < np.inf):
-            raise InvalidArgumentError(
-                f"finetune_lr must be a positive finite number, got {self.finetune_lr!r}"
-            )
+        toylm.check_optimizer(
+            self.finetune_optimizer, self.finetune_lr, "finetune_optimizer", "finetune_lr"
+        )
         for name in ("pilot_quantile", "mask_quantile"):
             q = getattr(self, name)
             if not (toylm.is_real(q) and 0 < q < 1):

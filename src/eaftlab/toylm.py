@@ -124,6 +124,17 @@ def check_ints(obj, minimum: int, *names: str) -> None:
             raise InvalidArgumentError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
+def check_optimizer(kind, learning_rate, kind_field: str, rate_field: str) -> None:
+    """Reject an unknown optimizer kind or a learning rate that is not a
+    positive finite number, naming the field."""
+    if kind not in OPTIMIZER_KINDS:
+        raise InvalidArgumentError(f"{kind_field} must be one of {list(OPTIMIZER_KINDS)}, got {kind!r}")
+    if not (is_real(learning_rate) and 0 < learning_rate < np.inf):
+        raise InvalidArgumentError(
+            f"{rate_field} must be a positive finite number, got {learning_rate!r}"
+        )
+
+
 def check_corpus_ids(corpus: Corpus, vocab_size: int) -> None:
     """Reject a context or target token id outside [0, vocab_size), naming
     which array holds it and the first such id."""
@@ -335,10 +346,7 @@ class OptimizerState:
     buffers: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in OPTIMIZER_KINDS:
-            raise InvalidArgumentError(f"unknown optimizer kind {self.kind!r}")
-        if not self.learning_rate > 0:
-            raise InvalidArgumentError("learning_rate must be positive")
+        check_optimizer(self.kind, self.learning_rate, "kind", "learning_rate")
 
 
 def apply_update(params: ToyModelParams, grads: dict, state: OptimizerState) -> None:
