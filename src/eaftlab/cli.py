@@ -40,6 +40,8 @@ TRAINLOG_FIELDS = (
 
 
 def _require_keys(doc: dict, allowed, where: str) -> None:
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {doc!r}")
     unknown = set(doc) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown keys {sorted(unknown)} in {where}")
@@ -67,6 +69,8 @@ def _build_dataclass(cls, doc: dict, where: str):
 def _read_checkpoint(path, what: str):
     """Load a checkpoint named by a config field or an option; a missing file
     is a validation error naming both."""
+    if not isinstance(path, str):
+        raise ConfigError(f"{what} must be a path, got {path!r}")
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"{what} not found: {p}")

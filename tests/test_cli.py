@@ -152,6 +152,15 @@ class TestTrain:
         assert f"train.{key}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "key,value", [("train", []), ("init_checkpoint", 5)]
+    )
+    def test_malformed_section_rejected(self, tmp_path, capsys, key, value):
+        cfg = train_config(tmp_path, **{key: value})
+        assert cli.main(["train", str(cfg), str(tmp_path / "out")]) == 1
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_objective_named(self, tmp_path, capsys):
         cfg = train_config(tmp_path, objective={"name": "flow"})
         assert cli.main(["train", str(cfg), str(tmp_path / "out")]) == 1
