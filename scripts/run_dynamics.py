@@ -54,7 +54,7 @@ def main():
         )
         ls.export_records(result.captures, out / f"{name}.jsonl", "jsonl")
         rows = ls.dynamics_track(result.captures)
-        ls.export_rows(rows, dyn_fields, out / f"dynamics_{name}.csv", "csv")
+        ls.export_rows(rows, dyn_fields, out / f"dynamics_{name}.csv")
         first, last = rows[0], rows[-1]
         print(
             f"  {name:4s}: low-entropy CE {first['low_entropy_ce']:.2f} -> {last['low_entropy_ce']:.2f}"

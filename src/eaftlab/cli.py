@@ -24,7 +24,7 @@ import sys
 from pathlib import Path
 
 from . import forgebench, landscape, objectives, toylm
-from .errors import ConfigError, EaftLabError, InvalidArgumentError, TrainingDivergedError
+from .errors import ConfigError, EaftLabError, InvalidArgumentError, TrainingDivergedError, is_int
 from .fileio import atomic_write
 
 TRAINLOG_FIELDS = (
@@ -48,9 +48,9 @@ def _require_keys(doc: dict, allowed, where: str) -> None:
 
 
 def _construct(cls, where: str, **kwargs):
-    """``cls(**kwargs)`` for a config section ``where``. The dataclass checks
-    start their message with the field name, so a rejected field is named
-    ``where.<field>``."""
+    """``cls(**kwargs)`` for a config section ``where``. The dataclass and
+    builder checks start their message with the field name, so a rejected
+    field is named ``where.<field>``."""
     try:
         return cls(**kwargs)
     except InvalidArgumentError as exc:
@@ -100,7 +100,7 @@ def _pretrain_stages(stages) -> tuple:
         if not isinstance(stage, list) or len(stage) != 3:
             raise ConfigError(f"{where} must be [steps, optimizer, learning_rate], got {stage!r}")
         steps, optimizer, lr = stage
-        if not toylm.is_int(steps) or steps < 0:
+        if not is_int(steps) or steps < 0:
             raise ConfigError(f"{where} steps must be a non-negative integer, got {steps!r}")
         kind, rate = _optimizer(optimizer, lr, f"{where} optimizer", f"{where} learning_rate")
         out.append(forgebench.TrainStage(steps, kind, rate))
@@ -130,11 +130,7 @@ def _objective_from_doc(doc: dict, where: str) -> objectives.ObjectiveSpec:
     _require_keys(doc, ("name", "k", "tau_entropy", "tau_prob", "norm_mode", "aggregation"), where)
     if "name" not in doc:
         raise ConfigError(f"{where} needs an objective name")
-    kwargs = {}
-    for key in ("tau_entropy", "tau_prob", "k", "norm_mode", "aggregation"):
-        if key in doc:
-            kwargs[key] = doc[key]
-    return objectives.named_objective(doc["name"], **kwargs)
+    return _construct(objectives.named_objective, where, **doc)
 
 
 def _corpus_from_doc(doc: dict, context_len: int, where: str):
@@ -143,7 +139,9 @@ def _corpus_from_doc(doc: dict, context_len: int, where: str):
     if ("sequences" in doc) == ("bench" in doc):
         raise ConfigError(f"{where} needs exactly one of 'sequences' or 'bench'")
     if "sequences" in doc:
-        return toylm.Corpus.from_sequences(doc["sequences"], context_len)
+        return _construct(
+            toylm.Corpus.from_sequences, where, sequences=doc["sequences"], context_len=context_len
+        )
     bench = doc["bench"]
     _require_keys(bench, ("domain", "conflict", "sizes", "part"), f"{where}.bench")
     domain = _build_dataclass(forgebench.DomainSpec, bench.get("domain", {}), "domain")
@@ -176,7 +174,7 @@ def _write_trainlog(path, log) -> None:
                 "grad_norm": entry.grad_norm,
             }
         )
-    landscape.export_rows(rows, TRAINLOG_FIELDS, path, "csv")
+    landscape.export_rows(rows, TRAINLOG_FIELDS, path)
 
 
 def cmd_train(config_path, out_dir) -> int:
@@ -252,7 +250,7 @@ def cmd_bench(protocol_path, out_dir, parallel: int = 1) -> int:
     )
     seeds = _distinct_list(
         doc, "seeds", [0, 1, 2, 3, 4],
-        lambda seed: toylm.is_int(seed) and 0 <= seed < 2**64,
+        lambda seed: is_int(seed) and 0 <= seed < 2**64,
         "an integer in [0, 2**64)",
     )
     out = Path(out_dir)
@@ -277,7 +275,6 @@ def cmd_bench(protocol_path, out_dir, parallel: int = 1) -> int:
             "acquisition_acc_mean",
         ),
         out / "pareto.csv",
-        "csv",
     )
     return 0
 
@@ -301,7 +298,7 @@ def cmd_analyze(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     hist = landscape.histogram2d(records, x_bins=args.bins, y_bins=args.bins)
     fields = ["x_lo", "x_hi", "y_lo", "y_hi", "count"]
-    landscape.export_rows(landscape.histogram_rows(hist), fields, out / "landscape.csv", "csv")
+    landscape.export_rows(landscape.histogram_rows(hist), fields, out / "landscape.csv")
     stats = landscape.quadrant_stats(records, q=args.q)
     qrows = [
         {
@@ -314,14 +311,14 @@ def cmd_analyze(args) -> int:
         for name in stats["counts"]
     ]
     landscape.export_rows(
-        qrows, ("quadrant", "count", "share", "tau_gate", "tau_p"), out / "quadrants.csv", "csv"
+        qrows, ("quadrant", "count", "share", "tau_gate", "tau_p"), out / "quadrants.csv"
     )
     rank_rows = []
     for name in stats["counts"]:
         for row in landscape.quadrant_token_ranking(records, stats["labels"], name, args.top):
             rank_rows.append({"quadrant": name, **row})
     landscape.export_rows(
-        rank_rows, ("quadrant", "token", "count", "mean_gate"), out / "ranking.csv", "csv"
+        rank_rows, ("quadrant", "token", "count", "mean_gate"), out / "ranking.csv"
     )
     return 0
 
@@ -337,8 +334,10 @@ def cmd_topk_study(args) -> int:
     else:
         grid = None
     if args.synthetic:
-        probs = landscape.synthetic_fidelity_corpus()
-        rows = landscape.fidelity_from_probs(probs, grid or landscape.default_k_grid(probs.shape[1]))
+        rows = landscape.fidelity_from_blocks(
+            landscape.synthetic_fidelity_blocks(),
+            grid or landscape.default_k_grid(landscape.SYNTHETIC_VOCAB),
+        )
     else:
         if not args.corpus:
             raise ConfigError("--checkpoint mode needs --corpus")
@@ -351,7 +350,7 @@ def cmd_topk_study(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     landscape.export_rows(
-        rows, ("k", "pearson_r", "extra_bytes_per_token"), out / "fidelity.csv", "csv"
+        rows, ("k", "pearson_r", "extra_bytes_per_token"), out / "fidelity.csv"
     )
     return 0
 
@@ -380,7 +379,7 @@ def cmd_dynamics(args) -> int:
         if not records:
             raise ConfigError(f"no records in {path}")
         rows = landscape.dynamics_track(records, cfg)
-        landscape.export_rows(rows, fields, out / f"dynamics_{path.stem}.csv", "csv")
+        landscape.export_rows(rows, fields, out / f"dynamics_{path.stem}.csv")
     return 0
 
 

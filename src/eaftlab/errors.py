@@ -1,4 +1,6 @@
-"""Semantic exception hierarchy shared across the package."""
+"""Semantic exception hierarchy shared across the package, and the field checks that raise it."""
+
+import numpy as np
 
 
 class EaftLabError(Exception):
@@ -43,3 +45,22 @@ class RecordParseError(EaftLabError, ValueError):
 
 class ConfigError(EaftLabError, ValueError):
     """Raised for malformed run configuration documents."""
+
+
+def is_int(value) -> bool:
+    """True for an integer; a bool is not one, and a float is never taken as one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """True for a real number that is not a bool."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
+def check_ints(obj, minimum: int, *names: str) -> None:
+    """Reject a field of ``obj`` that is not an integer >= ``minimum``; the
+    message starts with the field name."""
+    for name in names:
+        value = getattr(obj, name)
+        if not is_int(value) or value < minimum:
+            raise InvalidArgumentError(f"{name} must be an integer >= {minimum}, got {value!r}")

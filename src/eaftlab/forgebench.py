@@ -27,7 +27,7 @@ import numpy as np
 
 from . import objectives as obj
 from . import probstats, toylm
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, check_ints, is_real
 
 TOKEN_KINDS = ("conflict", "novel", "unchanged")
 
@@ -184,16 +184,16 @@ class BenchProtocol:
     mask_quantile: float = 0.60    # entropy percentile for the hard-mask variant
 
     def __post_init__(self):
-        toylm.check_ints(
+        check_ints(
             self, 1, "embed_dim", "hidden_dim", "context_len", "pretrain_batch", "finetune_batch", "k"
         )
-        toylm.check_ints(self, 0, "finetune_steps")
+        check_ints(self, 0, "finetune_steps")
         toylm.check_optimizer(
             self.finetune_optimizer, self.finetune_lr, "finetune_optimizer", "finetune_lr"
         )
         for name in ("pilot_quantile", "mask_quantile"):
             q = getattr(self, name)
-            if not (toylm.is_real(q) and 0 < q < 1):
+            if not (is_real(q) and 0 < q < 1):
                 raise InvalidArgumentError(f"{name} must be a number in (0, 1), got {q!r}")
 
 

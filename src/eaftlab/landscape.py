@@ -83,12 +83,9 @@ class DynamicsConfig:
 
 @dataclass
 class Histogram2D:
-    x_axis: str
-    y_axis: str
     x_edges: np.ndarray
     y_edges: np.ndarray
     counts: np.ndarray
-    weights_sum: np.ndarray | None = None
 
 
 def score_corpus(
@@ -188,20 +185,13 @@ def export_records(records, path, fmt: str = "jsonl") -> None:
         raise InvalidArgumentError(f"unknown format {fmt!r}")
 
 
-def export_rows(rows, fieldnames, path, fmt: str = "csv") -> None:
-    """Write dict rows as CSV (17-significant-digit reals) or JSONL."""
-    if fmt == "csv":
-        with atomic_write(path, newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(fieldnames)
-            for row in rows:
-                writer.writerow([_fmt(row.get(f)) for f in fieldnames])
-    elif fmt == "jsonl":
-        with atomic_write(path) as fh:
-            for row in rows:
-                fh.write(json.dumps({f: row.get(f) for f in fieldnames}, sort_keys=True) + "\n")
-    else:
-        raise InvalidArgumentError(f"unknown format {fmt!r}")
+def export_rows(rows, fieldnames, path) -> None:
+    """Write dict rows as CSV with 17-significant-digit reals."""
+    with atomic_write(path, newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(fieldnames)
+        for row in rows:
+            writer.writerow([_fmt(row.get(f)) for f in fieldnames])
 
 
 def ingest_records(path) -> list[TokenRecord]:
@@ -252,13 +242,10 @@ _AXIS_GETTERS = {
     "p_target": lambda r: r.p_target,
     "entropy": lambda r: r.entropy_full,
     "gate": lambda r: r.gate,
-    "grad_norm": lambda r: r.grad_norm,
 }
 
 
 def _axis_values(records, axis: str) -> np.ndarray:
-    if axis not in _AXIS_GETTERS:
-        raise InvalidArgumentError(f"unknown axis {axis!r}")
     getter = _AXIS_GETTERS[axis]
     values = []
     for i, rec in enumerate(records):
@@ -269,53 +256,30 @@ def _axis_values(records, axis: str) -> np.ndarray:
     return np.asarray(values, dtype=np.float64)
 
 
-def histogram2d(
-    records,
-    x_axis: str = "p_target",
-    y_axis: str = "entropy",
-    x_bins: int = 40,
-    y_bins: int = 40,
-    weight_axis: str | None = None,
-    x_edges=None,
-    y_edges=None,
-) -> Histogram2D:
-    """Linear binning between data min/max (or explicit ascending edges);
-    top-edge values land in the last bin. ``weight_axis`` accumulates a
-    per-cell sum for mean overlays."""
+def histogram2d(records, x_bins: int = 40, y_bins: int = 40) -> Histogram2D:
+    """p_target (x) against the full entropy (y), binned linearly between data
+    min/max; top-edge values land in the last bin."""
     records = list(records)
     if not records:
         raise InvalidArgumentError("need at least one record")
     if x_bins < 1 or y_bins < 1:
         raise InvalidArgumentError("bin counts must be >= 1")
-    xs = _axis_values(records, x_axis)
-    ys = _axis_values(records, y_axis)
+    xs = _axis_values(records, "p_target")
+    ys = _axis_values(records, "entropy")
 
-    def edges(vals, nbins, explicit):
-        if explicit is not None:
-            e = np.asarray(explicit, dtype=np.float64)
-            if e.ndim != 1 or e.size < 2 or np.any(np.diff(e) <= 0):
-                raise InvalidArgumentError("edges must be strictly ascending")
-            return e
+    def edges(vals, nbins):
         lo, hi = float(vals.min()), float(vals.max())
         if hi <= lo:
             hi = lo + 1.0
         return np.linspace(lo, hi, nbins + 1)
 
-    xe = edges(xs, x_bins, x_edges)
-    ye = edges(ys, y_bins, y_edges)
-    x_bins, y_bins = xe.size - 1, ye.size - 1
+    xe = edges(xs, x_bins)
+    ye = edges(ys, y_bins)
     xi = np.clip(np.searchsorted(xe, xs, side="right") - 1, 0, x_bins - 1)
     yi = np.clip(np.searchsorted(ye, ys, side="right") - 1, 0, y_bins - 1)
     counts = np.zeros((x_bins, y_bins), dtype=np.int64)
     np.add.at(counts, (xi, yi), 1)
-    weights = None
-    if weight_axis is not None:
-        wv = _axis_values(records, weight_axis)
-        weights = np.zeros((x_bins, y_bins))
-        np.add.at(weights, (xi, yi), wv)
-    return Histogram2D(
-        x_axis=x_axis, y_axis=y_axis, x_edges=xe, y_edges=ye, counts=counts, weights_sum=weights
-    )
+    return Histogram2D(x_edges=xe, y_edges=ye, counts=counts)
 
 
 def histogram_rows(hist: Histogram2D) -> list[dict]:
@@ -329,8 +293,6 @@ def histogram_rows(hist: Histogram2D) -> list[dict]:
                 "y_hi": float(hist.y_edges[j + 1]),
                 "count": int(hist.counts[i, j]),
             }
-            if hist.weights_sum is not None:
-                row["weight_sum"] = float(hist.weights_sum[i, j])
             rows.append(row)
     return rows
 
@@ -339,19 +301,18 @@ def quadrant_stats(
     records,
     q: float = 0.15,
     thresholds: tuple[float, float] | None = None,
-    entropy_axis: str = "gate",
 ):
-    """Four-way partition by joint thresholds on the entropy axis and p_target.
+    """Four-way partition by joint thresholds on the gate and p_target.
 
     Thresholds default to the nearest-rank ``q`` percentiles of this record
-    set; pass explicit ``(tau_h, tau_p)`` to compare different corpora on the
-    same axes. The entropy axis is the gate by default (matching how masking
-    thresholds are computed); "entropy" uses the full-vocabulary entropy.
+    set; pass explicit ``(tau_gate, tau_p)`` to compare different corpora on
+    the same axes. The gate is the entropy axis because masking thresholds
+    are computed on it.
     """
     records = list(records)
     if not records:
         raise InvalidArgumentError("need at least one record")
-    hs = _axis_values(records, entropy_axis)
+    hs = _axis_values(records, "gate")
     ps = _axis_values(records, "p_target")
     labels, thresholds = probstats.quadrant_labels(hs, ps, q, thresholds)
     counts = {name: int((labels == name).sum()) for name in probstats.QUADRANTS}
@@ -415,28 +376,45 @@ def dynamics_track(records, cfg: DynamicsConfig = DynamicsConfig()) -> list[dict
 # ---------------------------------------------------------------------------
 
 
-def fidelity_from_probs(
-    probs: np.ndarray,
-    k_grid,
-    float_bytes: int = 8,
-    index_bytes: int = 4,
-) -> list[dict]:
+# Rows per block of the top-K fidelity study. Softmax, entropy and
+# np.partition work row by row, so the block size changes no output bit; it
+# bounds the study's working set at a few MB for V=4096.
+_ROW_BLOCK = 64
+
+SYNTHETIC_VOCAB = 4096
+# a float64 probability and an int32 index per kept top-k entry
+_BYTES_PER_ENTRY = 8 + 4
+
+
+def fidelity_from_blocks(blocks, k_grid) -> list[dict]:
     """Pearson r between exact and renormalized top-k entropy per k, plus the
-    linear per-token memory cost k * (float_bytes + index_bytes)."""
-    p = np.asarray(probs, dtype=np.float64)
-    if p.ndim != 2 or p.shape[0] < 2:
-        raise InvalidArgumentError("need a (N, V) probability matrix with N >= 2")
+    linear per-token memory cost of storing the k (probability, index) pairs.
+
+    ``blocks`` is an iterable of (b, V) probability blocks, the rows of one
+    corpus in order; only one block is held at a time.
+    """
     ks = [int(k) for k in k_grid]
-    if any(k < 1 or k > p.shape[1] for k in ks):
-        raise InvalidArgumentError("k grid entries must lie in [1, V]")
     if sorted(ks) != ks:
         raise InvalidArgumentError("k grid must be ascending")
-    exact = probstats.entropy_rows(p)
+    exact_parts: list[np.ndarray] = []
+    approx_parts: list[list[np.ndarray]] = [[] for _ in ks]
+    for block in blocks:
+        p = np.asarray(block, dtype=np.float64)
+        if p.ndim != 2:
+            raise InvalidArgumentError("need a (N, V) probability matrix with N >= 2")
+        if any(k < 1 or k > p.shape[1] for k in ks):
+            raise InvalidArgumentError("k grid entries must lie in [1, V]")
+        exact_parts.append(probstats.entropy_rows(p))
+        for parts, k in zip(approx_parts, ks):
+            parts.append(probstats.topk_entropy_rows(p, k))
+    if sum(len(part) for part in exact_parts) < 2:
+        raise InvalidArgumentError("need a (N, V) probability matrix with N >= 2")
+    exact = np.concatenate(exact_parts)
     if float(exact.std()) == 0.0:
         raise DegenerateVarianceError("exact entropies are constant")
     rows = []
-    for k in ks:
-        approx = probstats.topk_entropy_rows(p, k)
+    for k, parts in zip(ks, approx_parts):
+        approx = np.concatenate(parts)
         # k=1 yields identically-zero approximations; correlation is undefined
         # there, so the row carries an absent r rather than a fabricated one
         r = probstats.pearson(exact, approx) if float(approx.std()) > 0.0 else None
@@ -444,43 +422,57 @@ def fidelity_from_probs(
             {
                 "k": k,
                 "pearson_r": r,
-                "extra_bytes_per_token": k * (float_bytes + index_bytes),
+                "extra_bytes_per_token": k * _BYTES_PER_ENTRY,
             }
         )
     return rows
 
 
-def synthetic_fidelity_corpus(
+def fidelity_from_probs(probs: np.ndarray, k_grid) -> list[dict]:
+    """``fidelity_from_blocks`` over the row blocks of one (N, V) matrix."""
+    p = np.asarray(probs, dtype=np.float64)
+    if p.ndim != 2:
+        raise InvalidArgumentError("need a (N, V) probability matrix with N >= 2")
+    blocks = (p[i : i + _ROW_BLOCK] for i in range(0, p.shape[0], _ROW_BLOCK))
+    return fidelity_from_blocks(blocks, k_grid)
+
+
+def synthetic_fidelity_blocks(
     n_tokens: int = 10000,
-    vocab_size: int = 4096,
+    vocab_size: int = SYNTHETIC_VOCAB,
     seed: int = 20260810,
     base_scale: float = 14.0,
     temp_low: float = 0.3,
     temp_high: float = 2.0,
-) -> np.ndarray:
-    """Distributions spanning peaked and flat regimes: softmax of Gaussian
-    logits at ``base_scale``, divided by a per-token temperature drawn
-    log-uniformly from [temp_low, temp_high]."""
+):
+    """Yield the synthetic corpus in (b, V) probability blocks of at most
+    ``_ROW_BLOCK`` rows: distributions spanning peaked and flat regimes,
+    the softmax of Gaussian logits at ``base_scale``, divided by a per-token
+    temperature drawn log-uniformly from [temp_low, temp_high].
+
+    The temperatures are drawn first and the logits block after block from
+    the same stream, so the blocks concatenate to the same bits as one
+    (n_tokens, vocab_size) draw."""
     rng = np.random.default_rng(seed)
     temps = np.exp(rng.uniform(np.log(temp_low), np.log(temp_high), size=n_tokens))
-    logits = rng.standard_normal((n_tokens, vocab_size))
-    logits *= base_scale / temps[:, None]
-    return probstats.softmax_rows(logits)
+    for start in range(0, n_tokens, _ROW_BLOCK):
+        block_temps = temps[start : start + _ROW_BLOCK]
+        logits = rng.standard_normal((block_temps.size, vocab_size))
+        logits *= base_scale / block_temps[:, None]
+        yield probstats.softmax_rows(logits)
 
 
-def topk_fidelity_study(
-    params: toylm.ToyModelParams,
-    corpus: toylm.Corpus,
-    k_grid,
-    float_bytes: int = 8,
-    index_bytes: int = 4,
-) -> list[dict]:
+def synthetic_fidelity_corpus(*args, **kwargs) -> np.ndarray:
+    """The synthetic corpus as one (n_tokens, vocab_size) matrix: the
+    concatenation of ``synthetic_fidelity_blocks(*args, **kwargs)``."""
+    return np.concatenate(list(synthetic_fidelity_blocks(*args, **kwargs)))
+
+
+def topk_fidelity_study(params: toylm.ToyModelParams, corpus: toylm.Corpus, k_grid) -> list[dict]:
     """Fidelity study over the distributions a model assigns to a corpus."""
     toylm.check_corpus_ids(corpus, params.embedding.shape[0])
     logits, _ = toylm.forward_batch(params, corpus.contexts)
-    return fidelity_from_probs(
-        probstats.softmax_rows(logits), k_grid, float_bytes, index_bytes
-    )
+    return fidelity_from_probs(probstats.softmax_rows(logits), k_grid)
 
 
 def default_k_grid(vocab_size: int) -> list[int]:

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import probstats
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, check_ints, is_real
 from .probstats import NORM_EXACT
 
 GATE_KINDS = (
@@ -67,7 +67,7 @@ class GateSpec:
             raise InvalidArgumentError("sigmoid alpha must be finite")
         for name, tau in (("tau_entropy", self.tau_entropy), ("tau_prob", self.tau_prob)):
             if not 0.0 <= tau <= 1.0:
-                raise InvalidArgumentError(f"{name}={tau} outside [0, 1]")
+                raise InvalidArgumentError(f"{name} must be a number in [0, 1], got {tau!r}")
 
 
 @dataclass(frozen=True)
@@ -87,10 +87,9 @@ class ObjectiveSpec:
     def __post_init__(self):
         if self.kl_coefficient < 0:
             raise InvalidArgumentError("kl_coefficient must be >= 0")
-        if self.k < 1:
-            raise InvalidArgumentError("k must be >= 1")
+        check_ints(self, 1, "k")
         if self.aggregation not in (AGG_MEAN, AGG_SUM):
-            raise InvalidArgumentError(f"unknown aggregation {self.aggregation!r}")
+            raise InvalidArgumentError(f"aggregation must be {AGG_MEAN} or {AGG_SUM}, got {self.aggregation!r}")
 
 
 def eval_gate_rows(
@@ -235,16 +234,16 @@ def named_objective(
     norm_mode: str = NORM_EXACT,
     aggregation: str = AGG_MEAN,
 ) -> ObjectiveSpec:
-    """Build the spec for one of the standard objective names."""
+    """Build the spec for one of the standard objective names. A rejected
+    argument's message starts with its name."""
     if name not in _GATE_BY_NAME:
-        raise InvalidArgumentError(
-            f"unknown objective {name!r}; expected one of {OBJECTIVE_NAMES}"
-        )
+        raise InvalidArgumentError(f"name must be one of {list(OBJECTIVE_NAMES)}, got {name!r}")
     gate = _GATE_BY_NAME[name]
-    if tau_entropy is not None:
-        gate = replace(gate, tau_entropy=float(tau_entropy))
-    if tau_prob is not None:
-        gate = replace(gate, tau_prob=float(tau_prob))
+    for field, tau in (("tau_entropy", tau_entropy), ("tau_prob", tau_prob)):
+        if tau is not None:
+            if not is_real(tau):
+                raise InvalidArgumentError(f"{field} must be a number in [0, 1], got {tau!r}")
+            gate = replace(gate, **{field: float(tau)})
     kl = 0.5 if name == "sft_kl" else 0.0
     return ObjectiveSpec(
         gate=gate, kl_coefficient=kl, norm_mode=norm_mode, k=k, aggregation=aggregation

@@ -25,6 +25,9 @@ from .errors import (
     InvalidInputError,
     NonFiniteLogitsError,
     TrainingDivergedError,
+    check_ints,
+    is_int,
+    is_real,
 )
 from .fileio import atomic_write
 
@@ -44,14 +47,11 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.vocab_size < 2:
-            raise InvalidArgumentError("vocab_size must be >= 2")
-        for name in ("context_len", "embed_dim", "hidden_dim"):
-            if getattr(self, name) < 1:
-                raise InvalidArgumentError(f"{name} must be >= 1")
+        check_ints(self, 2, "vocab_size")
+        check_ints(self, 1, "context_len", "embed_dim", "hidden_dim")
         # stored as u64 in checkpoints; negatives would not round-trip
-        if not 0 <= self.seed < 2**64:
-            raise InvalidArgumentError("seed must be an unsigned 64-bit integer")
+        if not (is_int(self.seed) and 0 <= self.seed < 2**64):
+            raise InvalidArgumentError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
 
 
 @dataclass
@@ -64,9 +64,6 @@ class ToyModelParams:
 
     def copy(self) -> "ToyModelParams":
         return ToyModelParams(**{f: getattr(self, f).copy() for f in PARAM_FIELDS})
-
-    def as_dict(self) -> dict[str, np.ndarray]:
-        return {f: getattr(self, f) for f in PARAM_FIELDS}
 
     def config_dims(self) -> tuple[int, int, int, int]:
         v, d = self.embedding.shape
@@ -94,34 +91,20 @@ class Corpus:
 
     @classmethod
     def from_sequences(cls, sequences, context_len: int) -> "Corpus":
+        """Every window of ``context_len`` tokens and the token after it; a
+        token that is not an int64 integer is rejected, naming ``sequences[n][j]``."""
         ctxs, tgts = [], []
-        for seq in sequences:
+        for n, seq in enumerate(sequences):
             s = list(seq)
+            for j, token in enumerate(s):
+                if not (is_int(token) and -(2**63) <= token < 2**63):
+                    raise InvalidArgumentError(f"sequences[{n}][{j}] must be an integer token id, got {token!r}")
             for i in range(len(s) - context_len):
                 ctxs.append(s[i : i + context_len])
                 tgts.append(s[i + context_len])
         if not ctxs:
             raise InvalidArgumentError("sequences yield no training positions")
         return cls(np.array(ctxs, dtype=np.int64), np.array(tgts, dtype=np.int64))
-
-
-def is_int(value) -> bool:
-    """True for an integer; a bool is not one, and a float is never taken as one."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def is_real(value) -> bool:
-    """True for a real number that is not a bool."""
-    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
-
-
-def check_ints(obj, minimum: int, *names: str) -> None:
-    """Reject a field of ``obj`` that is not an integer >= ``minimum``; the
-    message starts with the field name."""
-    for name in names:
-        value = getattr(obj, name)
-        if not is_int(value) or value < minimum:
-            raise InvalidArgumentError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 def check_optimizer(kind, learning_rate, kind_field: str, rate_field: str) -> None:

@@ -1,6 +1,9 @@
 """CLI contract tests: exit codes, file outputs, idempotence, parallel merge."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -159,6 +162,36 @@ class TestTrain:
         cfg = train_config(tmp_path, **{key: value})
         assert cli.main(["train", str(cfg), str(tmp_path / "out")]) == 1
         assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "section,change,field",
+        [
+            ("objective", {"k": "16"}, "objective.k"),
+            ("objective", {"k": 16.0}, "objective.k"),
+            ("objective", {"name": "hard_mask", "tau_entropy": "x"}, "objective.tau_entropy"),
+            ("objective", {"name": "conflict_mask", "tau_prob": "0.1"}, "objective.tau_prob"),
+            ("objective", {"name": "hard_mask", "tau_entropy": 1.5}, "objective.tau_entropy"),
+            ("objective", {"aggregation": "median"}, "objective.aggregation"),
+            ("model", {"vocab_size": 16.5}, "model.vocab_size"),
+            ("model", {"hidden_dim": True}, "model.hidden_dim"),
+            ("model", {"seed": "1"}, "model.seed"),
+        ],
+    )
+    def test_bad_field_rejected(self, tmp_path, capsys, section, change, field):
+        doc = json.loads(train_config(tmp_path).read_text())
+        cfg = train_config(tmp_path, **{section: {**doc[section], **change}})
+        assert cli.main(["train", str(cfg), str(tmp_path / "out")]) == 1
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("bad_token", [1.5, "a", True, 2**70])
+    def test_non_integer_token_rejected(self, tmp_path, capsys, bad_token):
+        seqs = small_sequences()
+        seqs[3][5] = bad_token
+        cfg = train_config(tmp_path, corpus={"sequences": seqs})
+        assert cli.main(["train", str(cfg), str(tmp_path / "out")]) == 1
+        assert "corpus.sequences[3][5]" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_unknown_objective_named(self, tmp_path, capsys):
@@ -331,6 +364,33 @@ class TestTopkStudy:
 
     def test_requires_exactly_one_source(self, tmp_path):
         assert cli.main(["topk-study", str(tmp_path / "out")]) == 1
+
+    def test_synthetic_streams_the_whole_matrix_rows(self, tmp_path):
+        assert cli.main(["topk-study", str(tmp_path / "out"), "--synthetic"]) == 0
+        grid = ls.default_k_grid(ls.SYNTHETIC_VOCAB)
+        rows = ls.fidelity_from_probs(ls.synthetic_fidelity_corpus(), grid)
+        fields = ("k", "pearson_r", "extra_bytes_per_token")
+        ls.export_rows(rows, fields, tmp_path / "whole.csv")
+        assert (tmp_path / "out" / "fidelity.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+    def test_synthetic_peak_memory(self, tmp_path):
+        # The whole 10,000 x 4,096 float64 matrix alone is 328 MB. The child
+        # reports VmHWM, the peak of its own address space: ru_maxrss survives
+        # exec on Linux and would carry this test process's peak.
+        code = (
+            "import sys\n"
+            "from eaftlab import cli\n"
+            "assert cli.main(['topk-study', sys.argv[1], '--synthetic']) == 0\n"
+            "print(open('/proc/self/status').read().split('VmHWM:')[1].split()[0])\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        peak_mb = int(proc.stdout.split()[-1]) / 1024  # VmHWM is in kB
+        assert peak_mb < 300
 
 
 class TestDynamics:

@@ -11,6 +11,7 @@ import pytest
 
 from eaftlab import landscape as ls
 from eaftlab import objectives as obj
+from eaftlab import probstats
 from eaftlab import toylm
 from eaftlab.errors import (
     DegenerateVarianceError,
@@ -169,7 +170,7 @@ class TestExportIngest:
         path = tmp_path / "t.csv"
         path.write_text("old contents\n")
         with pytest.raises(AttributeError):
-            ls.export_rows([{"x": 1.0}, "not a row"], ("x",), path, "csv")
+            ls.export_rows([{"x": 1.0}, "not a row"], ("x",), path)
         assert path.read_text() == "old contents\n"
         assert os.listdir(tmp_path) == [path.name]
 
@@ -216,14 +217,14 @@ class TestExportIngest:
         value = 0.1234567890123456789
         rows = [{"x": value}, {"x": 1.0 / 3.0}, {"x": 2.0**-52}]
         path = tmp_path / "t.csv"
-        ls.export_rows(rows, ("x",), path, "csv")
+        ls.export_rows(rows, ("x",), path)
         lines = path.read_text().splitlines()[1:]
         for line, row in zip(lines, rows):
             assert float(line) == row["x"]
 
     def test_header_only_csv_for_empty_input(self, tmp_path):
         path = tmp_path / "t.csv"
-        ls.export_rows([], ("a", "b"), path, "csv")
+        ls.export_rows([], ("a", "b"), path)
         assert path.read_text().splitlines() == ["a,b"]
 
 
@@ -253,7 +254,7 @@ class TestHistogram2D:
         rec = ls.TokenRecord(source_id="a", position=0, token_id=0, p_target=0.5,
                              entropy_topk=0.5, gate=0.5)
         with pytest.raises(RecordValidationError):
-            ls.histogram2d([rec], y_axis="entropy")
+            ls.histogram2d([rec])
 
 
 class TestQuadrants:
@@ -373,6 +374,42 @@ class TestFidelity:
         probs = ls.synthetic_fidelity_corpus(n_tokens=50, vocab_size=32)
         with pytest.raises(InvalidArgumentError):
             ls.fidelity_from_probs(probs, [10, 5])
+
+    @pytest.mark.parametrize("offset", [None, -1, 0, 1, "2B+3"])
+    def test_blocks_match_whole_matrix(self, offset):
+        # N at and around the block boundaries; the oracle is one whole-matrix
+        # draw, softmax and kernel call
+        block = ls._ROW_BLOCK
+        n = {None: 2, "2B+3": 2 * block + 3}.get(offset) or block + offset
+        vocab, seed = 12, 7
+        rng = np.random.default_rng(seed)
+        temps = np.exp(rng.uniform(np.log(0.3), np.log(2.0), size=n))
+        logits = rng.standard_normal((n, vocab))
+        logits *= 14.0 / temps[:, None]
+        oracle = probstats.softmax_rows(logits)
+
+        blocks = list(ls.synthetic_fidelity_blocks(n, vocab, seed))
+        assert [len(b) for b in blocks[:-1]] == [block] * (len(blocks) - 1)
+        assert np.concatenate(blocks).tobytes() == oracle.tobytes()
+        assert ls.synthetic_fidelity_corpus(n, vocab, seed).tobytes() == oracle.tobytes()
+        exact = np.concatenate([probstats.entropy_rows(b) for b in blocks])
+        assert exact.tobytes() == probstats.entropy_rows(oracle).tobytes()
+        ks = [1, 2, vocab]
+        expected = []
+        for k in ks:
+            approx = np.concatenate([probstats.topk_entropy_rows(b, k) for b in blocks])
+            whole = probstats.topk_entropy_rows(oracle, k)
+            assert approx.tobytes() == whole.tobytes()
+            r = probstats.pearson(exact, whole) if whole.std() > 0 else None
+            expected.append({"k": k, "pearson_r": r, "extra_bytes_per_token": 12 * k})
+        assert ls.fidelity_from_blocks(iter(blocks), ks) == expected
+        assert ls.fidelity_from_probs(oracle, ks) == expected
+
+    def test_too_few_rows_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="N >= 2"):
+            ls.fidelity_from_blocks(ls.synthetic_fidelity_blocks(1, 8), [2])
+        with pytest.raises(InvalidArgumentError, match="N >= 2"):
+            ls.fidelity_from_blocks(iter([]), [2])
 
     def test_model_study_matches_manual(self):
         params = toylm.init_model(TINY)
