@@ -88,6 +88,8 @@ class ObjectiveSpec:
         if self.kl_coefficient < 0:
             raise InvalidArgumentError("kl_coefficient must be >= 0")
         check_ints(self, 1, "k")
+        if self.norm_mode not in probstats.NORM_MODES:
+            raise InvalidArgumentError(f"norm_mode must be one of {list(probstats.NORM_MODES)}, got {self.norm_mode!r}")
         if self.aggregation not in (AGG_MEAN, AGG_SUM):
             raise InvalidArgumentError(f"aggregation must be {AGG_MEAN} or {AGG_SUM}, got {self.aggregation!r}")
 

@@ -173,6 +173,7 @@ class TestTrain:
             ("objective", {"name": "conflict_mask", "tau_prob": "0.1"}, "objective.tau_prob"),
             ("objective", {"name": "hard_mask", "tau_entropy": 1.5}, "objective.tau_entropy"),
             ("objective", {"aggregation": "median"}, "objective.aggregation"),
+            ("objective", {"norm_mode": "bogus"}, "objective.norm_mode"),
             ("model", {"vocab_size": 16.5}, "model.vocab_size"),
             ("model", {"hidden_dim": True}, "model.hidden_dim"),
             ("model", {"seed": "1"}, "model.seed"),

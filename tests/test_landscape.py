@@ -20,6 +20,7 @@ from eaftlab.errors import (
     RecordValidationError,
 )
 
+BLOCK = ls._ROW_BLOCK
 TINY = toylm.ModelConfig(vocab_size=8, context_len=3, embed_dim=2, hidden_dim=4, seed=5)
 
 
@@ -375,12 +376,10 @@ class TestFidelity:
         with pytest.raises(InvalidArgumentError):
             ls.fidelity_from_probs(probs, [10, 5])
 
-    @pytest.mark.parametrize("offset", [None, -1, 0, 1, "2B+3"])
-    def test_blocks_match_whole_matrix(self, offset):
+    @pytest.mark.parametrize("n", [2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+    def test_blocks_match_whole_matrix(self, n):
         # N at and around the block boundaries; the oracle is one whole-matrix
         # draw, softmax and kernel call
-        block = ls._ROW_BLOCK
-        n = {None: 2, "2B+3": 2 * block + 3}.get(offset) or block + offset
         vocab, seed = 12, 7
         rng = np.random.default_rng(seed)
         temps = np.exp(rng.uniform(np.log(0.3), np.log(2.0), size=n))
@@ -389,7 +388,7 @@ class TestFidelity:
         oracle = probstats.softmax_rows(logits)
 
         blocks = list(ls.synthetic_fidelity_blocks(n, vocab, seed))
-        assert [len(b) for b in blocks[:-1]] == [block] * (len(blocks) - 1)
+        assert [len(b) for b in blocks[:-1]] == [BLOCK] * (len(blocks) - 1)
         assert np.concatenate(blocks).tobytes() == oracle.tobytes()
         assert ls.synthetic_fidelity_corpus(n, vocab, seed).tobytes() == oracle.tobytes()
         exact = np.concatenate([probstats.entropy_rows(b) for b in blocks])
