@@ -48,9 +48,9 @@ def _require_keys(doc: dict, allowed, where: str) -> None:
 
 
 def _construct(cls, where: str, **kwargs):
-    """``cls(**kwargs)`` for a config section ``where``. The dataclass and
-    builder checks start their message with the field name, so a rejected
-    field is named ``where.<field>``."""
+    """``cls(**kwargs)`` for a config section ``where``. The checks of the
+    dataclasses and factory functions start their message with the field
+    name, so a rejected field is named ``where.<field>``."""
     try:
         return cls(**kwargs)
     except InvalidArgumentError as exc:
