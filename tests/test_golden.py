@@ -26,6 +26,8 @@ GOLDEN = {
     "snapshot": "390a08de7502faef4ef55c3347ce7f296864412690caf565a691763270f54dc3",
     "cells": "4c33abb4bf90d673eb06bf3f0e5fd3ae5f80881fb8de281b78e950bd93066d79",
     "train_log_captures": "60034fee69c75720d051c4438e7b3dfcd0ba40f5b56f10534d84ef154249d74b",
+    "train_log": "cfa4156b133c6fc5c410cc9478bccf638d03f8d44ce5847cb644cdec978cd92f",
+    "train_captures_jsonl": "d2449e055274cac9012b584a0f355755ff2df0ca86bb482114069a1813957080",
     "cli_train_eaft": "31bf865992876d4a0a3b2b2f4a5bdc0ff04e7ce3fea204272204da916a3f5f52",
     "cli_train_sft_kl": "efde744d81cf3d4292c0e8c25f6cb93d53dc44a59ff00b487ab8ed9a92852632",
     "cli_diagnostics": "3ff559d7b9f9ad3d09f092b682226e51d9ce0748ff61b64d8208ca5f2527a0d8",
@@ -115,12 +117,14 @@ def cells_digest(snapshot) -> str:
     return _sha(*docs)
 
 
-def train_digest(snapshot) -> str:
+def train_digests(snapshot, tmp_dir) -> dict:
     """Direct ``train`` calls whose log and captures the CLI does not cover:
-    gate-free objectives with capture, frozen position weights, the KL path."""
+    gate-free objectives with capture, frozen position weights, the KL path.
+    ``train_log`` hashes the parameters and logs, ``train_captures_jsonl``
+    the exported JSONL bytes of the captures."""
     config, data, params = snapshot
     weights = (np.arange(len(data.finetune)) % 3 != 0).astype(np.float64)
-    chunks = []
+    chunks, log_chunks, capture_files = [], [], []
     for name in ("ce", "dft", "sft_kl", "eaft_sigmoid"):
         result = toylm.train(
             toylm.TrainRun(
@@ -140,7 +144,15 @@ def train_digest(snapshot) -> str:
             )
         )
         chunks += [*_params(result.params), result.log, result.captures]
-    return _sha(*chunks)
+        log_chunks += [*_params(result.params), result.log]
+        path = Path(tmp_dir) / f"captures_{name}.jsonl"
+        landscape.export_records(result.captures, path, "jsonl")
+        capture_files.append(path.read_bytes())
+    return {
+        "train_log_captures": _sha(*chunks),
+        "train_log": _sha(*log_chunks),
+        "train_captures_jsonl": _sha(*capture_files),
+    }
 
 
 def _sequences():
@@ -216,8 +228,9 @@ def test_run_cell_all_objectives(snapshot):
     assert cells_digest(snapshot) == GOLDEN["cells"]
 
 
-def test_train_log_and_captures(snapshot):
-    assert train_digest(snapshot) == GOLDEN["train_log_captures"]
+def test_train_log_and_captures(snapshot, tmp_path):
+    for key, digest in train_digests(snapshot, tmp_path).items():
+        assert digest == GOLDEN[key], key
 
 
 @pytest.mark.parametrize("name", ["eaft", "sft_kl"])
@@ -239,7 +252,8 @@ def _record(tmp_dir) -> dict:
     out = {name: domains_digest(name) for name in DOMAINS}
     out["snapshot"] = snapshot_digest(snap)
     out["cells"] = cells_digest(snap)
-    out["train_log_captures"] = train_digest(snap)
+    (tmp / "train").mkdir()
+    out.update(train_digests(snap, tmp / "train"))
     for name in ("eaft", "sft_kl"):
         (tmp / name).mkdir()
         out[f"cli_train_{name}"] = cli_train_digest(tmp / name, name)
