@@ -33,7 +33,7 @@ def main():
     )
 
     records = ls.score_corpus(snapshot, data.finetune, k=protocol.k)
-    ls.export_records(records, out / "finetune_scored.jsonl", "jsonl")
+    ls.export_records(records, out / "finetune_scored.jsonl")
     stats = ls.quadrant_stats(records, q=0.15)
     print("fine-tune corpus quadrants (q=0.15):", stats["counts"])
 
@@ -52,7 +52,7 @@ def main():
                 seed=13, init=snapshot, position_weights=pw,
             )
         )
-        ls.export_records(result.captures, out / f"{name}.jsonl", "jsonl")
+        ls.export_records(result.captures, out / f"{name}.jsonl")
         rows = ls.dynamics_track(result.captures)
         ls.export_rows(rows, dyn_fields, out / f"dynamics_{name}.csv")
         first, last = rows[0], rows[-1]

@@ -223,7 +223,7 @@ def cmd_train(config_path, out_dir) -> int:
     result = toylm.train(run)
     toylm.save_checkpoint(out / "checkpoint.ckpt", model_cfg, result.params)
     _write_trainlog(out / "trainlog.csv", result.log)
-    landscape.export_records(result.captures, out / "records.jsonl", "jsonl")
+    landscape.export_records(result.captures, out / "records.jsonl")
     return 0
 
 

@@ -32,7 +32,13 @@ class DegenerateVarianceError(EaftLabError, ValueError):
 
 
 class RecordValidationError(EaftLabError, ValueError):
-    """Raised when a token record violates its field invariants."""
+    """Raised when a token record violates its field invariants; carries the
+    record's row in its table, if known."""
+
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message if row is None else f"record {row}: {message}")
+        self.message = message
+        self.row = row
 
 
 class RecordParseError(EaftLabError, ValueError):

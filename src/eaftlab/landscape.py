@@ -1,6 +1,6 @@
 """Token-level diagnostics: entropy/probability landscapes, quadrant stats,
 subgroup training dynamics, the top-K fidelity/memory study, and lossless
-record export/ingest (JSONL and CSV).
+JSONL export/ingest of token records, which live in one columnar table.
 
 Plot rendering is out of scope: CSV/JSONL files are the interface to
 external plotting tools.
@@ -11,7 +11,9 @@ from __future__ import annotations
 import csv
 import json
 import math
+from array import array
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -24,51 +26,111 @@ from .errors import (
 )
 from .fileio import atomic_write
 
-RECORD_FIELDS = (
-    "source_id",
-    "position",
-    "token_id",
-    "token_text",
-    "p_target",
-    "entropy_full",
-    "entropy_topk",
-    "gate",
-    "weight",
-    "grad_norm",
-    "step",
-)
+# every record field and the JSON type of its value; a float field also
+# takes a JSON integer, and no field takes a boolean
+RECORD_FIELDS = {
+    "source_id": str,
+    "position": int,
+    "token_id": int,
+    "token_text": str,
+    "p_target": float,
+    "entropy_full": float,
+    "entropy_topk": float,
+    "gate": float,
+    "weight": float,
+    "grad_norm": float,
+    "step": int,
+}
+OPTIONAL_FIELDS = ("token_text", "entropy_full", "weight", "grad_norm", "step")
+_REQUIRED_FIELDS = RECORD_FIELDS.keys() - OPTIONAL_FIELDS
+_DTYPES = {str: object, int: np.int64, float: np.float64}
+_JSON_NAMES = {str: "string", int: "integer", float: "number"}
+_FILLS = {str: "", int: 0, float: 0.0}  # held by the rows that lack an optional field
+
+# the range of each numeric field, in the order a record's checks run;
+# NaN lies in none of them
+_RANGES = {
+    "outside [0, 1]": (("p_target", "gate", "weight"), lambda v: (0.0 <= v) & (v <= 1.0)),
+    "must be finite and >= 0": (
+        ("entropy_topk", "entropy_full", "grad_norm"), lambda v: (0.0 <= v) & (v < math.inf)
+    ),
+    "outside [0, 2**63)": (("position", "token_id", "step"), lambda v: v >= 0),
+}
 
 
-@dataclass(frozen=True)
-class TokenRecord:
-    """One scored token position; optional fields may be None."""
+class RecordTable:
+    """Scored token positions as one table of columns.
 
-    source_id: str
-    position: int
-    token_id: int
-    p_target: float
-    entropy_topk: float
-    gate: float
-    token_text: str | None = None
-    entropy_full: float | None = None
-    weight: float | None = None
-    grad_norm: float | None = None
-    step: int | None = None
+    ``columns`` holds one array per ``RECORD_FIELDS`` entry: int64, float64,
+    or object (Python ``str``) for the two text fields. ``present`` holds a
+    boolean mask per optional field, true where a record has that field;
+    the other rows hold 0 or "", which lie in every range. Construction
+    checks every range at once and names the first bad record and field.
+    """
 
-    def __post_init__(self):
-        # chained comparisons are false for NaN, so each check rejects it too
-        if not 0.0 <= self.p_target <= 1.0:
-            raise RecordValidationError(f"p_target {self.p_target} outside [0, 1]")
-        if not 0.0 <= self.entropy_topk < math.inf:
-            raise RecordValidationError(f"entropy_topk {self.entropy_topk} must be finite and >= 0")
-        if self.entropy_full is not None and not 0.0 <= self.entropy_full < math.inf:
-            raise RecordValidationError(f"entropy_full {self.entropy_full} must be finite and >= 0")
-        if not 0.0 <= self.gate <= 1.0:
-            raise RecordValidationError(f"gate {self.gate} outside [0, 1]")
-        if self.weight is not None and not 0.0 <= self.weight <= 1.0:
-            raise RecordValidationError(f"weight {self.weight} outside [0, 1]")
-        if self.grad_norm is not None and not 0.0 <= self.grad_norm < math.inf:
-            raise RecordValidationError(f"grad_norm {self.grad_norm} must be finite and >= 0")
+    def __init__(self, columns: dict, present: dict):
+        self.columns = columns
+        self.present = present
+        violations = []
+        for rule, (fields, ok) in _RANGES.items():
+            for field in fields:
+                bad = ~ok(columns[field])
+                if bad.any():
+                    row = int(bad.argmax())
+                    violations.append((row, f"{field} {columns[field][row].item()} {rule}"))
+        if violations:
+            row, message = min(violations, key=lambda v: v[0])
+            raise RecordValidationError(message, row)
+
+    @classmethod
+    def of(cls, **fields) -> RecordTable:
+        """A table from whole columns, one keyword per field; a scalar is
+        repeated down the table, and an optional field left out is absent
+        from every record."""
+        if not _REQUIRED_FIELDS <= fields.keys() <= RECORD_FIELDS.keys():
+            raise RecordValidationError(f"need {sorted(_REQUIRED_FIELDS)}, got {sorted(fields)}")
+        shape = np.broadcast_shapes((1,), *map(np.shape, fields.values()))
+        columns = {
+            f: np.array(np.broadcast_to(np.asarray(fields.get(f, _FILLS[k]), _DTYPES[k]), shape))
+            for f, k in RECORD_FIELDS.items()
+        }
+        return cls(columns, {f: np.full(shape, f in fields) for f in OPTIONAL_FIELDS})
+
+    @classmethod
+    def concat(cls, tables) -> RecordTable:
+        """The records of ``tables`` in order, as one table."""
+        tables = list(tables)
+        columns = {
+            f: np.concatenate([np.empty(0, _DTYPES[k]), *(t.columns[f] for t in tables)])
+            for f, k in RECORD_FIELDS.items()
+        }
+        present = {
+            f: np.concatenate([np.empty(0, bool), *(t.present[f] for t in tables)])
+            for f in OPTIONAL_FIELDS
+        }
+        return cls(columns, present)
+
+    def __len__(self) -> int:
+        return len(self.columns["position"])
+
+    def __eq__(self, other) -> bool:
+        """Bit-for-bit equality of every column and mask."""
+        if not isinstance(other, RecordTable):
+            return NotImplemented
+        pairs = [(self.columns[f], other.columns[f]) for f in RECORD_FIELDS]
+        pairs += [(self.present[f], other.present[f]) for f in OPTIONAL_FIELDS]
+        return all(
+            a.tolist() == b.tolist() if a.dtype == object else a.tobytes() == b.tobytes()
+            for a, b in pairs
+        )
+
+
+def _full_column(records: RecordTable, field: str) -> np.ndarray:
+    """The column of an optional field that every record must hold."""
+    lacking = ~records.present[field]
+    if lacking.any():
+        raise RecordValidationError(f"lacks the {field!r} field", int(lacking.argmax()))
+    return records.columns[field]
 
 
 @dataclass(frozen=True)
@@ -93,48 +155,50 @@ def score_corpus(
     corpus: toylm.Corpus,
     k: int = 20,
     source_id: str = "corpus",
-) -> list[TokenRecord]:
+) -> RecordTable:
     """One record per corpus position, in corpus (sequence-major) order."""
-    if len(corpus) == 0:
-        return []
     toylm.check_corpus_ids(corpus, params.embedding.shape[0])
     logits, _ = toylm.forward_batch(params, corpus.contexts)
     probs = probstats.softmax_rows(logits)
-    p_t = probs[np.arange(len(corpus)), corpus.targets]
-    columns = zip(
-        corpus.targets.tolist(),
-        p_t.tolist(),
-        probstats.entropy_rows(probs).tolist(),
-        probstats.topk_entropy_rows(probs, k).tolist(),
-        probstats.gate_rows(probs, k).tolist(),
+    positions = np.arange(len(corpus))
+    return RecordTable.of(
+        source_id=source_id,
+        position=positions,
+        token_id=corpus.targets,
+        p_target=probs[positions, corpus.targets],
+        entropy_full=probstats.entropy_rows(probs),
+        entropy_topk=probstats.topk_entropy_rows(probs, k),
+        gate=probstats.gate_rows(probs, k),
     )
-    return [
-        TokenRecord(
-            source_id=source_id,
-            position=i,
-            token_id=token_id,
-            p_target=p,
-            entropy_full=h_full,
-            entropy_topk=h_topk,
-            gate=gate,
-        )
-        for i, (token_id, p, h_full, h_topk, gate) in enumerate(columns)
-    ]
 
 
 # ---------------------------------------------------------------------------
 # Export / ingest
 # ---------------------------------------------------------------------------
 
-_FLOAT_FIELDS = {"p_target", "entropy_full", "entropy_topk", "gate", "weight", "grad_norm"}
-_INT_FIELDS = {"position", "token_id", "step"}
-_REQUIRED_FIELDS = frozenset({"source_id", "position", "token_id", "p_target", "entropy_topk", "gate"})
-_CONVERTERS = tuple(
-    (f, float if f in _FLOAT_FIELDS else int if f in _INT_FIELDS else str) for f in RECORD_FIELDS
-)
-# one encoder and one decoder for every line; json.dumps(..., sort_keys=True)
-# and json.loads(..., parse_constant=...) would each build a new one per call
-_ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False)
+# Records per block of JSONL export; bounds the Python strings held at once.
+_EXPORT_BLOCK = 4096
+
+
+def _line_template(code: int) -> str:
+    """The ``str.format`` template of one JSONL line whose optional fields
+    are the set bits of ``code``: keys sorted, absent fields left out, the
+    separators of ``json.dumps``; argument i is field i's encoded value."""
+    slots = {
+        f: i for i, f in enumerate(RECORD_FIELDS)
+        if f not in OPTIONAL_FIELDS or code >> OPTIONAL_FIELDS.index(f) & 1
+    }
+    return "{{" + ", ".join(f'"{f}": {{{slots[f]}}}' for f in sorted(slots)) + "}}\n"
+
+
+_LINE_FORMATS = [_line_template(code).format for code in range(2 ** len(OPTIONAL_FIELDS))]
+
+
+def _json_values(column: np.ndarray) -> list:
+    """The column's values as ``json.dumps`` writes them: an int or float
+    formats as its ``repr``, a string is encoded here."""
+    values = column.tolist()
+    return list(map(encode_basestring_ascii, values)) if column.dtype == object else values
 
 
 class _NonFiniteLiteral(ValueError):
@@ -145,6 +209,8 @@ def _reject_constant(literal: str):
     raise _NonFiniteLiteral(literal)
 
 
+# one decoder for every line; json.loads(..., parse_constant=...) would
+# build a new one per call
 _DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
 
@@ -167,22 +233,17 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def export_records(records, path, fmt: str = "jsonl") -> None:
-    """Write records as JSONL (absent fields omitted, keys sorted) or CSV."""
-    if fmt == "jsonl":
-        encode = _ENCODER.encode
-        with atomic_write(path) as fh:
-            for rec in records:
-                doc = {f: v for f in RECORD_FIELDS if (v := getattr(rec, f)) is not None}
-                fh.write(encode(doc) + "\n")
-    elif fmt == "csv":
-        with atomic_write(path, newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(RECORD_FIELDS)
-            for rec in records:
-                writer.writerow([_fmt(getattr(rec, f)) for f in RECORD_FIELDS])
-    else:
-        raise InvalidArgumentError(f"unknown format {fmt!r}")
+def export_records(records: RecordTable, path) -> None:
+    """Write records as JSONL, one line per record: the bytes of
+    ``json.dumps(record, sort_keys=True)`` with absent fields left out."""
+    codes = np.zeros(len(records), dtype=np.int64)
+    for bit, field in enumerate(OPTIONAL_FIELDS):
+        codes |= records.present[field].astype(np.int64) << bit
+    with atomic_write(path) as fh:
+        for start in range(0, len(records), _EXPORT_BLOCK):
+            block = slice(start, start + _EXPORT_BLOCK)
+            values = zip(*(_json_values(records.columns[f][block]) for f in RECORD_FIELDS))
+            fh.write("".join([_LINE_FORMATS[c](*v) for c, v in zip(codes[block].tolist(), values)]))
 
 
 def export_rows(rows, fieldnames, path) -> None:
@@ -194,78 +255,93 @@ def export_rows(rows, fieldnames, path) -> None:
             writer.writerow([_fmt(row.get(f)) for f in fieldnames])
 
 
-def ingest_records(path) -> list[TokenRecord]:
-    """Parse a JSONL record file; unknown fields are ignored, errors carry
-    the offending line number. ``NaN`` and ``Infinity`` literals are not
-    JSON and are rejected."""
-    records = []
+def ingest_records(path) -> RecordTable:
+    """Parse a JSONL record file into one table, line by line into typed
+    columns; unknown fields are ignored. Every value must have its field's
+    JSON type (``RECORD_FIELDS``), and an integer field lies in [0, 2**63).
+    ``NaN`` and ``Infinity`` literals are not JSON and are rejected. An
+    error names the earliest bad line, whatever kind of error it is."""
+    columns = {
+        f: array("d") if kind is float else array("q") if kind is int else []
+        for f, kind in RECORD_FIELDS.items()
+    }
+    present = {f: bytearray() for f in OPTIONAL_FIELDS}
+    slots = [
+        (f, kind, columns[f].append, present[f].append if f in present else None, _FILLS[kind])
+        for f, kind in RECORD_FIELDS.items()
+    ]
+    lines = array("q")
     decode = _DECODER.decode
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                doc = decode(line)
-            except json.JSONDecodeError as exc:
-                raise RecordParseError(f"invalid JSON: {exc.msg}", lineno) from exc
-            except _NonFiniteLiteral as exc:
-                raise RecordParseError(
-                    f"non-finite literal {exc} in {_non_finite_field(line)}", lineno
-                ) from exc
-            if not isinstance(doc, dict):
-                raise RecordParseError("record must be a JSON object", lineno)
-            get = doc.get
-            kwargs = {}
-            for field, convert in _CONVERTERS:
-                value = get(field)
-                if value is None:
+    try:
+        with open(path) as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if line.isspace():
                     continue
                 try:
-                    kwargs[field] = convert(value)
-                except (TypeError, ValueError) as exc:
-                    raise RecordParseError(f"bad value for {field!r}: {value!r}", lineno) from exc
-            if not _REQUIRED_FIELDS <= kwargs.keys():
-                missing = sorted(_REQUIRED_FIELDS - kwargs.keys())
-                raise RecordParseError(f"missing required fields {missing}", lineno)
-            try:
-                records.append(TokenRecord(**kwargs))
-            except RecordValidationError as exc:
-                raise RecordParseError(str(exc), lineno) from exc
-    return records
+                    doc = decode(line)
+                except json.JSONDecodeError as exc:
+                    raise RecordParseError(f"invalid JSON: {exc.msg}", lineno) from exc
+                except _NonFiniteLiteral as exc:
+                    raise RecordParseError(
+                        f"non-finite literal {exc} in {_non_finite_field(line)}", lineno
+                    ) from exc
+                if type(doc) is not dict:
+                    raise RecordParseError("record must be a JSON object", lineno)
+                get = doc.get
+                for field, kind, append, mark, fill in slots:
+                    value = get(field)
+                    if value is None:
+                        if mark is None:
+                            raise RecordParseError(f"missing required field {field!r}", lineno)
+                        append(fill)
+                        mark(0)
+                        continue
+                    t = type(value)
+                    if t is not kind and (t is not int or kind is not float):
+                        raise RecordParseError(
+                            f"{field} must be a JSON {_JSON_NAMES[kind]}, got {value!r}", lineno
+                        )
+                    try:
+                        append(value)
+                    except OverflowError as exc:
+                        problem = "too large for a float" if kind is float else f"{value} outside [0, 2**63)"
+                        raise RecordParseError(f"{field} {problem}", lineno) from exc
+                    if mark is not None:
+                        mark(1)
+                lines.append(lineno)
+    except RecordParseError:
+        # a range error on an earlier line wins over this line's error
+        for values in (*columns.values(), *present.values()):
+            del values[len(lines):]
+        _lined_table(columns, present, lines)
+        raise
+    return _lined_table(columns, present, lines)
+
+
+def _lined_table(columns: dict, present: dict, lines) -> RecordTable:
+    """The table of ingested columns; a range error names the record's line."""
+    try:
+        return RecordTable(
+            {f: np.array(c, dtype=_DTYPES[RECORD_FIELDS[f]]) for f, c in columns.items()},
+            {f: np.array(m, dtype=bool) for f, m in present.items()},
+        )
+    except RecordValidationError as exc:
+        raise RecordParseError(exc.message, lines[exc.row]) from exc
 
 
 # ---------------------------------------------------------------------------
 # Histograms and quadrants
 # ---------------------------------------------------------------------------
 
-_AXIS_GETTERS = {
-    "p_target": lambda r: r.p_target,
-    "entropy": lambda r: r.entropy_full,
-    "gate": lambda r: r.gate,
-}
 
-
-def _axis_values(records, axis: str) -> np.ndarray:
-    getter = _AXIS_GETTERS[axis]
-    values = []
-    for i, rec in enumerate(records):
-        v = getter(rec)
-        if v is None:
-            raise RecordValidationError(f"record {i} lacks the {axis!r} field")
-        values.append(v)
-    return np.asarray(values, dtype=np.float64)
-
-
-def histogram2d(records, x_bins: int = 40, y_bins: int = 40) -> Histogram2D:
+def histogram2d(records: RecordTable, x_bins: int = 40, y_bins: int = 40) -> Histogram2D:
     """p_target (x) against the full entropy (y), binned linearly between data
     min/max; top-edge values land in the last bin."""
-    records = list(records)
-    if not records:
+    if not len(records):
         raise InvalidArgumentError("need at least one record")
     if x_bins < 1 or y_bins < 1:
         raise InvalidArgumentError("bin counts must be >= 1")
-    xs = _axis_values(records, "p_target")
-    ys = _axis_values(records, "entropy")
+    xs, ys = records.columns["p_target"], _full_column(records, "entropy_full")
 
     def edges(vals, nbins):
         lo, hi = float(vals.min()), float(vals.max())
@@ -275,10 +351,7 @@ def histogram2d(records, x_bins: int = 40, y_bins: int = 40) -> Histogram2D:
 
     xe = edges(xs, x_bins)
     ye = edges(ys, y_bins)
-    xi = np.clip(np.searchsorted(xe, xs, side="right") - 1, 0, x_bins - 1)
-    yi = np.clip(np.searchsorted(ye, ys, side="right") - 1, 0, y_bins - 1)
-    counts = np.zeros((x_bins, y_bins), dtype=np.int64)
-    np.add.at(counts, (xi, yi), 1)
+    counts = np.histogram2d(xs, ys, bins=(xe, ye))[0].astype(np.int64)
     return Histogram2D(x_edges=xe, y_edges=ye, counts=counts)
 
 
@@ -298,7 +371,7 @@ def histogram_rows(hist: Histogram2D) -> list[dict]:
 
 
 def quadrant_stats(
-    records,
+    records: RecordTable,
     q: float = 0.15,
     thresholds: tuple[float, float] | None = None,
 ):
@@ -309,62 +382,67 @@ def quadrant_stats(
     the same axes. The gate is the entropy axis because masking thresholds
     are computed on it.
     """
-    records = list(records)
-    if not records:
+    if not len(records):
         raise InvalidArgumentError("need at least one record")
-    hs = _axis_values(records, "gate")
-    ps = _axis_values(records, "p_target")
-    labels, thresholds = probstats.quadrant_labels(hs, ps, q, thresholds)
+    labels, thresholds = probstats.quadrant_labels(
+        records.columns["gate"], records.columns["p_target"], q, thresholds
+    )
     counts = {name: int((labels == name).sum()) for name in probstats.QUADRANTS}
     total = len(records)
     shares = {name: counts[name] / total for name in counts}
     return {"counts": counts, "shares": shares, "thresholds": thresholds, "labels": labels}
 
 
-def quadrant_token_ranking(records, labels, quadrant: str, top_n: int) -> list[dict]:
-    """Rank tokens inside one quadrant by frequency (ties by token id)."""
+def quadrant_token_ranking(records: RecordTable, labels, quadrant: str, top_n: int) -> list[dict]:
+    """Rank tokens inside one quadrant by frequency; ties go to the lower
+    token id, then to the token seen first. A record's token is its text
+    where it has one, else its id."""
     if top_n < 0:
         raise InvalidArgumentError("top_n must be >= 0")
-    groups: dict = {}
-    for rec, label in zip(records, labels):
-        if label != quadrant:
-            continue
-        key = rec.token_text if rec.token_text is not None else rec.token_id
-        entry = groups.setdefault(key, {"token": key, "token_id": rec.token_id, "count": 0, "gate_sum": 0.0})
-        entry["count"] += 1
-        entry["gate_sum"] += rec.gate
-    ranked = sorted(groups.values(), key=lambda e: (-e["count"], e["token_id"]))
+    rows = np.flatnonzero(np.asarray(labels, dtype=object) == quadrant)
+    has_text = records.present["token_text"][rows]
+    ids, gates = records.columns["token_id"], records.columns["gate"]
+    tokens, first, count, gate_sum = [], [], [], []
+    # text keys and id keys are grouped apart: a text never equals an id
+    for part, keys in ((rows[~has_text], ids), (rows[has_text], records.columns["token_text"])):
+        part_tokens, part_first, inverse = np.unique(keys[part], return_index=True, return_inverse=True)
+        tokens += part_tokens.tolist()
+        first.append(part[part_first])
+        count.append(np.bincount(inverse))
+        # bincount adds up each group's gates one by one in record order
+        gate_sum.append(np.bincount(inverse, gates[part]))
+    first, count, gate_sum = map(np.concatenate, (first, count, gate_sum))
+    mean_gate = gate_sum / count
+    order = np.lexsort((first, ids[first], -count))[:top_n]
     return [
-        {"token": e["token"], "count": e["count"], "mean_gate": e["gate_sum"] / e["count"]}
-        for e in ranked[:top_n]
+        {"token": tokens[i], "count": int(count[i]), "mean_gate": float(mean_gate[i])}
+        for i in order.tolist()
     ]
 
 
-def dynamics_track(records, cfg: DynamicsConfig = DynamicsConfig()) -> list[dict]:
+def dynamics_track(records: RecordTable, cfg: DynamicsConfig = DynamicsConfig()) -> list[dict]:
     """Per-step mean cross-entropy of the high/low-entropy token subgroups.
 
     Grouping uses each record's ``entropy_full`` as captured, i.e. the
     entropy of the then-current model; CE is -ln p_target. Steps ascend.
     An empty subgroup reports size 0 and an absent mean.
     """
-    by_step: dict[int, list[TokenRecord]] = {}
-    for i, rec in enumerate(records):
-        if rec.step is None or rec.entropy_full is None:
-            raise RecordValidationError(f"record {i} lacks step or entropy_full")
-        by_step.setdefault(rec.step, []).append(rec)
+    steps, entropy = _full_column(records, "step"), _full_column(records, "entropy_full")
+    # math.log, not np.log, whose last bit may differ
+    p = np.maximum(records.columns["p_target"], 1e-300).tolist()
+    ce = -np.array(list(map(math.log, p)), dtype=np.float64)
     rows = []
-    for step in sorted(by_step):
-        group = by_step[step]
-        ce = np.array([-math.log(max(r.p_target, 1e-300)) for r in group])
-        ent = np.array([r.entropy_full for r in group])
-        hi = ent >= cfg.high_entropy_min
-        lo = ent <= cfg.low_entropy_max
+    for step in np.unique(steps).tolist():
+        group = steps == step  # the step's records, in record order
+        group_ce, group_entropy = ce[group], entropy[group]
+        hi = group_entropy >= cfg.high_entropy_min
+        lo = group_entropy <= cfg.low_entropy_max
         rows.append(
             {
                 "step": step,
-                "high_entropy_ce": float(ce[hi].mean()) if hi.any() else None,
+                "high_entropy_ce": float(group_ce[hi].mean()) if hi.any() else None,
                 "high_entropy_count": int(hi.sum()),
-                "low_entropy_ce": float(ce[lo].mean()) if lo.any() else None,
+                "low_entropy_ce": float(group_ce[lo].mean()) if lo.any() else None,
                 "low_entropy_count": int(lo.sum()),
             }
         )

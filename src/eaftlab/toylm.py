@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import struct
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -30,6 +31,9 @@ from .errors import (
     is_real,
 )
 from .fileio import atomic_write
+
+if TYPE_CHECKING:
+    from .landscape import RecordTable
 
 CHECKPOINT_MAGIC = b"EAFTCKPT"
 CHECKPOINT_VERSION = 1
@@ -416,7 +420,7 @@ class TrainRun:
 class TrainResult:
     params: ToyModelParams
     log: list[TrainLogEntry]
-    captures: list  # landscape.TokenRecord, grouped in step order
+    captures: RecordTable  # in step order
 
 
 def train(run: TrainRun) -> TrainResult:
@@ -445,10 +449,10 @@ def train(run: TrainRun) -> TrainResult:
     if run.capture_every > 0:
         probe_idx = np.sort(rng.choice(n, size=min(run.probe_size, n), replace=False))
     log: list[TrainLogEntry] = []
-    captures: list = []
+    captures = []
 
     def capture(step: int) -> None:
-        captures.extend(_capture_records(run, params, probe_idx, step))
+        captures.append(_capture_records(run, params, probe_idx, step))
 
     try:
         # an overflow anywhere in a step means the parameters are diverging,
@@ -469,7 +473,9 @@ def train(run: TrainRun) -> TrainResult:
         raise TrainingDivergedError("floating-point overflow", step) from exc
     if run.capture_every > 0:
         capture(run.steps)
-    return TrainResult(params=params, log=log, captures=captures)
+    from .landscape import RecordTable  # deferred: landscape imports toylm
+
+    return TrainResult(params=params, log=log, captures=RecordTable.concat(captures))
 
 
 def _log_entry(run: TrainRun, step: int, terms: obj.TokenTerms, grads: Gradients) -> TrainLogEntry:
@@ -493,7 +499,7 @@ def _log_entry(run: TrainRun, step: int, terms: obj.TokenTerms, grads: Gradients
 
 
 def _capture_records(run: TrainRun, params: ToyModelParams, probe_idx, step: int):
-    from .landscape import TokenRecord  # deferred: landscape imports toylm
+    from .landscape import RecordTable  # deferred: landscape imports toylm
 
     targets = run.corpus.targets[probe_idx]
     pw = None if run.position_weights is None else run.position_weights[probe_idx]
@@ -502,36 +508,21 @@ def _capture_records(run: TrainRun, params: ToyModelParams, probe_idx, step: int
         run.ref_params, pw, step, backprop=False,
     )
     k = min(run.objective.k, terms.probs.shape[1])
-    ent_topk = probstats.topk_entropy_rows(terms.probs, k)
     gates = terms.gates
     if gates is None:
         gates = probstats.gate_rows(terms.probs, k, run.objective.norm_mode)
-    grad_norms = np.sqrt((terms.grad * terms.grad).sum(axis=1))
-    columns = zip(
-        probe_idx.tolist(),
-        targets.tolist(),
-        terms.p_target.tolist(),
-        terms.entropy_full.tolist(),
-        ent_topk.tolist(),
-        gates.tolist(),
-        terms.weights.tolist(),
-        grad_norms.tolist(),
+    return RecordTable.of(
+        source_id="probe",
+        position=probe_idx,
+        token_id=targets,
+        p_target=terms.p_target,
+        entropy_full=terms.entropy_full,
+        entropy_topk=probstats.topk_entropy_rows(terms.probs, k),
+        gate=gates,
+        weight=terms.weights,
+        grad_norm=np.sqrt((terms.grad * terms.grad).sum(axis=1)),
+        step=step,
     )
-    return [
-        TokenRecord(
-            source_id="probe",
-            position=pos,
-            token_id=token_id,
-            p_target=p,
-            entropy_full=h_full,
-            entropy_topk=h_topk,
-            gate=gate,
-            weight=weight,
-            grad_norm=grad_norm,
-            step=step,
-        )
-        for pos, token_id, p, h_full, h_topk, gate, weight, grad_norm in columns
-    ]
 
 
 def evaluate(params: ToyModelParams, eval_set: Corpus) -> dict:

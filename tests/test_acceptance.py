@@ -415,7 +415,7 @@ class TestCriterion9Determinism:
 
         # (c) JSONL export -> ingest is lossless
         records = ls.ingest_records(tmp_path / "r1/records.jsonl")
-        ls.export_records(records, tmp_path / "records2.jsonl", "jsonl")
+        ls.export_records(records, tmp_path / "records2.jsonl")
         ingest_ok = ls.ingest_records(tmp_path / "records2.jsonl") == records
 
         # (d) cmd_bench output independent of parallelism degree

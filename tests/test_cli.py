@@ -273,23 +273,38 @@ class TestBench:
 
 class TestAnalyze:
     def test_records_input_skips_model(self, tmp_path):
-        records = []
         rng = np.random.default_rng(3)
-        for i in range(200):
-            g = float(rng.uniform(0, 1))
-            records.append(
-                ls.TokenRecord(
-                    source_id="ext", position=i, token_id=int(rng.integers(0, 50)),
-                    p_target=float(rng.uniform(0, 1)), entropy_full=float(rng.uniform(0, 4)),
-                    entropy_topk=g * 3.0, gate=g,
-                )
-            )
+        gates = rng.uniform(0, 1, 200)
+        records = ls.RecordTable.of(
+            source_id="ext", position=np.arange(200), token_id=rng.integers(0, 50, 200),
+            p_target=rng.uniform(0, 1, 200), entropy_full=rng.uniform(0, 4, 200),
+            entropy_topk=gates * 3.0, gate=gates,
+        )
         path = tmp_path / "records.jsonl"
-        ls.export_records(records, path, "jsonl")
+        ls.export_records(records, path)
         out = tmp_path / "out"
         assert cli.main(["analyze", str(out), "--records", str(path)]) == 0
         for name in ("landscape.csv", "quadrants.csv", "ranking.csv"):
             assert (out / name).exists()
+
+    @pytest.mark.parametrize("field,text", [
+        ("position", "2.7"),
+        ("position", "true"),
+        ("p_target", '"0.5"'),
+        ("source_id", "5"),
+        ("token_id", "-1"),
+        ("position", str(2**70)),
+        ("p_target", "1" + "0" * 400),
+    ])
+    def test_strict_record_types(self, tmp_path, capsys, field, text):
+        # each exits 1 naming the line and the field, never 0 or 2
+        doc = {"source_id": "a", "position": 0, "token_id": 1, "p_target": 0.5,
+               "entropy_full": 1.0, "entropy_topk": 0.1, "gate": 0.2}
+        bad = json.dumps(dict(doc) | {field: "@"}).replace('"@"', text)
+        path = tmp_path / "records.jsonl"
+        path.write_text(json.dumps(doc) + "\n" + bad + "\n")
+        assert cli.main(["analyze", str(tmp_path / "out"), "--records", str(path)]) == 1
+        assert f"line 2: {field}" in capsys.readouterr().err
 
     def test_both_sources_rejected(self, tmp_path, capsys):
         assert cli.main([

@@ -25,7 +25,6 @@ GOLDEN = {
     "domains_default": "04538ee0271152c5629b278795500f6cb681f4b58440eeae1ffe25ed2446843a",
     "snapshot": "390a08de7502faef4ef55c3347ce7f296864412690caf565a691763270f54dc3",
     "cells": "4c33abb4bf90d673eb06bf3f0e5fd3ae5f80881fb8de281b78e950bd93066d79",
-    "train_log_captures": "60034fee69c75720d051c4438e7b3dfcd0ba40f5b56f10534d84ef154249d74b",
     "train_log": "cfa4156b133c6fc5c410cc9478bccf638d03f8d44ce5847cb644cdec978cd92f",
     "train_captures_jsonl": "d2449e055274cac9012b584a0f355755ff2df0ca86bb482114069a1813957080",
     "cli_train_eaft": "31bf865992876d4a0a3b2b2f4a5bdc0ff04e7ce3fea204272204da916a3f5f52",
@@ -124,7 +123,7 @@ def train_digests(snapshot, tmp_dir) -> dict:
     the exported JSONL bytes of the captures."""
     config, data, params = snapshot
     weights = (np.arange(len(data.finetune)) % 3 != 0).astype(np.float64)
-    chunks, log_chunks, capture_files = [], [], []
+    log_chunks, capture_files = [], []
     for name in ("ce", "dft", "sft_kl", "eaft_sigmoid"):
         result = toylm.train(
             toylm.TrainRun(
@@ -143,13 +142,11 @@ def train_digests(snapshot, tmp_dir) -> dict:
                 position_weights=weights,
             )
         )
-        chunks += [*_params(result.params), result.log, result.captures]
         log_chunks += [*_params(result.params), result.log]
         path = Path(tmp_dir) / f"captures_{name}.jsonl"
-        landscape.export_records(result.captures, path, "jsonl")
+        landscape.export_records(result.captures, path)
         capture_files.append(path.read_bytes())
     return {
-        "train_log_captures": _sha(*chunks),
         "train_log": _sha(*log_chunks),
         "train_captures_jsonl": _sha(*capture_files),
     }

@@ -4,10 +4,11 @@ and the top-K fidelity study."""
 import json
 import math
 import os
-from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eaftlab import landscape as ls
 from eaftlab import objectives as obj
@@ -24,42 +25,69 @@ BLOCK = ls._ROW_BLOCK
 TINY = toylm.ModelConfig(vocab_size=8, context_len=3, embed_dim=2, hidden_dim=4, seed=5)
 
 
+def table(rows):
+    """A record table from per-record dicts; a field a dict leaves out is absent."""
+    return ls.RecordTable.concat(ls.RecordTable.of(**row) for row in rows)
+
+
+def record_dicts(records):
+    """One dict per record, absent fields left out: the loop-era view of a table."""
+    columns = {f: records.columns[f].tolist() for f in ls.RECORD_FIELDS}
+    present = {f: records.present[f].tolist() for f in ls.OPTIONAL_FIELDS}
+    return [
+        {f: columns[f][i] for f in ls.RECORD_FIELDS if f not in present or present[f][i]}
+        for i in range(len(records))
+    ]
+
+
 def make_records(n, seed=0, with_step=False):
     rng = np.random.default_rng(seed)
-    out = []
+    rows = []
     for i in range(n):
         gate = float(rng.uniform(0, 1))
-        out.append(
-            ls.TokenRecord(
-                source_id="t",
-                position=i,
-                token_id=int(rng.integers(0, 64)),
-                p_target=float(rng.uniform(0, 1)),
-                entropy_full=float(rng.uniform(0, 4)),
-                entropy_topk=gate * math.log(20),
-                gate=gate,
-                weight=gate,
-                grad_norm=float(rng.uniform(0, 2)),
-                step=int(rng.integers(0, 5)) if with_step else None,
-            )
+        row = dict(
+            source_id="t",
+            position=i,
+            token_id=int(rng.integers(0, 64)),
+            p_target=float(rng.uniform(0, 1)),
+            entropy_full=float(rng.uniform(0, 4)),
+            entropy_topk=gate * math.log(20),
+            gate=gate,
+            weight=gate,
+            grad_norm=float(rng.uniform(0, 2)),
         )
-    return out
+        if with_step:
+            row["step"] = int(rng.integers(0, 5))
+        rows.append(row)
+    return table(rows)
 
 
 class TestTokenRecord:
     def test_validation(self):
-        with pytest.raises(RecordValidationError):
-            ls.TokenRecord(
+        with pytest.raises(RecordValidationError, match="record 0: p_target 1.5 outside"):
+            ls.RecordTable.of(
                 source_id="x", position=0, token_id=1, p_target=1.5,
                 entropy_topk=0.1, gate=0.1,
             )
+        # the first bad record is named, and a whole column is checked at once
+        with pytest.raises(RecordValidationError, match="record 2: gate") as err:
+            ls.RecordTable.of(
+                source_id="x", position=[0, 1, 2, 3], token_id=1, p_target=0.5,
+                entropy_topk=0.1, gate=[0.1, 0.2, 1.1, 2.0],
+            )
+        assert err.value.row == 2
 
     def test_optional_fields_default_none(self):
-        rec = ls.TokenRecord(
+        rec = ls.RecordTable.of(
             source_id="x", position=0, token_id=1, p_target=0.5,
             entropy_topk=0.1, gate=0.1,
         )
-        assert rec.entropy_full is None and rec.step is None
+        assert len(rec) == 1
+        assert not rec.present["entropy_full"].any() and not rec.present["step"].any()
+        assert record_dicts(rec) == [
+            {"source_id": "x", "position": 0, "token_id": 1, "p_target": 0.5,
+             "entropy_topk": 0.1, "gate": 0.1}
+        ]
 
 
 NON_FINITE_FIELDS = ("entropy_topk", "entropy_full", "grad_norm")
@@ -72,11 +100,11 @@ class TestNonFiniteRecords:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_record_rejects(self, field, value):
         with pytest.raises(RecordValidationError, match=field):
-            ls.TokenRecord(**dict(REQUIRED, **{field: value}))
+            ls.RecordTable.of(**dict(REQUIRED, **{field: value}))
 
     def test_negative_grad_norm_rejected(self):
         with pytest.raises(RecordValidationError, match="grad_norm"):
-            ls.TokenRecord(**REQUIRED, grad_norm=-1e-9)
+            ls.RecordTable.of(**REQUIRED, grad_norm=-1e-9)
 
     @pytest.mark.parametrize("field", NON_FINITE_FIELDS)
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
@@ -111,11 +139,75 @@ class TestNonFiniteRecords:
             ls.ingest_records(path)
 
 
+# (field, JSON text of its value): each is a wrong JSON type or an integer
+# outside [0, 2**63)
+STRICT_CASES = [
+    ("position", "2.7"),
+    ("position", "true"),
+    ("p_target", '"0.5"'),
+    ("p_target", "true"),
+    ("source_id", "5"),
+    ("token_text", "7"),
+    ("position", "-1"),
+    ("token_id", "-3"),
+    ("step", "-2"),
+    ("position", str(2**70)),
+    ("step", str(2**63)),
+    ("p_target", "1" + "0" * 400),
+]
+
+
+class TestStrictTypes:
+    @pytest.mark.parametrize("field,text", STRICT_CASES)
+    def test_ingest_rejects(self, tmp_path, field, text):
+        good = json.dumps(dict(REQUIRED, step=1))
+        bad = json.dumps(dict(REQUIRED, step=1) | {field: "@"}).replace('"@"', text)
+        path = tmp_path / "r.jsonl"
+        path.write_text(good + "\n" + bad + "\n" + good + "\n")
+        with pytest.raises(RecordParseError, match=field) as err:
+            ls.ingest_records(path)
+        assert err.value.line == 2
+
+    def test_integral_float_field_accepted(self, tmp_path):
+        # a JSON integer is a number; it is read as the float of that value
+        path = tmp_path / "r.jsonl"
+        path.write_text(json.dumps(dict(REQUIRED, p_target=1, step=2**63 - 1)) + "\n")
+        recs = ls.ingest_records(path)
+        assert recs.columns["p_target"].tolist() == [1.0]
+        assert recs.columns["step"].tolist() == [2**63 - 1]
+
+
+class TestErrorPrecedence:
+    # a range error is found by the whole-table check, a JSON or type error
+    # on its own line; either way the earlier line is named
+    RANGE = json.dumps(dict(REQUIRED, p_target=1.5))
+    CASES = {"range": RANGE, "json": "{not json", "type": json.dumps(dict(REQUIRED, position=2.5))}
+
+    @pytest.mark.parametrize("first,second", [
+        ("range", "json"), ("json", "range"), ("range", "type"), ("type", "range"),
+    ])
+    def test_earliest_line_wins(self, tmp_path, first, second):
+        good = json.dumps(REQUIRED)
+        lines = [good, good, self.CASES[first], good, self.CASES[second], good]
+        path = tmp_path / "r.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(RecordParseError) as err:
+            ls.ingest_records(path)
+        assert err.value.line == 3
+
+    def test_blank_lines_keep_line_numbers(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        path.write_text(json.dumps(REQUIRED) + "\n\n  \n" + self.RANGE + "\n")
+        with pytest.raises(RecordParseError, match="p_target") as err:
+            ls.ingest_records(path)
+        assert err.value.line == 4
+
+
 class TestScoreCorpus:
     def test_empty_corpus(self):
         params = toylm.init_model(TINY)
         empty = toylm.Corpus(np.zeros((0, 3), dtype=np.int64), np.zeros(0, dtype=np.int64))
-        assert ls.score_corpus(params, empty, k=8) == []
+        assert len(ls.score_corpus(params, empty, k=8)) == 0
 
     def test_uniform_model_records(self):
         params = toylm.init_model(TINY)
@@ -123,47 +215,93 @@ class TestScoreCorpus:
             getattr(params, f)[:] = 0.0
         corpus = toylm.Corpus(np.array([[0, 1, 2], [3, 4, 5]]), np.array([2, 6]))
         recs = ls.score_corpus(params, corpus, k=8)
-        for r in recs:
-            assert r.gate == pytest.approx(1.0, abs=1e-12)
-            assert r.p_target == pytest.approx(1 / 8, abs=1e-12)
+        assert recs.columns["gate"] == pytest.approx(1.0, abs=1e-12)
+        assert recs.columns["p_target"] == pytest.approx(1 / 8, abs=1e-12)
 
     def test_record_count_and_order(self):
         params = toylm.init_model(TINY)
         corpus = toylm.Corpus.from_sequences([[0, 1, 2, 3, 4], [5, 6, 7, 0]], 3)
         recs = ls.score_corpus(params, corpus, k=8)
         assert len(recs) == len(corpus) == 3
-        assert [r.position for r in recs] == [0, 1, 2]
+        assert recs.columns["position"].tolist() == [0, 1, 2]
+
+
+# hypothesis strategies for whole record tables: the float edge cases of
+# JSON text, strings that need escaping, random optional-field masks
+EDGE_FLOATS = [0.0, -0.0, 5e-324, 1.0, 0.1 + 0.2]
+UNIT = st.sampled_from(EDGE_FLOATS) | st.floats(0.0, 1.0)
+NON_NEGATIVE = st.sampled_from(EDGE_FLOATS) | st.floats(0.0, 1e300)
+TEXT = st.sampled_from(['say "hi"\\', "caf\u00e9 \u2192 \U0001f600", "\\n\t\x00", ""]) | st.text()
+NATURAL = st.integers(0, 2**63 - 1)
+
+
+@st.composite
+def record_rows(draw):
+    row = {
+        "source_id": draw(TEXT),
+        "position": draw(NATURAL),
+        "token_id": draw(NATURAL),
+        "p_target": draw(UNIT),
+        "entropy_topk": draw(NON_NEGATIVE),
+        "gate": draw(UNIT),
+    }
+    optional = {
+        "token_text": TEXT,
+        "entropy_full": NON_NEGATIVE,
+        "weight": UNIT,
+        "grad_norm": NON_NEGATIVE,
+        "step": NATURAL,
+    }
+    for field, values in optional.items():
+        if draw(st.booleans()):
+            row[field] = draw(values)
+    return row
 
 
 class TestExportIngest:
     def test_jsonl_bytes_match_asdict_oracle(self, tmp_path):
-        recs = make_records(20, with_step=True) + [
-            ls.TokenRecord(source_id="q", position=0, token_id=0, p_target=0.0,
-                           entropy_topk=0.0, gate=0.0, step=0),
-            ls.TokenRecord(source_id='say "hi"\\', position=3, token_id=7, p_target=1.0,
-                           entropy_topk=2.0**-1074, gate=1.0, token_text="caf\u00e9 \u2192 \U0001f600 \"x\"",
-                           entropy_full=0.1 + 0.2, weight=0.0, grad_norm=0.0),
-        ]
+        recs = ls.RecordTable.concat([
+            make_records(20, with_step=True),
+            table([
+                dict(source_id="q", position=0, token_id=0, p_target=0.0,
+                     entropy_topk=0.0, gate=0.0, step=0),
+                dict(source_id='say "hi"\\', position=3, token_id=7, p_target=1.0,
+                     entropy_topk=2.0**-1074, gate=1.0, token_text="caf\u00e9 \u2192 \U0001f600 \"x\"",
+                     entropy_full=0.1 + 0.2, weight=0.0, grad_norm=0.0),
+            ]),
+        ])
         path = tmp_path / "r.jsonl"
-        ls.export_records(recs, path, "jsonl")
-        oracle = "".join(
-            json.dumps({k: v for k, v in asdict(r).items() if v is not None}, sort_keys=True) + "\n"
-            for r in recs
-        )
+        ls.export_records(recs, path)
+        oracle = "".join(json.dumps(row, sort_keys=True) + "\n" for row in record_dicts(recs))
         assert path.read_bytes() == oracle.encode()
         assert ls.ingest_records(path) == recs
 
-    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
-    def test_failed_export_keeps_old_file(self, tmp_path, fmt):
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.lists(record_rows(), min_size=1, max_size=12))
+    def test_roundtrip_bytes_property(self, tmp_path_factory, rows):
+        # export -> ingest -> export gives the same bytes, and those bytes are
+        # json.dumps(sort_keys=True) of each record with its absent fields left out
+        tmp = tmp_path_factory.mktemp("roundtrip")
+        recs = table(rows)
+        first, second = tmp / "a.jsonl", tmp / "b.jsonl"
+        ls.export_records(recs, first)
+        back = ls.ingest_records(first)
+        ls.export_records(back, second)
+        oracle = "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
+        assert first.read_bytes() == second.read_bytes() == oracle.encode()
+        assert back == recs
+        assert record_dicts(back) == rows
+
+    @pytest.mark.parametrize("fmt", ["jsonl"])
+    def test_failed_export_keeps_old_file(self, tmp_path, monkeypatch, fmt):
         path = tmp_path / f"r.{fmt}"
         path.write_text("old contents\n")
+        recs = make_records(6)
+        recs.columns["source_id"][4] = None  # not a string: encoding it raises
+        monkeypatch.setattr(ls, "_EXPORT_BLOCK", 2)  # the first blocks are written before it
 
-        def failing():
-            yield from make_records(3)
-            raise RuntimeError("writer failed mid-file")
-
-        with pytest.raises(RuntimeError):
-            ls.export_records(failing(), path, fmt)
+        with pytest.raises(TypeError):
+            ls.export_records(recs, path)
         assert path.read_text() == "old contents\n"
         assert os.listdir(tmp_path) == [path.name]
 
@@ -178,7 +316,7 @@ class TestExportIngest:
     def test_jsonl_roundtrip(self, tmp_path):
         recs = make_records(50, with_step=True)
         path = tmp_path / "r.jsonl"
-        ls.export_records(recs, path, "jsonl")
+        ls.export_records(recs, path)
         assert ls.ingest_records(path) == recs
 
     def test_unknown_fields_ignored(self, tmp_path):
@@ -189,7 +327,7 @@ class TestExportIngest:
         }
         path.write_text(json.dumps(doc) + "\n")
         recs = ls.ingest_records(path)
-        assert len(recs) == 1 and recs[0].source_id == "a"
+        assert len(recs) == 1 and recs.columns["source_id"][0] == "a"
 
     def test_out_of_range_probability_names_line(self, tmp_path):
         path = tmp_path / "r.jsonl"
@@ -211,7 +349,7 @@ class TestExportIngest:
     def test_empty_file(self, tmp_path):
         path = tmp_path / "r.jsonl"
         path.write_text("")
-        assert ls.ingest_records(path) == []
+        assert len(ls.ingest_records(path)) == 0
 
     def test_csv_17_digit_roundtrip(self, tmp_path):
         # a float needing all 17 significant digits survives the CSV
@@ -242,20 +380,40 @@ class TestHistogram2D:
         assert hist.counts.sum() == 500
 
     def test_upper_edge_in_last_bin(self):
-        recs = [
-            ls.TokenRecord(source_id="a", position=i, token_id=0, p_target=p,
-                           entropy_full=1.0, entropy_topk=0.5, gate=0.5)
-            for i, p in enumerate([0.0, 0.5, 1.0, 1.0])
-        ]
+        recs = ls.RecordTable.of(
+            source_id="a", position=np.arange(4), token_id=0, p_target=[0.0, 0.5, 1.0, 1.0],
+            entropy_full=1.0, entropy_topk=0.5, gate=0.5,
+        )
         hist = ls.histogram2d(recs, x_bins=2, y_bins=1)
         # both records at the max land in the final bin
         assert hist.counts[1, 0] == 3 and hist.counts[0, 0] == 1
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_searchsorted_binning(self, seed):
+        # values on the bin edges themselves: each bin holds [lo, hi) but the
+        # last, which also holds the maximum
+        rng = np.random.default_rng(seed)
+        xs = rng.integers(0, 9, 300) / 8.0
+        ys = rng.integers(0, 5, 300) * 0.7
+        recs = ls.RecordTable.of(
+            source_id="h", position=np.arange(300), token_id=0, p_target=xs,
+            entropy_full=ys, entropy_topk=0.5, gate=0.5,
+        )
+        hist = ls.histogram2d(recs, x_bins=8, y_bins=3)
+        xi = np.clip(np.searchsorted(hist.x_edges, xs, side="right") - 1, 0, 7)
+        yi = np.clip(np.searchsorted(hist.y_edges, ys, side="right") - 1, 0, 2)
+        expected = np.zeros((8, 3), dtype=np.int64)
+        np.add.at(expected, (xi, yi), 1)
+        assert hist.counts.dtype == np.int64
+        assert np.array_equal(hist.counts, expected)
+
     def test_missing_axis_field(self):
-        rec = ls.TokenRecord(source_id="a", position=0, token_id=0, p_target=0.5,
-                             entropy_topk=0.5, gate=0.5)
-        with pytest.raises(RecordValidationError):
-            ls.histogram2d([rec])
+        recs = table([
+            dict(REQUIRED, entropy_full=1.0),
+            dict(REQUIRED),
+        ])
+        with pytest.raises(RecordValidationError, match="record 1: .*entropy_full"):
+            ls.histogram2d(recs)
 
 
 class TestQuadrants:
@@ -267,27 +425,22 @@ class TestQuadrants:
 
     def test_constructed_fifteen_percent(self):
         # 15 records sit jointly below both thresholds; share is exactly 0.15
-        recs = []
-        for i in range(100):
-            low = i < 15
-            recs.append(
-                ls.TokenRecord(
-                    source_id="c", position=i, token_id=i,
-                    p_target=0.001 if low else 0.5,
-                    entropy_topk=0.01 if low else 2.5,
-                    gate=0.01 if low else 0.9,
-                )
-            )
+        low = np.arange(100) < 15
+        recs = ls.RecordTable.of(
+            source_id="c", position=np.arange(100), token_id=np.arange(100),
+            p_target=np.where(low, 0.001, 0.5),
+            entropy_topk=np.where(low, 0.01, 2.5),
+            gate=np.where(low, 0.01, 0.9),
+        )
         stats = ls.quadrant_stats(recs, q=0.15)
         assert stats["shares"]["confident-conflict"] == pytest.approx(0.15)
 
     def test_all_identical_records_degenerate(self):
         # nearest-rank thresholds put tied records into a single quadrant
-        recs = [
-            ls.TokenRecord(source_id="d", position=i, token_id=0, p_target=0.3,
-                           entropy_topk=1.0, gate=0.4)
-            for i in range(10)
-        ]
+        recs = ls.RecordTable.of(
+            source_id="d", position=np.arange(10), token_id=0, p_target=0.3,
+            entropy_topk=1.0, gate=0.4,
+        )
         stats = ls.quadrant_stats(recs, q=0.15)
         assert stats["counts"]["confident-conflict"] == 10
 
@@ -297,13 +450,71 @@ class TestQuadrants:
         assert stats["thresholds"] == (0.5, 0.5)
 
 
+def loop_ranking(records, labels, quadrant, top_n):
+    """The per-record loop the array ranking replaced: the reference."""
+    groups = {}
+    for rec, label in zip(record_dicts(records), labels):
+        if label != quadrant:
+            continue
+        key = rec.get("token_text", rec["token_id"])
+        entry = groups.setdefault(key, {"token": key, "token_id": rec["token_id"], "count": 0, "gate_sum": 0.0})
+        entry["count"] += 1
+        entry["gate_sum"] += rec["gate"]
+    ranked = sorted(groups.values(), key=lambda e: (-e["count"], e["token_id"]))
+    return [
+        {"token": e["token"], "count": e["count"], "mean_gate": e["gate_sum"] / e["count"]}
+        for e in ranked[:top_n]
+    ]
+
+
+def loop_dynamics(records, cfg=ls.DynamicsConfig()):
+    """The per-record loop the array dynamics replaced: the reference."""
+    by_step = {}
+    for rec in record_dicts(records):
+        by_step.setdefault(rec["step"], []).append(rec)
+    rows = []
+    for step in sorted(by_step):
+        group = by_step[step]
+        ce = np.array([-math.log(max(r["p_target"], 1e-300)) for r in group])
+        ent = np.array([r["entropy_full"] for r in group])
+        hi = ent >= cfg.high_entropy_min
+        lo = ent <= cfg.low_entropy_max
+        rows.append({
+            "step": step,
+            "high_entropy_ce": float(ce[hi].mean()) if hi.any() else None,
+            "high_entropy_count": int(hi.sum()),
+            "low_entropy_ce": float(ce[lo].mean()) if lo.any() else None,
+            "low_entropy_count": int(lo.sum()),
+        })
+    return rows
+
+
+def tied_records(seed, n=400):
+    """Few distinct tokens, some with text and some without, text shared
+    across token ids, and a text equal to another record's id as a string;
+    repeated gates make the running sums order-sensitive."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for i in range(n):
+        row = dict(
+            source_id="t", position=i, token_id=int(rng.integers(0, 6)),
+            p_target=float(rng.choice([0.0, 1e-320, 0.1, 0.3, 0.7, 1.0])),
+            entropy_full=float(rng.choice([0.1, 0.5, 1.0, 2.0, 3.3])),
+            entropy_topk=0.5, gate=float(rng.choice([0.1, 0.2, 0.3, 1 / 3, 0.7])),
+            step=int(rng.integers(0, 7)) * 10,
+        )
+        if rng.uniform() < 0.4:
+            row["token_text"] = str(rng.choice(["a", "b", "3", "caf\u00e9"]))
+        rows.append(row)
+    return table(rows)
+
+
 class TestRanking:
     def test_single_token_five_occurrences(self):
-        recs = [
-            ls.TokenRecord(source_id="r", position=i, token_id=9, p_target=0.1,
-                           entropy_topk=0.1, gate=0.1)
-            for i in range(5)
-        ]
+        recs = ls.RecordTable.of(
+            source_id="r", position=np.arange(5), token_id=9, p_target=0.1,
+            entropy_topk=0.1, gate=0.1,
+        )
         labels = ["confident-conflict"] * 5
         rows = ls.quadrant_token_ranking(recs, labels, "confident-conflict", 10)
         assert rows == [{"token": 9, "count": 5, "mean_gate": pytest.approx(0.1)}]
@@ -320,6 +531,19 @@ class TestRanking:
         b = ls.quadrant_token_ranking(recs, stats["labels"], "other", 10)
         assert a == b
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_record_loop(self, seed):
+        # same tokens, counts, tie order and mean-gate bits as the loop
+        recs = tied_records(seed)
+        stats = ls.quadrant_stats(recs, q=0.4)
+        for quadrant in (*probstats.QUADRANTS, "absent"):
+            for top_n in (0, 3, 100):
+                got = ls.quadrant_token_ranking(recs, stats["labels"], quadrant, top_n)
+                assert got == loop_ranking(recs, stats["labels"], quadrant, top_n)
+                assert [type(r["token"]) for r in got] == [
+                    type(r["token"]) for r in loop_ranking(recs, stats["labels"], quadrant, top_n)
+                ]
+
 
 class TestDynamics:
     def test_requires_step_and_entropy(self):
@@ -328,23 +552,28 @@ class TestDynamics:
             ls.dynamics_track(recs)
 
     def test_single_record_step(self):
-        rec = ls.TokenRecord(source_id="a", position=0, token_id=0, p_target=0.5,
-                             entropy_full=3.0, entropy_topk=1.0, gate=0.5, step=0)
-        rows = ls.dynamics_track([rec])
+        rec = ls.RecordTable.of(source_id="a", position=0, token_id=0, p_target=0.5,
+                                entropy_full=3.0, entropy_topk=1.0, gate=0.5, step=0)
+        rows = ls.dynamics_track(rec)
         assert rows[0]["high_entropy_ce"] == pytest.approx(-math.log(0.5))
         assert rows[0]["high_entropy_count"] == 1
         assert rows[0]["low_entropy_count"] == 0
         assert rows[0]["low_entropy_ce"] is None
 
     def test_steps_sorted(self):
-        recs = []
-        for step in (4, 0, 2):
-            recs.append(
-                ls.TokenRecord(source_id="a", position=0, token_id=0, p_target=0.5,
-                               entropy_full=0.1, entropy_topk=0.1, gate=0.1, step=step)
-            )
+        recs = ls.RecordTable.of(source_id="a", position=0, token_id=0, p_target=0.5,
+                                 entropy_full=0.1, entropy_topk=0.1, gate=0.1, step=[4, 0, 2])
         rows = ls.dynamics_track(recs)
         assert [r["step"] for r in rows] == [0, 2, 4]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_record_loop(self, seed):
+        # each step's subgroup means over that step's records in record order,
+        # bit for bit, with steps interleaved as captures never are
+        recs = tied_records(seed)
+        cfg = ls.DynamicsConfig(high_entropy_min=1.0, low_entropy_max=0.5)
+        assert ls.dynamics_track(recs, cfg) == loop_dynamics(recs, cfg)
+        assert ls.dynamics_track(recs) == loop_dynamics(recs)
 
     def test_default_thresholds(self):
         cfg = ls.DynamicsConfig()

@@ -177,7 +177,7 @@ class TestLossAndGrads:
             )
         ).captures
         assert len(captures) == 3 * 500
-        assert all(r.gate == r.weight for r in captures)
+        assert captures.columns["gate"].tobytes() == captures.columns["weight"].tobytes()
 
 
 def _frozen_weight_loss(params, corpus, spec, ref_params, frozen_w):
