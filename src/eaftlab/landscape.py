@@ -44,6 +44,7 @@ RECORD_FIELDS = {
 OPTIONAL_FIELDS = ("token_text", "entropy_full", "weight", "grad_norm", "step")
 _REQUIRED_FIELDS = RECORD_FIELDS.keys() - OPTIONAL_FIELDS
 _DTYPES = {str: object, int: np.int64, float: np.float64}
+_KINDS = {str: "OU", int: "iu", float: "iuf"}  # the numpy dtype kinds each type takes
 _JSON_NAMES = {str: "string", int: "integer", float: "number"}
 _FILLS = {str: "", int: 0, float: 0.0}  # held by the rows that lack an optional field
 
@@ -89,10 +90,18 @@ class RecordTable:
         from every record."""
         if not _REQUIRED_FIELDS <= fields.keys() <= RECORD_FIELDS.keys():
             raise RecordValidationError(f"need {sorted(_REQUIRED_FIELDS)}, got {sorted(fields)}")
-        shape = np.broadcast_shapes((1,), *map(np.shape, fields.values()))
+        arrays = {}
+        for field, kind in RECORD_FIELDS.items():
+            value = fields.get(field, _FILLS[kind])
+            # numpy would cast 2.7 to 2 and "0.5" to 0.5: types are as strict as on ingest
+            if np.size(value) and np.asarray(value).dtype.kind not in _KINDS[kind]:
+                raise RecordValidationError(f"{field} holds {np.asarray(value).dtype} values")
+            # a text column keeps the given strings: numpy's own drop trailing NULs
+            arrays[field] = np.asarray(value, object if kind is str else None)
+        shape = np.broadcast_shapes((1,), *(a.shape for a in arrays.values()))
         columns = {
-            f: np.array(np.broadcast_to(np.asarray(fields.get(f, _FILLS[k]), _DTYPES[k]), shape))
-            for f, k in RECORD_FIELDS.items()
+            f: np.array(np.broadcast_to(a, shape), _DTYPES[RECORD_FIELDS[f]])
+            for f, a in arrays.items()
         }
         return cls(columns, {f: np.full(shape, f in fields) for f in OPTIONAL_FIELDS})
 

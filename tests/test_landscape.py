@@ -77,6 +77,15 @@ class TestTokenRecord:
             )
         assert err.value.row == 2
 
+    @pytest.mark.parametrize("field,value", [
+        ("position", 2.7), ("position", [0, 1.5]), ("token_id", True),
+        ("p_target", "0.5"), ("gate", np.array([True])), ("source_id", 5), ("step", 1.0),
+    ])
+    def test_of_rejects_loose_types(self, field, value):
+        # numpy would cast these; the table takes the types ingest takes
+        with pytest.raises(RecordValidationError, match=field):
+            ls.RecordTable.of(**dict(REQUIRED, **{field: value}))
+
     def test_optional_fields_default_none(self):
         rec = ls.RecordTable.of(
             source_id="x", position=0, token_id=1, p_target=0.5,
