@@ -6,8 +6,9 @@ once per workload and seed, then ``--trace 1`` once per workload on the first
 seed, each for the ``run_seconds`` that BENCHMARK.json sets. Each run's last
 stdout line is its JSON result. BENCH_<n>.json at the repository root holds
 the machine fingerprint, ``git rev-parse HEAD``, the median and quartiles of
-each end-to-end metric per workload, the traced run's per-layer metrics, and
-every run's output digests.
+each end-to-end metric per workload, the traced run's per-layer metrics,
+every run's output digests, and one run of the tier-1 test command (``TIER1``,
+after the benchmark runs): its wall seconds, exit code and outcome counts.
 
 ``trace.overhead_pct`` is left out: on diagnostics_cli it divides the medians
 of one or two iterations each and reads from -18% to +18% on unchanged code.
@@ -17,14 +18,21 @@ of one or two iterations each and reads from -18% to +18% on unchanged code.
 
 import argparse
 import json
+import os
+import re
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("pretrain", "finetune_grid", "diagnostics_cli")
 LEFT_OUT = ("trace.overhead_pct",)
+# the tier-1 test command of ROADMAP.md; bench_perf runs it with src/ first
+# on PYTHONPATH and its own interpreter
+TIER1 = "python -m pytest -q --continue-on-collection-errors"
+OUTCOMES = ("passed", "failed", "errors", "skipped", "xfailed", "xpassed")
 
 
 def run(workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -44,6 +52,26 @@ def run(workload: str, seed: int, seconds: float, trace: int) -> dict:
         elif key == "problem":
             result.setdefault("problems", []).append(rest)
     return result
+
+
+def tier1() -> dict:
+    """One timed run of the tier-1 tests and the counts of its summary line."""
+    print(TIER1, file=sys.stderr, flush=True)
+    path = os.pathsep.join(filter(None, ("src", os.environ.get("PYTHONPATH"))))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, *TIER1.split()[1:]], cwd=ROOT,
+                          env=dict(os.environ, PYTHONPATH=path), stdout=subprocess.PIPE, text=True)
+    seconds = time.perf_counter() - start
+    summary = (proc.stdout.strip().splitlines() or [""])[-1]
+    # e.g. "2 failed, 399 passed, 1 error in 101.20s"; pytest writes "1 error"
+    counts = {("errors" if word == "error" else word): int(n) for n, word in re.findall(r"(\d+) (\w+)", summary)}
+    return {
+        "command": f"PYTHONPATH=src {TIER1}",
+        "seconds": seconds,
+        "exit_code": proc.returncode,
+        "summary": summary,
+        **{outcome: counts.get(outcome, 0) for outcome in OUTCOMES},
+    }
 
 
 def spread(values: list) -> dict:
@@ -99,6 +127,7 @@ def main() -> int:
                 for (seed, trace), r in runs.items()
             ],
         }
+    doc["tier1"] = tier1()
     path = ROOT / f"BENCH_{args.n}.json"
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     print(f"wrote {path}", file=sys.stderr)

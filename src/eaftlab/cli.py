@@ -23,7 +23,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import forgebench, landscape, objectives, toylm
+from . import forgebench, landscape, objectives, probstats, toylm
 from .errors import ConfigError, EaftLabError, InvalidArgumentError, TrainingDivergedError, is_int
 from .fileio import atomic_write
 
@@ -187,6 +187,14 @@ def cmd_train(config_path, out_dir) -> int:
     model_cfg = _build_dataclass(toylm.ModelConfig, doc.get("model", {}), "model")
     corpus = _corpus_from_doc(doc.get("corpus", {}), model_cfg.context_len, "corpus")
     spec = _objective_from_doc(doc.get("objective", {"name": "ce"}), "objective")
+    # the gate evaluates k clamped to V; the spec alone cannot check the norm
+    k = min(spec.k, model_cfg.vocab_size)
+    try:
+        probstats.check_gate_norm(k, spec.norm_mode)
+    except InvalidArgumentError as exc:
+        raise ConfigError(
+            f"objective.norm_mode: {exc}; the effective k = min(objective.k, model.vocab_size) is {k}"
+        ) from exc
     opt = doc.get("optimizer", {})
     _require_keys(opt, ("kind", "learning_rate"), "optimizer")
     kind, lr = _optimizer(

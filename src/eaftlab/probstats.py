@@ -65,7 +65,13 @@ def percentile_threshold(values, q: float) -> float:
     if not 0.0 < q < 1.0:
         raise InvalidArgumentError(f"q={q} outside (0, 1)")
     rank = int(np.ceil(q * v.size))
-    return float(np.sort(v, kind="stable")[rank - 1])
+    value = np.partition(v, rank - 1)[rank - 1]
+    if value == 0.0:
+        # -0.0 and 0.0 tie: the stable sort orders them as in the input, so
+        # the zero at this rank is the (rank - below)-th zero of the input
+        below = int(np.count_nonzero(v < 0.0))
+        value = v[v == 0.0][rank - 1 - below]
+    return float(value)
 
 
 QUADRANTS = ("confident-conflict", "confident-correct", "exploratory", "other")

@@ -186,6 +186,29 @@ class TestTrain:
         assert field in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "objective,vocab",
+        [
+            ({"name": "eaft", "norm_mode": "paper-3.0", "k": 5}, 32),  # k = 5
+            ({"name": "eaft", "norm_mode": "paper-3.0"}, 16),  # k = min(20, V) = 16
+        ],
+    )
+    def test_paper_norm_needs_effective_k_20(self, tmp_path, capsys, objective, vocab):
+        # rejected before the output directory exists, not at the first step
+        doc = json.loads(train_config(tmp_path).read_text())
+        cfg = train_config(tmp_path, objective=objective, model={**doc["model"], "vocab_size": vocab})
+        assert cli.main(["train", str(cfg), str(tmp_path / "out")]) == 1
+        assert "objective.norm_mode" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_paper_norm_with_effective_k_20_trains(self, tmp_path):
+        doc = json.loads(train_config(tmp_path).read_text())
+        cfg = train_config(
+            tmp_path, objective={"name": "eaft", "norm_mode": "paper-3.0"},
+            model={**doc["model"], "vocab_size": 20},
+        )
+        assert cli.main(["train", str(cfg), str(tmp_path / "out")]) == 0
+
     @pytest.mark.parametrize("bad_token", [1.5, "a", True, 2**70])
     def test_non_integer_token_rejected(self, tmp_path, capsys, bad_token):
         seqs = small_sequences()

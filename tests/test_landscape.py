@@ -4,6 +4,9 @@ and the top-K fidelity study."""
 import json
 import math
 import os
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -658,3 +661,134 @@ class TestFidelity:
     def test_default_grid(self):
         assert ls.default_k_grid(4096) == [1, 2, 5, 10, 20, 50, 100, 4096]
         assert ls.default_k_grid(64) == [1, 2, 5, 10, 20, 50, 64]
+
+
+def serial_fidelity(blocks, ks):
+    """The one-thread block loop: each block scored in turn, in order."""
+    exact = np.concatenate([probstats.entropy_rows(b) for b in blocks])
+    rows = []
+    for k in ks:
+        approx = np.concatenate([probstats.topk_entropy_rows(b, k) for b in blocks])
+        r = probstats.pearson(exact, approx) if approx.std() > 0 else None
+        rows.append({"k": k, "pearson_r": r, "extra_bytes_per_token": 12 * k})
+    return rows
+
+
+class IteratorFailed(Exception):
+    pass
+
+
+def failing_after(blocks, exc):
+    yield from blocks
+    raise exc
+
+
+class TestFidelityPipeline:
+    """Blocks are scored on a helper thread while the next one is drawn."""
+
+    @pytest.mark.parametrize("n", [BLOCK, 2 * BLOCK, 2 * BLOCK + 5])
+    def test_rows_match_serial_oracle(self, n):
+        # one block, two blocks, and a partial last block
+        blocks = list(ls.synthetic_fidelity_blocks(n, 48, 3))
+        ks = [1, 2, 5, 48]
+        assert ls.fidelity_from_blocks(iter(blocks), ks) == serial_fidelity(blocks, ks)
+
+    def test_rows_match_serial_oracle_under_stress(self, monkeypatch):
+        # more helpers than cores and a short switch interval interleave the
+        # threads as often as they can; the rows still come out in order
+        monkeypatch.setattr(ls, "_SCORE_WORKERS", 3)
+        blocks = list(ls.synthetic_fidelity_blocks(9 * BLOCK + 7, 32, 4))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            rows = ls.fidelity_from_blocks(iter(blocks), [1, 3, 32])
+        finally:
+            sys.setswitchinterval(interval)
+        assert rows == serial_fidelity(blocks, [1, 3, 32])
+
+    def test_scored_on_one_helper_thread(self, monkeypatch):
+        idents = []
+        score = ls._score_block
+
+        def recording(block, ks):
+            idents.append(threading.get_ident())
+            return score(block, ks)
+
+        monkeypatch.setattr(ls, "_score_block", recording)
+        ls.fidelity_from_blocks(ls.synthetic_fidelity_blocks(5 * BLOCK, 16, 1), [2, 16])
+        assert len(idents) == 5
+        assert len(set(idents)) == 1 and idents[0] != threading.get_ident()
+
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            (np.full(16, 1 / 16), "N >= 2"),  # not 2-D
+            (np.full((3, 4), 0.25), r"\[1, V\]"),  # k = 8 > V = 4
+        ],
+    )
+    def test_bad_block_after_good_ones(self, bad, message):
+        good = list(ls.synthetic_fidelity_blocks(3 * BLOCK, 8, 2))
+        start = threading.active_count()
+        with pytest.raises(InvalidArgumentError, match=message):
+            ls.fidelity_from_blocks(iter(good + [bad] + good), [2, 8])
+        assert threading.active_count() == start
+
+    def test_earliest_bad_block_wins(self):
+        # block 1 is not 2-D and block 2 is too narrow for k = 8
+        good = list(ls.synthetic_fidelity_blocks(BLOCK, 8, 2))
+        blocks = good + [np.full(8, 1 / 8), np.full((2, 4), 0.25)]
+        with pytest.raises(InvalidArgumentError, match="N >= 2"):
+            ls.fidelity_from_blocks(iter(blocks), [2, 8])
+
+    def test_iterator_exception_propagates_unchanged(self):
+        good = list(ls.synthetic_fidelity_blocks(3 * BLOCK, 8, 2))
+        exc = IteratorFailed("draw failed")
+        start = threading.active_count()
+        with pytest.raises(IteratorFailed) as info:
+            ls.fidelity_from_blocks(failing_after(good, exc), [2, 8])
+        assert info.value is exc
+        assert threading.active_count() == start
+
+    def test_block_error_before_iterator_exception(self):
+        # block 1 fails while the iterator fails to produce block 2
+        good = list(ls.synthetic_fidelity_blocks(BLOCK, 8, 2))
+        blocks = failing_after(good + [np.full(8, 1 / 8)], IteratorFailed("late"))
+        start = threading.active_count()
+        with pytest.raises(InvalidArgumentError, match="N >= 2"):
+            ls.fidelity_from_blocks(blocks, [2, 8])
+        assert threading.active_count() == start
+
+    def test_threads_joined_after_return_and_late_errors(self):
+        start = threading.active_count()
+        ls.fidelity_from_blocks(ls.synthetic_fidelity_blocks(3 * BLOCK, 8, 2), [2, 8])
+        assert threading.active_count() == start
+        with pytest.raises(DegenerateVarianceError):
+            ls.fidelity_from_blocks(iter([np.full((50, 16), 1 / 16)]), [4])
+        assert threading.active_count() == start
+        with pytest.raises(InvalidArgumentError, match="N >= 2"):
+            ls.fidelity_from_blocks(iter([np.full((1, 16), 1 / 16)]), [4])
+        assert threading.active_count() == start
+
+    def test_iterator_at_most_two_blocks_ahead(self, monkeypatch):
+        # scoring is slowed so that an unbounded read-ahead would show
+        scored = []
+        score = ls._score_block
+
+        def slow(block, ks):
+            time.sleep(0.005)
+            result = score(block, ks)
+            scored.append(len(scored))
+            return result
+
+        monkeypatch.setattr(ls, "_score_block", slow)
+        ahead = []
+
+        def counting(blocks):
+            for pulled, block in enumerate(blocks):
+                ahead.append(pulled - len(scored))  # blocks pulled but not yet scored
+                yield block
+
+        blocks = list(ls.synthetic_fidelity_blocks(12 * BLOCK, 8, 2))
+        rows = ls.fidelity_from_blocks(counting(blocks), [2, 8])
+        assert rows == serial_fidelity(blocks, [2, 8])
+        assert len(ahead) == 12 and max(ahead) <= 2

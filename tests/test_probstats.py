@@ -300,3 +300,42 @@ class TestPercentileThreshold:
         v = np.asarray(values)
         thr = ps.percentile_threshold(v, q)
         assert (v <= thr).sum() >= math.ceil(q * v.size)
+
+    @staticmethod
+    def stable_sort_oracle(v, q):
+        return float(np.sort(np.asarray(v, dtype=np.float64), kind="stable")[math.ceil(q * len(v)) - 1])
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_stable_sort_on_random_vectors(self, seed):
+        # few distinct values, so the rank often falls inside a run of ties
+        rng = np.random.default_rng(seed)
+        v = rng.integers(-3, 4, size=int(rng.integers(1, 300))) * rng.choice([0.5, 1.0], 1)
+        v = np.where(rng.random(v.size) < 0.5, v, rng.standard_normal(v.size))
+        for q in (0.01, 0.15, 0.5, 0.85, 0.99, float(rng.uniform(0.01, 0.99))):
+            got = ps.percentile_threshold(v, q)
+            assert np.float64(got).tobytes() == np.float64(self.stable_sort_oracle(v, q)).tobytes()
+
+    @given(
+        st.lists(st.sampled_from([-0.0, 0.0, -1.0, 1.0]), min_size=1, max_size=60),
+        st.floats(0.01, 0.99),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_signed_zero_ties_match_stable_sort(self, values, q):
+        # -0.0 == 0.0, so the stable sort keeps tied zeros in input order and
+        # the sign of a zero threshold follows that order
+        got = ps.percentile_threshold(values, q)
+        assert math.copysign(1.0, got) == math.copysign(1.0, self.stable_sort_oracle(values, q))
+        assert got == self.stable_sort_oracle(values, q)
+
+    @pytest.mark.parametrize(
+        "values,q,sign",
+        [
+            ([0.0, -0.0, 1.0, 2.0], 0.25, 1.0),
+            ([-0.0, 0.0, 1.0, 2.0], 0.25, -1.0),
+            ([-0.0, 0.0, 1.0, 2.0], 0.5, 1.0),
+            ([2.0, -1.0, 0.0, -0.0], 0.5, 1.0),
+            ([2.0, -1.0, 0.0, -0.0], 0.75, -1.0),
+        ],
+    )
+    def test_signed_zero_at_rank(self, values, q, sign):
+        assert math.copysign(1.0, ps.percentile_threshold(values, q)) == sign
