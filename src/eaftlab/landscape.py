@@ -508,8 +508,7 @@ def fidelity_from_blocks(blocks, k_grid) -> list[dict]:
         raise InvalidArgumentError("k grid must be ascending")
     scores: list[list[np.ndarray]] = []
     pending = deque()
-    pool = ThreadPoolExecutor(_SCORE_WORKERS)
-    try:
+    with ThreadPoolExecutor(_SCORE_WORKERS) as pool:  # joins the helper on every exit
         it = iter(blocks)
         while True:
             try:
@@ -525,8 +524,6 @@ def fidelity_from_blocks(blocks, k_grid) -> list[dict]:
             if len(pending) > _SCORE_WORKERS:
                 scores.append(pending.popleft().result())
         scores.extend(future.result() for future in pending)
-    finally:
-        pool.shutdown(cancel_futures=True)  # joins the helper on every exit
     if sum(len(score[0]) for score in scores) < 2:
         raise InvalidArgumentError("need a (N, V) probability matrix with N >= 2")
     exact = np.concatenate([score[0] for score in scores])
