@@ -37,10 +37,6 @@ def main():
     stats = ls.quadrant_stats(records, q=0.15)
     print("fine-tune corpus quadrants (q=0.15):", stats["counts"])
 
-    dyn_fields = (
-        "step", "high_entropy_ce", "high_entropy_count",
-        "low_entropy_ce", "low_entropy_count",
-    )
     for name in ("ce", "eaft"):
         spec, pw = fb.resolve_objective(name, snapshot, data, protocol)
         result = toylm.train(
@@ -54,7 +50,7 @@ def main():
         )
         ls.export_records(result.captures, out / f"{name}.jsonl")
         rows = ls.dynamics_track(result.captures)
-        ls.export_rows(rows, dyn_fields, out / f"dynamics_{name}.csv")
+        ls.export_rows(rows, ls.DYNAMICS_FIELDS, out / f"dynamics_{name}.csv")
         first, last = rows[0], rows[-1]
         print(
             f"  {name:4s}: low-entropy CE {first['low_entropy_ce']:.2f} -> {last['low_entropy_ce']:.2f}"

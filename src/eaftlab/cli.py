@@ -27,18 +27,6 @@ from . import forgebench, landscape, objectives, probstats, toylm
 from .errors import ConfigError, EaftLabError, InvalidArgumentError, TrainingDivergedError, is_int
 from .fileio import atomic_write
 
-TRAINLOG_FIELDS = (
-    "step",
-    "mean_loss",
-    "mean_gate",
-    "high_entropy_ce",
-    "high_entropy_count",
-    "low_entropy_ce",
-    "low_entropy_count",
-    "grad_norm",
-)
-
-
 def _require_keys(doc: dict, allowed, where: str) -> None:
     if not isinstance(doc, dict):
         raise ConfigError(f"{where} must be a JSON object, got {doc!r}")
@@ -159,24 +147,6 @@ def _corpus_from_doc(doc: dict, context_len: int, where: str):
     }[part]
 
 
-def _write_trainlog(path, log) -> None:
-    rows = []
-    for entry in log:
-        rows.append(
-            {
-                "step": entry.step,
-                "mean_loss": entry.mean_loss,
-                "mean_gate": entry.mean_gate,
-                "high_entropy_ce": entry.high_entropy_ce,
-                "high_entropy_count": entry.high_entropy_count,
-                "low_entropy_ce": entry.low_entropy_ce,
-                "low_entropy_count": entry.low_entropy_count,
-                "grad_norm": entry.grad_norm,
-            }
-        )
-    landscape.export_rows(rows, TRAINLOG_FIELDS, path)
-
-
 def cmd_train(config_path, out_dir) -> int:
     doc = _load_json(config_path)
     _require_keys(
@@ -230,7 +200,8 @@ def cmd_train(config_path, out_dir) -> int:
     out.mkdir(parents=True, exist_ok=True)
     result = toylm.train(run)
     toylm.save_checkpoint(out / "checkpoint.ckpt", model_cfg, result.params)
-    _write_trainlog(out / "trainlog.csv", result.log)
+    fields = [f.name for f in dataclasses.fields(toylm.TrainLogEntry)]
+    landscape.export_rows(map(vars, result.log), fields, out / "trainlog.csv")
     landscape.export_records(result.captures, out / "records.jsonl")
     return 0
 
@@ -364,7 +335,7 @@ def cmd_topk_study(args) -> int:
 
 
 def cmd_dynamics(args) -> int:
-    if args.lo >= args.hi:
+    if not args.lo < args.hi:
         raise ConfigError("--lo must be strictly below --hi")
     records_dir = Path(args.records_dir)
     if not records_dir.is_dir():
@@ -372,22 +343,14 @@ def cmd_dynamics(args) -> int:
     files = sorted(records_dir.glob("*.jsonl"))
     if not files:
         raise ConfigError(f"no captured record files (*.jsonl) in {records_dir}")
-    cfg = landscape.DynamicsConfig(high_entropy_min=args.hi, low_entropy_max=args.lo)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    fields = (
-        "step",
-        "high_entropy_ce",
-        "high_entropy_count",
-        "low_entropy_ce",
-        "low_entropy_count",
-    )
     for path in files:
         records = landscape.ingest_records(path)
         if not records:
             raise ConfigError(f"no records in {path}")
-        rows = landscape.dynamics_track(records, cfg)
-        landscape.export_rows(rows, fields, out / f"dynamics_{path.stem}.csv")
+        rows = landscape.dynamics_track(records, args.hi, args.lo)
+        landscape.export_rows(rows, landscape.DYNAMICS_FIELDS, out / f"dynamics_{path.stem}.csv")
     return 0
 
 
@@ -428,8 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dynamics", help="subgroup dynamics tables from captures")
     p.add_argument("records_dir", help="directory of captured records (*.jsonl)")
     p.add_argument("out_dir", help="output directory")
-    p.add_argument("--hi", type=float, default=2.0, help="high-entropy group minimum (nats)")
-    p.add_argument("--lo", type=float, default=0.5, help="low-entropy group maximum (nats)")
+    p.add_argument("--hi", type=float, default=probstats.HIGH_ENTROPY_MIN, help="high-entropy group minimum (nats)")
+    p.add_argument("--lo", type=float, default=probstats.LOW_ENTROPY_MAX, help="low-entropy group maximum (nats)")
 
     return parser
 

@@ -144,16 +144,6 @@ def _full_column(records: RecordTable, field: str) -> np.ndarray:
     return records.columns[field]
 
 
-@dataclass(frozen=True)
-class DynamicsConfig:
-    high_entropy_min: float = 2.0
-    low_entropy_max: float = 0.5
-
-    def __post_init__(self):
-        if not self.low_entropy_max < self.high_entropy_min:
-            raise InvalidArgumentError("low_entropy_max must be < high_entropy_min")
-
-
 @dataclass
 class Histogram2D:
     x_edges: np.ndarray
@@ -431,13 +421,23 @@ def quadrant_token_ranking(records: RecordTable, labels, quadrant: str, top_n: i
     ]
 
 
-def dynamics_track(records: RecordTable, cfg: DynamicsConfig = DynamicsConfig()) -> list[dict]:
-    """Per-step mean cross-entropy of the high/low-entropy token subgroups.
+# the columns of a dynamics table, one row per captured step
+DYNAMICS_FIELDS = ("step", "high_entropy_ce", "high_entropy_count", "low_entropy_ce", "low_entropy_count")
+
+
+def dynamics_track(
+    records: RecordTable,
+    high_min: float = probstats.HIGH_ENTROPY_MIN,
+    low_max: float = probstats.LOW_ENTROPY_MAX,
+) -> list[dict]:
+    """Per-step ``probstats.subgroup_ce`` of the records, keyed by ``DYNAMICS_FIELDS``.
 
     Grouping uses each record's ``entropy_full`` as captured, i.e. the
     entropy of the then-current model; CE is -ln p_target. Steps ascend.
     An empty subgroup reports size 0 and an absent mean.
     """
+    if not low_max < high_min:
+        raise InvalidArgumentError(f"low_max {low_max!r} must be below high_min {high_min!r}")
     steps, entropy = _full_column(records, "step"), _full_column(records, "entropy_full")
     # math.log, not np.log, whose last bit may differ
     p = np.maximum(records.columns["p_target"], 1e-300).tolist()
@@ -445,18 +445,7 @@ def dynamics_track(records: RecordTable, cfg: DynamicsConfig = DynamicsConfig())
     rows = []
     for step in np.unique(steps).tolist():
         group = steps == step  # the step's records, in record order
-        group_ce, group_entropy = ce[group], entropy[group]
-        hi = group_entropy >= cfg.high_entropy_min
-        lo = group_entropy <= cfg.low_entropy_max
-        rows.append(
-            {
-                "step": step,
-                "high_entropy_ce": float(group_ce[hi].mean()) if hi.any() else None,
-                "high_entropy_count": int(hi.sum()),
-                "low_entropy_ce": float(group_ce[lo].mean()) if lo.any() else None,
-                "low_entropy_count": int(lo.sum()),
-            }
-        )
+        rows.append({"step": step, **probstats.subgroup_ce(ce[group], entropy[group], high_min, low_max)})
     return rows
 
 

@@ -152,3 +152,24 @@ def gate_rows(probs: np.ndarray, k: int, norm: str = NORM_EXACT) -> np.ndarray:
     h = topk_entropy_rows(probs, k)
     denom = 3.0 if norm == NORM_PAPER else (np.log(k) if k > 1 else np.inf)
     return np.clip(h / denom, 0.0, 1.0)
+
+
+# The token subgroups of the train log and of ``landscape.dynamics_track``:
+# full entropy at least HIGH_ENTROPY_MIN nats, and at most LOW_ENTROPY_MAX.
+HIGH_ENTROPY_MIN = 2.0
+LOW_ENTROPY_MAX = 0.5
+
+
+def subgroup_ce(ce: np.ndarray, entropy: np.ndarray, high_min: float, low_max: float) -> dict:
+    """Mean cross-entropy and size of the high-entropy (``entropy >= high_min``)
+    and the low-entropy (``entropy <= low_max``) tokens; an empty group's mean
+    is None."""
+    hi = entropy >= high_min
+    lo = entropy <= low_max
+    n_hi, n_lo = int(np.count_nonzero(hi)), int(np.count_nonzero(lo))
+    return {
+        "high_entropy_ce": float(ce[hi].mean()) if n_hi else None,
+        "high_entropy_count": n_hi,
+        "low_entropy_ce": float(ce[lo].mean()) if n_lo else None,
+        "low_entropy_count": n_lo,
+    }

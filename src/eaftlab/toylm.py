@@ -404,8 +404,6 @@ class TrainRun:
     capture_every: int = 0          # 0 disables token-record capture
     seed: int = 0
     probe_size: int = 512
-    high_entropy_min: float = 2.0   # subgroup CE thresholds for the train log
-    low_entropy_max: float = 0.5
     init: ToyModelParams | None = None
     ref_params: ToyModelParams | None = None
     position_weights: np.ndarray | None = None
@@ -482,18 +480,13 @@ def _log_entry(run: TrainRun, step: int, terms: obj.TokenTerms, grads: Gradients
     mean_loss = float(terms.losses.mean())
     if not run.log_stats:
         return TrainLogEntry(step=step, mean_loss=mean_loss)
-    ce = terms.ce
-    hi = terms.entropy_full >= run.high_entropy_min
-    lo = terms.entropy_full <= run.low_entropy_max
-    n_hi, n_lo = int(np.count_nonzero(hi)), int(np.count_nonzero(lo))
     return TrainLogEntry(
         step=step,
         mean_loss=mean_loss,
         mean_gate=float(terms.weights.mean()),
-        high_entropy_ce=float(ce[hi].mean()) if n_hi else None,
-        high_entropy_count=n_hi,
-        low_entropy_ce=float(ce[lo].mean()) if n_lo else None,
-        low_entropy_count=n_lo,
+        **probstats.subgroup_ce(
+            terms.ce, terms.entropy_full, probstats.HIGH_ENTROPY_MIN, probstats.LOW_ENTROPY_MAX
+        ),
         grad_norm=grads.norm(),
     )
 

@@ -1,6 +1,7 @@
 """Landscape diagnostics: records I/O, histograms, quadrants, dynamics,
 and the top-K fidelity study."""
 
+import inspect
 import json
 import math
 import os
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eaftlab import cli
 from eaftlab import landscape as ls
 from eaftlab import objectives as obj
 from eaftlab import probstats
@@ -479,7 +481,7 @@ def loop_ranking(records, labels, quadrant, top_n):
     ]
 
 
-def loop_dynamics(records, cfg=ls.DynamicsConfig()):
+def loop_dynamics(records, high_min=2.0, low_max=0.5):
     """The per-record loop the array dynamics replaced: the reference."""
     by_step = {}
     for rec in record_dicts(records):
@@ -489,8 +491,8 @@ def loop_dynamics(records, cfg=ls.DynamicsConfig()):
         group = by_step[step]
         ce = np.array([-math.log(max(r["p_target"], 1e-300)) for r in group])
         ent = np.array([r["entropy_full"] for r in group])
-        hi = ent >= cfg.high_entropy_min
-        lo = ent <= cfg.low_entropy_max
+        hi = ent >= high_min
+        lo = ent <= low_max
         rows.append({
             "step": step,
             "high_entropy_ce": float(ce[hi].mean()) if hi.any() else None,
@@ -583,16 +585,19 @@ class TestDynamics:
         # each step's subgroup means over that step's records in record order,
         # bit for bit, with steps interleaved as captures never are
         recs = tied_records(seed)
-        cfg = ls.DynamicsConfig(high_entropy_min=1.0, low_entropy_max=0.5)
-        assert ls.dynamics_track(recs, cfg) == loop_dynamics(recs, cfg)
+        assert ls.dynamics_track(recs, 1.0, 0.5) == loop_dynamics(recs, 1.0, 0.5)
         assert ls.dynamics_track(recs) == loop_dynamics(recs)
 
     def test_default_thresholds(self):
-        cfg = ls.DynamicsConfig()
-        assert cfg.high_entropy_min == 2.0
-        assert cfg.low_entropy_max == 0.5
-        with pytest.raises(InvalidArgumentError):
-            ls.DynamicsConfig(high_entropy_min=0.5, low_entropy_max=0.5)
+        # the train log, dynamics_track and the dynamics command share them
+        defaults = inspect.signature(ls.dynamics_track).parameters
+        assert (defaults["high_min"].default, defaults["low_max"].default) == (2.0, 0.5)
+        args = cli.build_parser().parse_args(["dynamics", "in", "out"])
+        assert (args.hi, args.lo) == (2.0, 0.5)
+        recs = tied_records(0)
+        for high_min, low_max in ((0.5, 0.5), (0.5, 1.0), (float("nan"), 0.5)):
+            with pytest.raises(InvalidArgumentError):
+                ls.dynamics_track(recs, high_min, low_max)
 
 
 class TestFidelity:

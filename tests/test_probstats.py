@@ -339,3 +339,34 @@ class TestPercentileThreshold:
     )
     def test_signed_zero_at_rank(self, values, q, sign):
         assert math.copysign(1.0, ps.percentile_threshold(values, q)) == sign
+
+
+class TestSubgroupCE:
+    def test_bounds_are_inclusive(self):
+        ce = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+        entropy = np.array([2.0, 2.5, 0.5, 0.1, 1.0])
+        assert ps.subgroup_ce(ce, entropy, 2.0, 0.5) == {
+            "high_entropy_ce": 1.5,
+            "high_entropy_count": 2,
+            "low_entropy_ce": 3.5,
+            "low_entropy_count": 2,
+        }
+
+    def test_empty_groups_have_no_mean(self):
+        got = ps.subgroup_ce(np.array([1.0]), np.array([1.0]), 2.0, 0.5)
+        assert got == {
+            "high_entropy_ce": None,
+            "high_entropy_count": 0,
+            "low_entropy_ce": None,
+            "low_entropy_count": 0,
+        }
+        assert ps.subgroup_ce(np.zeros(0), np.zeros(0), 2.0, 0.5)["high_entropy_count"] == 0
+
+    def test_means_are_numpy_means(self):
+        # the bits of a masked numpy mean, whichever caller's CE array it is
+        rng = np.random.default_rng(4)
+        ce, entropy = rng.exponential(size=300), rng.uniform(0, 3, size=300)
+        got = ps.subgroup_ce(ce, entropy, ps.HIGH_ENTROPY_MIN, ps.LOW_ENTROPY_MAX)
+        assert got["high_entropy_ce"] == float(ce[entropy >= 2.0].mean())
+        assert got["low_entropy_ce"] == float(ce[entropy <= 0.5].mean())
+        assert type(got["high_entropy_count"]) is int
