@@ -7,8 +7,9 @@ seed, each for the ``run_seconds`` that BENCHMARK.json sets. Each run's last
 stdout line is its JSON result. BENCH_<n>.json at the repository root holds
 the machine fingerprint, ``git rev-parse HEAD``, the median and quartiles of
 each end-to-end metric per workload, the traced run's per-layer metrics,
-every run's output digests, and one run of the tier-1 test command (``TIER1``,
-after the benchmark runs): its wall seconds, exit code and outcome counts.
+every run's output digests, one run of the tier-1 test command (``TIER1``,
+after the benchmark runs): its wall seconds, exit code and outcome counts,
+and the line count of each tracked file under ``LOC_DIRS`` with their totals.
 
 ``trace.overhead_pct`` is left out: on diagnostics_cli it divides the medians
 of one or two iterations each and reads from -18% to +18% on unchanged code.
@@ -33,6 +34,8 @@ LEFT_OUT = ("trace.overhead_pct",)
 # on PYTHONPATH and its own interpreter
 TIER1 = "python -m pytest -q --continue-on-collection-errors"
 OUTCOMES = ("passed", "failed", "errors", "skipped", "xfailed", "xpassed")
+# the directories whose size ROADMAP aim 2 tracks
+LOC_DIRS = ("src/eaftlab", "scripts")
 
 
 def run(workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -72,6 +75,15 @@ def tier1() -> dict:
         "summary": summary,
         **{outcome: counts.get(outcome, 0) for outcome in OUTCOMES},
     }
+
+
+def line_counts(git: list) -> dict:
+    """Lines of each file that git tracks under ``LOC_DIRS``, and the total
+    of each directory and of all of them."""
+    listed = subprocess.run(git + ["ls-files", *LOC_DIRS], capture_output=True, text=True, check=True)
+    files = {name: len((ROOT / name).read_bytes().splitlines()) for name in listed.stdout.split()}
+    totals = {d: sum(n for name, n in files.items() if name.startswith(d + "/")) for d in LOC_DIRS}
+    return {"files": files, "totals": {**totals, "all": sum(files.values())}}
 
 
 def spread(values: list) -> dict:
@@ -128,6 +140,7 @@ def main() -> int:
             ],
         }
     doc["tier1"] = tier1()
+    doc["lines"] = line_counts(git)
     path = ROOT / f"BENCH_{args.n}.json"
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     print(f"wrote {path}", file=sys.stderr)

@@ -175,6 +175,8 @@ def cmd_train(config_path, out_dir) -> int:
     _require_keys(
         tr, ("steps", "batch_size", "capture_every", "seed", "probe_size"), "train"
     )
+    if spec.kl_coefficient > 0 and "init_checkpoint" not in doc:
+        raise ConfigError("objective: a KL objective needs init_checkpoint, its reference model")
     init = None
     if "init_checkpoint" in doc:
         init_cfg, init = _read_checkpoint(doc["init_checkpoint"], "init_checkpoint")
@@ -207,6 +209,8 @@ def cmd_train(config_path, out_dir) -> int:
 
 
 def cmd_bench(protocol_path, out_dir, parallel: int = 1) -> int:
+    if parallel < 1:
+        raise ConfigError(f"--parallel must be >= 1, got {parallel}")
     doc = _load_json(protocol_path)
     _require_keys(
         doc,
@@ -216,6 +220,8 @@ def cmd_bench(protocol_path, out_dir, parallel: int = 1) -> int:
     domain = _build_dataclass(forgebench.DomainSpec, doc.get("domain", {}), "domain")
     conflict = _build_dataclass(forgebench.ConflictSpec, doc.get("conflict", {}), "conflict")
     sizes = _build_dataclass(forgebench.GenerationSizes, doc.get("sizes", {}), "sizes")
+    if conflict.novelty_rate == 0:
+        raise ConfigError("conflict.novelty_rate must be > 0: acquisition is measured on the domain-B tokens")
     proto_doc = dict(doc.get("protocol", {}))
     if "pretrain_stages" in proto_doc:
         proto_doc["pretrain_stages"] = _pretrain_stages(proto_doc["pretrain_stages"])
@@ -234,9 +240,7 @@ def cmd_bench(protocol_path, out_dir, parallel: int = 1) -> int:
     )
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    cells = forgebench.run_grid(
-        names, seeds, domain, conflict, sizes, protocol, parallel=max(1, int(parallel))
-    )
+    cells = forgebench.run_grid(names, seeds, domain, conflict, sizes, protocol, parallel=parallel)
     for cell in cells:
         with atomic_write(out / f"cell_{cell.objective}_{cell.seed}.json") as fh:
             json.dump(dataclasses.asdict(cell), fh, sort_keys=True, indent=2)
@@ -259,6 +263,14 @@ def cmd_bench(protocol_path, out_dir, parallel: int = 1) -> int:
 
 
 def cmd_analyze(args) -> int:
+    if args.bins < 1:
+        raise ConfigError(f"--bins must be >= 1, got {args.bins}")
+    if not 0 < args.q < 1:
+        raise ConfigError(f"--q must be in (0, 1), got {args.q}")
+    if args.top < 0:
+        raise ConfigError(f"--top must be >= 0, got {args.top}")
+    if args.k < 1:
+        raise ConfigError(f"--k must be >= 1, got {args.k}")
     has_model = args.checkpoint is not None or args.corpus is not None
     if bool(args.records) == bool(has_model):
         raise ConfigError("provide either --records or both --checkpoint and --corpus")

@@ -70,3 +70,18 @@ def check_ints(obj, minimum: int, *names: str) -> None:
         value = getattr(obj, name)
         if not is_int(value) or value < minimum:
             raise InvalidArgumentError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def check_reals(obj, interval: str, *names: str) -> None:
+    """Reject a field of ``obj`` that is not a real number in ``interval``,
+    written like "[0, 1]" or "(0, inf)" (a parenthesis is an open end); the
+    message starts with the field name."""
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    for name in names:
+        value = getattr(obj, name)
+        if not (
+            is_real(value)
+            and (lo <= value if interval[0] == "[" else lo < value)
+            and (value <= hi if interval[-1] == "]" else value < hi)
+        ):
+            raise InvalidArgumentError(f"{name} must be a number in {interval}, got {value!r}")

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import objectives as obj
 from . import probstats, toylm
-from .errors import InvalidArgumentError, check_ints, is_real
+from .errors import InvalidArgumentError, check_ints, check_reals
 
 TOKEN_KINDS = ("conflict", "novel", "unchanged")
 
@@ -51,22 +51,19 @@ class DomainSpec:
     flat_concentration: float = 50.0
 
     def __post_init__(self):
-        if self.markov_order < 1:
-            raise InvalidArgumentError("markov_order must be >= 1")
-        if not 0.0 <= self.peaked_fraction <= 1.0:
-            raise InvalidArgumentError("peaked_fraction outside [0, 1]")
-        m = self.resolved_active()
-        if not (1.0 / m) < self.peak_mass <= 1.0:
-            raise InvalidArgumentError(
-                f"peak_mass {self.peak_mass} outside (1/{m}, 1]"
-            )
-        if self.vocab_size < 4:
-            raise InvalidArgumentError("vocab_size must be >= 4")
+        check_ints(self, 1, "markov_order")
+        check_ints(self, 4, "vocab_size")
+        check_ints(self, 0, "seed")
+        if self.active_tokens is not None:
+            check_ints(self, 2, "active_tokens")
+            if self.active_tokens > self.vocab_size:
+                raise InvalidArgumentError(f"active_tokens {self.active_tokens} exceeds vocab_size {self.vocab_size}")
+        check_reals(self, "[0, 1]", "peaked_fraction")
+        check_reals(self, f"({1 / self.resolved_active()}, 1]", "peak_mass")
+        check_reals(self, "(0, inf)", "tail_concentration", "flat_concentration")
 
     def resolved_active(self) -> int:
         if self.active_tokens is not None:
-            if not 2 <= self.active_tokens <= self.vocab_size:
-                raise InvalidArgumentError("active_tokens outside [2, vocab_size]")
             return self.active_tokens
         return min(20, self.vocab_size // 2)
 
@@ -85,9 +82,8 @@ class ConflictSpec:
     novel_peak_mass: float = 0.95
 
     def __post_init__(self):
-        for name in ("conflict_rate", "novelty_rate"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise InvalidArgumentError(f"{name} outside [0, 1]")
+        check_reals(self, "[0, 1]", "conflict_rate", "novelty_rate")
+        check_reals(self, "(0, 1]", "novel_peak_mass")
         if self.conflict_rate + self.novelty_rate > 1.0:
             raise InvalidArgumentError("conflict_rate + novelty_rate must be <= 1")
 
@@ -101,13 +97,9 @@ class GenerationSizes:
     finetune_cap: int = 2  # max kept positions per context (corpus dedup)
 
     def __post_init__(self):
-        for name in ("pretrain_sequences", "finetune_walks", "eval_sequences"):
-            if getattr(self, name) < 100:
-                raise InvalidArgumentError(f"{name} must be >= 100 sequences")
-        if self.sequence_len < 8:
-            raise InvalidArgumentError("sequence_len must be >= 8")
-        if self.finetune_cap < 1:
-            raise InvalidArgumentError("finetune_cap must be >= 1")
+        check_ints(self, 100, "pretrain_sequences", "finetune_walks", "eval_sequences")
+        check_ints(self, 8, "sequence_len")
+        check_ints(self, 1, "finetune_cap")
 
 
 @dataclass
@@ -191,10 +183,7 @@ class BenchProtocol:
         toylm.check_optimizer(
             self.finetune_optimizer, self.finetune_lr, "finetune_optimizer", "finetune_lr"
         )
-        for name in ("pilot_quantile", "mask_quantile"):
-            q = getattr(self, name)
-            if not (is_real(q) and 0 < q < 1):
-                raise InvalidArgumentError(f"{name} must be a number in (0, 1), got {q!r}")
+        check_reals(self, "(0, 1)", "pilot_quantile", "mask_quantile")
 
 
 DEFAULT_OBJECTIVE_GRID = list(obj.OBJECTIVE_NAMES)
@@ -497,6 +486,8 @@ def pretrain_snapshot(
         sizes,
         protocol.context_len,
     )
+    if len(data.eval_b) == 0:  # checked before the pretraining it would waste
+        raise InvalidArgumentError("conflict.novelty_rate: no domain-B token in the eval split to measure acquisition on")
     config = toylm.ModelConfig(
         vocab_size=domain.vocab_size,
         context_len=protocol.context_len,

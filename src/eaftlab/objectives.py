@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import probstats
-from .errors import InvalidArgumentError, check_ints, is_real
+from .errors import InvalidArgumentError, check_ints, check_reals, is_real
 from .probstats import NORM_EXACT
 
 GATE_KINDS = (
@@ -65,9 +65,7 @@ class GateSpec:
             raise InvalidArgumentError("power gate needs p_exponent > 0")
         if not np.isfinite(self.alpha):
             raise InvalidArgumentError("sigmoid alpha must be finite")
-        for name, tau in (("tau_entropy", self.tau_entropy), ("tau_prob", self.tau_prob)):
-            if not 0.0 <= tau <= 1.0:
-                raise InvalidArgumentError(f"{name} must be a number in [0, 1], got {tau!r}")
+        check_reals(self, "[0, 1]", "tau_entropy", "tau_prob")
 
 
 @dataclass(frozen=True)
@@ -238,7 +236,7 @@ def named_objective(
 ) -> ObjectiveSpec:
     """Build the spec for one of the standard objective names. A rejected
     argument's message starts with its name."""
-    if name not in _GATE_BY_NAME:
+    if name not in OBJECTIVE_NAMES:
         raise InvalidArgumentError(f"name must be one of {list(OBJECTIVE_NAMES)}, got {name!r}")
     gate = _GATE_BY_NAME[name]
     for field, tau in (("tau_entropy", tau_entropy), ("tau_prob", tau_prob)):

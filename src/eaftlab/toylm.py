@@ -95,11 +95,15 @@ class Corpus:
 
     @classmethod
     def from_sequences(cls, sequences, context_len: int) -> "Corpus":
-        """Every window of ``context_len`` tokens and the token after it; a
-        token that is not an int64 integer is rejected, naming ``sequences[n][j]``."""
+        """Every window of ``context_len`` tokens and the token after it, from a
+        list of token lists; a token that is not an int64 integer is rejected,
+        naming ``sequences[n][j]``."""
+        if not isinstance(sequences, list):
+            raise InvalidArgumentError(f"sequences must be a list of token lists, got {sequences!r}")
         ctxs, tgts = [], []
-        for n, seq in enumerate(sequences):
-            s = list(seq)
+        for n, s in enumerate(sequences):
+            if not isinstance(s, list):
+                raise InvalidArgumentError(f"sequences[{n}] must be a list of token ids, got {s!r}")
             for j, token in enumerate(s):
                 if not (is_int(token) and -(2**63) <= token < 2**63):
                     raise InvalidArgumentError(f"sequences[{n}][{j}] must be an integer token id, got {token!r}")

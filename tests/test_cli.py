@@ -223,6 +223,13 @@ class TestTrain:
         assert cli.main(["train", str(cfg), str(tmp_path / "out")]) == 1
         assert "flow" in capsys.readouterr().err
 
+    def test_kl_objective_needs_init_checkpoint(self, tmp_path, capsys):
+        # the reference model of the KL term is the warm-start checkpoint
+        cfg = train_config(tmp_path, objective={"name": "sft_kl"})
+        assert cli.main(["train", str(cfg), str(tmp_path / "out")]) == 1
+        assert "init_checkpoint" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestBench:
     def test_grid_outputs_and_parallel_merge(self, tmp_path):
@@ -294,7 +301,81 @@ class TestBench:
         assert not (tmp_path / "out").exists()
 
 
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [
+            ("domain", "markov_order", 2.5),
+            ("domain", "markov_order", 0),
+            ("domain", "vocab_size", "64"),
+            ("domain", "vocab_size", 3),
+            ("domain", "peaked_fraction", "0.6"),
+            ("domain", "peaked_fraction", 1.5),
+            ("domain", "peak_mass", None),
+            ("domain", "peak_mass", 0.01),
+            ("domain", "seed", -1),
+            ("domain", "seed", 1.0),
+            ("domain", "active_tokens", 2.5),
+            ("domain", "active_tokens", 65),
+            ("domain", "tail_concentration", 0),
+            ("domain", "tail_concentration", "2"),
+            ("domain", "flat_concentration", -1.0),
+            ("domain", "flat_concentration", float("inf")),
+            ("conflict", "conflict_rate", "0.3"),
+            ("conflict", "conflict_rate", -0.1),
+            ("conflict", "novelty_rate", True),
+            ("conflict", "novel_peak_mass", 2.0),
+            ("conflict", "novel_peak_mass", 0.0),
+            ("sizes", "pretrain_sequences", 99),
+            ("sizes", "finetune_walks", 150.0),
+            ("sizes", "eval_sequences", [100]),
+            ("sizes", "sequence_len", 8.5),
+            ("sizes", "finetune_cap", 1.5),
+            ("sizes", "finetune_cap", 0),
+        ],
+    )
+    def test_bad_domain_rejected(self, tmp_path, capsys, section, key, value):
+        # a generated-domain field is named before any output exists
+        doc = json.loads(bench_protocol(tmp_path).read_text())
+        doc[section][key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["bench", str(path), str(tmp_path / "out")]) == 1
+        assert f"{section}.{key}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "section,change", [("conflict", {"novelty_rate": 0}), ("domain", {"peaked_fraction": 1.0})]
+    )
+    def test_no_domain_b_eval_rejected(self, tmp_path, capsys, section, change):
+        # without domain-B contexts acquisition has no eval set; no cell is written
+        doc = json.loads(bench_protocol(tmp_path).read_text())
+        doc[section].update(change)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["bench", str(path), str(tmp_path / "out")]) == 1
+        assert "conflict.novelty_rate" in capsys.readouterr().err
+        assert not list(tmp_path.glob("out/*"))
+
+    @pytest.mark.parametrize("parallel", ["0", "-1"])
+    def test_parallel_below_one_rejected(self, tmp_path, capsys, parallel):
+        argv = ["bench", str(bench_protocol(tmp_path)), str(tmp_path / "out"), "--parallel", parallel]
+        assert cli.main(argv) == 1
+        assert "--parallel" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 class TestAnalyze:
+    @pytest.mark.parametrize(
+        "option,value",
+        [("--bins", "0"), ("--q", "0"), ("--q", "1.5"), ("--q", "nan"), ("--top", "-1"), ("--k", "0")],
+    )
+    def test_bad_option_rejected_before_output(self, tmp_path, capsys, option, value):
+        # checked before the records are read or any table is written
+        out = tmp_path / "out"
+        assert cli.main(["analyze", str(out), "--records", str(tmp_path / "none.jsonl"), option, value]) == 1
+        assert option in capsys.readouterr().err
+        assert not out.exists()
+
     def test_records_input_skips_model(self, tmp_path):
         rng = np.random.default_rng(3)
         gates = rng.uniform(0, 1, 200)
