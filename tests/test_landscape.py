@@ -590,6 +590,7 @@ class TestDynamics:
 
     def test_default_thresholds(self):
         # the train log, dynamics_track and the dynamics command share them
+        assert (probstats.HIGH_ENTROPY_MIN, probstats.LOW_ENTROPY_MAX) == (2.0, 0.5)
         defaults = inspect.signature(ls.dynamics_track).parameters
         assert (defaults["high_min"].default, defaults["low_max"].default) == (2.0, 0.5)
         args = cli.build_parser().parse_args(["dynamics", "in", "out"])
