@@ -37,8 +37,9 @@ def main():
     stats = ls.quadrant_stats(records, q=0.15)
     print("fine-tune corpus quadrants (q=0.15):", stats["counts"])
 
+    scores = fb.score_gates(snapshot, data.finetune, protocol.k)
     for name in ("ce", "eaft"):
-        spec, pw = fb.resolve_objective(name, snapshot, data, protocol)
+        spec, pw = fb.resolve_objective(name, scores, protocol)
         result = toylm.train(
             toylm.TrainRun(
                 config=config, corpus=data.finetune, objective=spec,

@@ -49,6 +49,13 @@ def _construct(cls, where: str, **kwargs):
         raise ConfigError(f"bad {where}: {exc}") from exc
 
 
+def _check_version(doc: dict) -> None:
+    """A config's ``version``, when given, must be "1", the only format."""
+    version = doc.get("version", "1")
+    if version != "1":
+        raise ConfigError(f'version must be "1", got {version!r}')
+
+
 def _build_dataclass(cls, doc: dict, where: str):
     _require_keys(doc, [f.name for f in dataclasses.fields(cls)], where)
     return _construct(cls, where, **doc)
@@ -121,8 +128,10 @@ def _objective_from_doc(doc: dict, where: str) -> objectives.ObjectiveSpec:
     return _construct(objectives.named_objective, where, **doc)
 
 
-def _corpus_from_doc(doc: dict, context_len: int, where: str):
-    """Either explicit sequences or a generated benchmark corpus part."""
+def _corpus_from_doc(doc: dict, context_len: int, where: str, context_where: str):
+    """Either explicit sequences or a generated benchmark corpus part; a
+    ``context_len`` that the part's walks cannot hold is named as
+    ``<context_where>.context_len``."""
     _require_keys(doc, ("sequences", "bench"), where)
     if ("sequences" in doc) == ("bench" in doc):
         raise ConfigError(f"{where} needs exactly one of 'sequences' or 'bench'")
@@ -138,6 +147,9 @@ def _corpus_from_doc(doc: dict, context_len: int, where: str):
     part = bench.get("part", "finetune")
     if part not in ("pretrain", "finetune", "eval_a", "eval_b"):
         raise ConfigError(f"unknown corpus part {part!r}")
+    _construct(
+        forgebench.check_context_len, context_where, domain=domain, sizes=sizes, context_len=context_len
+    )
     data = forgebench.generate_domains(domain, conflict, sizes, context_len)
     return {
         "pretrain": data.pretrain,
@@ -154,8 +166,9 @@ def cmd_train(config_path, out_dir) -> int:
         ("version", "model", "corpus", "objective", "optimizer", "train", "init_checkpoint"),
         "config",
     )
+    _check_version(doc)
     model_cfg = _build_dataclass(toylm.ModelConfig, doc.get("model", {}), "model")
-    corpus = _corpus_from_doc(doc.get("corpus", {}), model_cfg.context_len, "corpus")
+    corpus = _corpus_from_doc(doc.get("corpus", {}), model_cfg.context_len, "corpus", "model")
     spec = _objective_from_doc(doc.get("objective", {"name": "ce"}), "objective")
     # the gate evaluates k clamped to V; the spec alone cannot check the norm
     k = min(spec.k, model_cfg.vocab_size)
@@ -217,6 +230,7 @@ def cmd_bench(protocol_path, out_dir, parallel: int = 1) -> int:
         ("version", "domain", "conflict", "sizes", "protocol", "objectives", "seeds"),
         "protocol",
     )
+    _check_version(doc)
     domain = _build_dataclass(forgebench.DomainSpec, doc.get("domain", {}), "domain")
     conflict = _build_dataclass(forgebench.ConflictSpec, doc.get("conflict", {}), "conflict")
     sizes = _build_dataclass(forgebench.GenerationSizes, doc.get("sizes", {}), "sizes")
@@ -226,6 +240,9 @@ def cmd_bench(protocol_path, out_dir, parallel: int = 1) -> int:
     if "pretrain_stages" in proto_doc:
         proto_doc["pretrain_stages"] = _pretrain_stages(proto_doc["pretrain_stages"])
     protocol = _build_dataclass(forgebench.BenchProtocol, proto_doc, "protocol")
+    _construct(
+        forgebench.check_context_len, "protocol", domain=domain, sizes=sizes, context_len=protocol.context_len
+    )
     # a repeated objective or seed would overwrite its cell file and be
     # counted twice in the report
     names = _distinct_list(
@@ -283,7 +300,7 @@ def cmd_analyze(args) -> int:
     else:
         cfg, params = _read_checkpoint(args.checkpoint, "--checkpoint")
         corpus_doc = _load_json(args.corpus)
-        corpus = _corpus_from_doc(corpus_doc, cfg.context_len, "corpus")
+        corpus = _corpus_from_doc(corpus_doc, cfg.context_len, "corpus", "--checkpoint")
         records = landscape.score_corpus(params, corpus, k=args.k)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -334,7 +351,7 @@ def cmd_topk_study(args) -> int:
             raise ConfigError("--checkpoint mode needs --corpus")
         cfg, params = _read_checkpoint(args.checkpoint, "--checkpoint")
         corpus_doc = _load_json(args.corpus)
-        corpus = _corpus_from_doc(corpus_doc, cfg.context_len, "corpus")
+        corpus = _corpus_from_doc(corpus_doc, cfg.context_len, "corpus", "--checkpoint")
         rows = landscape.topk_fidelity_study(
             params, corpus, grid or landscape.default_k_grid(cfg.vocab_size)
         )

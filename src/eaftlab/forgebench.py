@@ -279,6 +279,17 @@ def _first_visits(states: np.ndarray, cap: int) -> np.ndarray:
     return rank < cap
 
 
+def check_context_len(domain: DomainSpec, sizes: GenerationSizes, context_len: int) -> None:
+    """Reject a context that cannot hold the chain state (shorter than
+    ``markov_order``) or whose window of ``context_len + 1`` tokens does not
+    fit in a walk of ``sequence_len`` tokens."""
+    if not domain.markov_order <= context_len < sizes.sequence_len:
+        raise InvalidArgumentError(
+            f"context_len {context_len} must lie in [domain.markov_order, sizes.sequence_len)"
+            f" = [{domain.markov_order}, {sizes.sequence_len})"
+        )
+
+
 def generate_domains(
     domain: DomainSpec,
     conflict: ConflictSpec,
@@ -286,8 +297,7 @@ def generate_domains(
     context_len: int = 3,
 ) -> DomainData:
     """Manufacture the pretraining domain and the rewritten fine-tune corpus."""
-    if context_len < domain.markov_order:
-        raise InvalidArgumentError("context_len must be >= markov_order")
+    check_context_len(domain, sizes, context_len)
     rng = np.random.default_rng(domain.seed)
     m = domain.resolved_active()
     order = domain.markov_order
@@ -422,10 +432,12 @@ def generate_domains(
 def score_gates(params: toylm.ToyModelParams, corpus: toylm.Corpus, k: int = 20):
     """Per-position (gate, p_target) under the given model."""
     toylm.check_corpus_ids(corpus, params.embedding.shape[0])
-    logits, _ = toylm.forward_batch(params, corpus.contexts)
-    probs = probstats.softmax_rows(logits)
-    idx = np.arange(len(corpus))
-    return probstats.gate_rows(probs, k), probs[idx, corpus.targets]
+    gates, p_target = np.empty(len(corpus)), np.empty(len(corpus))
+    for rows, logits in toylm.row_blocks(params, corpus.contexts):
+        probs = probstats.softmax_rows(logits)
+        gates[rows] = probstats.gate_rows(probs, k)
+        p_target[rows] = probs[np.arange(len(probs)), corpus.targets[rows]]
+    return gates, p_target
 
 
 def classify_conflicts(
@@ -516,29 +528,23 @@ def pretrain_snapshot(
     return config, data, params
 
 
-def resolve_objective(
-    name: str,
-    snapshot: toylm.ToyModelParams,
-    data: DomainData,
-    protocol: BenchProtocol,
-):
+def resolve_objective(name: str, scores, protocol: BenchProtocol):
     """Concrete objective spec plus any frozen per-position weights.
 
-    The hard-mask threshold is the ``mask_quantile`` percentile of the
-    snapshot gate distribution (the boundary of the confident cluster, so the
-    mask keeps only uncertain tokens for training). The masking pilot freezes
-    its token set once, from snapshot statistics, like any offline data audit:
-    its positions get weight zero and the live gate stays constant-one.
+    ``scores`` is the ``score_gates`` (gate, p_target) of the snapshot on the
+    fine-tune corpus. The hard-mask threshold is the ``mask_quantile``
+    percentile of the snapshot gate distribution (the boundary of the
+    confident cluster, so the mask keeps only uncertain tokens for
+    training). The masking pilot freezes its token set once, from snapshot
+    statistics, like any offline data audit: its positions get weight zero
+    and the live gate stays constant-one.
     """
     position_weights = None
     if name == "hard_mask":
-        gates, _ = score_gates(snapshot, data.finetune, protocol.k)
-        tau = probstats.percentile_threshold(gates, protocol.mask_quantile)
+        tau = probstats.percentile_threshold(scores[0], protocol.mask_quantile)
         spec = obj.named_objective(name, tau_entropy=tau, k=protocol.k)
     elif name == "conflict_mask":
-        labels, _ = classify_conflicts(
-            snapshot, data.finetune, protocol.pilot_quantile, protocol.k
-        )
+        labels, _ = probstats.quadrant_labels(*scores, protocol.pilot_quantile)
         position_weights = (labels != "confident-conflict").astype(np.float64)
         spec = obj.named_objective("ce", k=protocol.k)
     else:
@@ -563,9 +569,10 @@ def run_cell(
     else:
         config, data, snapshot = _pretrained
     base = toylm.evaluate(snapshot, data.eval_a)
-    labels, _ = classify_conflicts(snapshot, data.finetune, protocol.pilot_quantile, protocol.k)
+    scores = score_gates(snapshot, data.finetune, protocol.k)
+    labels, _ = probstats.quadrant_labels(*scores, protocol.pilot_quantile)
     cc_share = float((labels == "confident-conflict").mean())
-    spec, position_weights = resolve_objective(objective_name, snapshot, data, protocol)
+    spec, position_weights = resolve_objective(objective_name, scores, protocol)
     result = toylm.train(
         toylm.TrainRun(
             config=config,

@@ -159,17 +159,20 @@ def score_corpus(
 ) -> RecordTable:
     """One record per corpus position, in corpus (sequence-major) order."""
     toylm.check_corpus_ids(corpus, params.embedding.shape[0])
-    logits, _ = toylm.forward_batch(params, corpus.contexts)
-    probs = probstats.softmax_rows(logits)
-    positions = np.arange(len(corpus))
+    p_target, entropy_full, entropy_topk = (np.empty(len(corpus)) for _ in range(3))
+    for rows, logits in toylm.row_blocks(params, corpus.contexts):
+        probs = probstats.softmax_rows(logits)
+        p_target[rows] = probs[np.arange(len(probs)), corpus.targets[rows]]
+        entropy_full[rows] = probstats.entropy_rows(probs)
+        entropy_topk[rows] = probstats.topk_entropy_rows(probs, k)
     return RecordTable.of(
         source_id=source_id,
-        position=positions,
+        position=np.arange(len(corpus)),
         token_id=corpus.targets,
-        p_target=probs[positions, corpus.targets],
-        entropy_full=probstats.entropy_rows(probs),
-        entropy_topk=probstats.topk_entropy_rows(probs, k),
-        gate=probstats.gate_rows(probs, k),
+        p_target=p_target,
+        entropy_full=entropy_full,
+        entropy_topk=entropy_topk,
+        gate=probstats.gate_of_entropy(entropy_topk, k),
     )
 
 
@@ -575,10 +578,11 @@ def synthetic_fidelity_corpus(*args, **kwargs) -> np.ndarray:
 
 
 def topk_fidelity_study(params: toylm.ToyModelParams, corpus: toylm.Corpus, k_grid) -> list[dict]:
-    """Fidelity study over the distributions a model assigns to a corpus."""
+    """Fidelity study over the distributions a model assigns to a corpus,
+    scored block by block as ``toylm.row_blocks`` produces them."""
     toylm.check_corpus_ids(corpus, params.embedding.shape[0])
-    logits, _ = toylm.forward_batch(params, corpus.contexts)
-    return fidelity_from_probs(probstats.softmax_rows(logits), k_grid)
+    blocks = (probstats.softmax_rows(logits) for _, logits in toylm.row_blocks(params, corpus.contexts))
+    return fidelity_from_blocks(blocks, k_grid)
 
 
 def default_k_grid(vocab_size: int) -> list[int]:

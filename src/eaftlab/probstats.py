@@ -146,10 +146,14 @@ def topk_entropy_rows(probs: np.ndarray, k: int) -> np.ndarray:
 
 
 def gate_rows(probs: np.ndarray, k: int, norm: str = NORM_EXACT) -> np.ndarray:
-    """Top-k entropy of each row scaled into [0, 1] by ln(k) or by the 3.0
+    """The gate of each row: ``gate_of_entropy`` of its top-k entropy."""
+    return gate_of_entropy(topk_entropy_rows(probs, k), k, norm)
+
+
+def gate_of_entropy(h: np.ndarray, k: int, norm: str = NORM_EXACT) -> np.ndarray:
+    """Top-k entropies ``h`` scaled into [0, 1] by ln(k) or by the 3.0
     shorthand; 0 for k = 1, where a single outcome has no entropy."""
     check_gate_norm(k, norm)
-    h = topk_entropy_rows(probs, k)
     denom = 3.0 if norm == NORM_PAPER else (np.log(k) if k > 1 else np.inf)
     return np.clip(h / denom, 0.0, 1.0)
 

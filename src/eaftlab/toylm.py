@@ -185,6 +185,30 @@ def forward_batch(params: ToyModelParams, contexts: np.ndarray):
     return logits, (ctx, e, a)
 
 
+# Rows per block of a whole-corpus pass (``row_blocks``). A block's
+# temporaries stay a few hundred KB, so the allocator reuses them instead of
+# mapping and faulting in multi-MB arrays on every pass; 256 measured fastest.
+ROW_BLOCK = 256
+
+
+def row_blocks(params: ToyModelParams, contexts: np.ndarray):
+    """Yield ``(rows, logits)`` for consecutive blocks of at most ``ROW_BLOCK``
+    rows of ``contexts``, ``rows`` being the block's slice.
+
+    A one-row tail joins the block before it: a one-row product goes through
+    gemv and rounds differently, while a block of two or more rows gives each
+    row the bits of the whole-matrix product. A single-row input is one block.
+    Token ids are not checked, as in ``forward_batch``.
+    """
+    n = len(contexts)
+    starts = list(range(0, n, ROW_BLOCK))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    for start, stop in zip(starts, starts[1:] + [n]):
+        logits, _ = forward_batch(params, contexts[start:stop])
+        yield slice(start, stop), logits
+
+
 def _param_shapes(v: int, n: int, d: int, h: int) -> dict[str, tuple]:
     """Shape of each parameter of a model with dimensions (V, n, d, h)."""
     return {
@@ -505,16 +529,17 @@ def _capture_records(run: TrainRun, params: ToyModelParams, probe_idx, step: int
         run.ref_params, pw, step, backprop=False,
     )
     k = min(run.objective.k, terms.probs.shape[1])
+    entropy_topk = probstats.topk_entropy_rows(terms.probs, k)
     gates = terms.gates
     if gates is None:
-        gates = probstats.gate_rows(terms.probs, k, run.objective.norm_mode)
+        gates = probstats.gate_of_entropy(entropy_topk, k, run.objective.norm_mode)
     return RecordTable.of(
         source_id="probe",
         position=probe_idx,
         token_id=targets,
         p_target=terms.p_target,
         entropy_full=terms.entropy_full,
-        entropy_topk=probstats.topk_entropy_rows(terms.probs, k),
+        entropy_topk=entropy_topk,
         gate=gates,
         weight=terms.weights,
         grad_norm=np.sqrt((terms.grad * terms.grad).sum(axis=1)),
@@ -527,12 +552,14 @@ def evaluate(params: ToyModelParams, eval_set: Corpus) -> dict:
     if len(eval_set) == 0:
         raise InvalidArgumentError("eval_set must be non-empty")
     check_corpus_ids(eval_set, params.embedding.shape[0])
-    logits, _ = forward_batch(params, eval_set.contexts)
-    logp = probstats.log_softmax_rows(logits)
-    idx = np.arange(len(eval_set))
-    nll = -logp[idx, eval_set.targets]
-    acc = (logits.argmax(axis=1) == eval_set.targets).mean()
-    return {"mean_nll": float(nll.mean()), "top1_accuracy": float(acc)}
+    nll = np.empty(len(eval_set))
+    correct = np.empty(len(eval_set), dtype=bool)
+    for rows, logits in row_blocks(params, eval_set.contexts):
+        targets = eval_set.targets[rows]
+        logp = probstats.log_softmax_rows(logits)
+        nll[rows] = -logp[np.arange(len(targets)), targets]
+        correct[rows] = logits.argmax(axis=1) == targets
+    return {"mean_nll": float(nll.mean()), "top1_accuracy": float(correct.mean())}
 
 
 # ---------------------------------------------------------------------------

@@ -343,8 +343,9 @@ class TestCriterion8Dynamics:
         stable; both learn the high-entropy group (CE drop >= 50%)."""
         config, data, snapshot = pretrained_seed0
         tracks = {}
+        scores = fb.score_gates(snapshot, data.finetune, ACCEPT_PROTOCOL.k)
         for name in ("ce", "eaft"):
-            spec, pw = fb.resolve_objective(name, snapshot, data, ACCEPT_PROTOCOL)
+            spec, pw = fb.resolve_objective(name, scores, ACCEPT_PROTOCOL)
             result = toylm.train(
                 toylm.TrainRun(
                     config=config,
