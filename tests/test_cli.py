@@ -230,6 +230,25 @@ class TestTrain:
         assert "init_checkpoint" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_version_must_be_1(self, tmp_path, capsys):
+        cfg = train_config(tmp_path, version={"nonsense": True})
+        assert cli.main(["train", str(cfg), str(tmp_path / "out")]) == 1
+        assert "version" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("context_len,sizes", [(1, {}), (8, {"sequence_len": 8})])
+    def test_bench_corpus_context_len_checked(self, tmp_path, capsys, context_len, sizes):
+        # a bench part needs domain.markov_order (2) <= context_len < sizes.sequence_len
+        doc = json.loads(train_config(tmp_path).read_text())
+        cfg = train_config(
+            tmp_path,
+            model={**doc["model"], "context_len": context_len},
+            corpus={"bench": {"sizes": sizes, "part": "finetune"}},
+        )
+        assert cli.main(["train", str(cfg), str(tmp_path / "out")]) == 1
+        assert "model.context_len" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestBench:
     def test_grid_outputs_and_parallel_merge(self, tmp_path):
@@ -355,6 +374,27 @@ class TestBench:
         assert cli.main(["bench", str(path), str(tmp_path / "out")]) == 1
         assert "conflict.novelty_rate" in capsys.readouterr().err
         assert not list(tmp_path.glob("out/*"))
+
+    def test_version_must_be_1(self, tmp_path, capsys):
+        doc = json.loads(bench_protocol(tmp_path).read_text())
+        doc["version"] = {"nonsense": True}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["bench", str(path), str(tmp_path / "out")]) == 1
+        assert "version" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("context_len,sizes", [(1, {}), (8, {"sequence_len": 8})])
+    def test_context_len_checked_across_sections(self, tmp_path, capsys, context_len, sizes):
+        # domain.markov_order (2) <= protocol.context_len < sizes.sequence_len
+        doc = json.loads(bench_protocol(tmp_path).read_text())
+        doc["protocol"]["context_len"] = context_len
+        doc["sizes"].update(sizes)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["bench", str(path), str(tmp_path / "out")]) == 1
+        assert "protocol.context_len" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("parallel", ["0", "-1"])
     def test_parallel_below_one_rejected(self, tmp_path, capsys, parallel):
