@@ -290,6 +290,10 @@ class TestBench:
             ("objectives", ["ce", "ce"], "objectives[1]"),
             ("objectives", "ce", "objectives"),
             ("objectives", [], "objectives"),
+            ("version", {"nonsense": True}, "version"),
+            # domain.markov_order (2) <= context_len < sizes.sequence_len (42)
+            ("context_len", 1, "protocol.context_len"),
+            ("context_len", 42, "protocol.context_len"),
             ("finetune_steps", -1, "protocol.finetune_steps"),
             ("hidden_dim", "96", "protocol.hidden_dim"),
             ("embed_dim", True, "protocol.embed_dim"),
@@ -309,7 +313,7 @@ class TestBench:
     def test_bad_protocol_rejected(self, tmp_path, capsys, key, value, field):
         # rejected before any domain is generated, naming the field
         doc = json.loads(bench_protocol(tmp_path).read_text())
-        if key in ("seeds", "objectives"):
+        if key in ("seeds", "objectives", "version"):
             doc[key] = value
         else:
             doc["protocol"][key] = value
@@ -374,27 +378,6 @@ class TestBench:
         assert cli.main(["bench", str(path), str(tmp_path / "out")]) == 1
         assert "conflict.novelty_rate" in capsys.readouterr().err
         assert not list(tmp_path.glob("out/*"))
-
-    def test_version_must_be_1(self, tmp_path, capsys):
-        doc = json.loads(bench_protocol(tmp_path).read_text())
-        doc["version"] = {"nonsense": True}
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(doc))
-        assert cli.main(["bench", str(path), str(tmp_path / "out")]) == 1
-        assert "version" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("context_len,sizes", [(1, {}), (8, {"sequence_len": 8})])
-    def test_context_len_checked_across_sections(self, tmp_path, capsys, context_len, sizes):
-        # domain.markov_order (2) <= protocol.context_len < sizes.sequence_len
-        doc = json.loads(bench_protocol(tmp_path).read_text())
-        doc["protocol"]["context_len"] = context_len
-        doc["sizes"].update(sizes)
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(doc))
-        assert cli.main(["bench", str(path), str(tmp_path / "out")]) == 1
-        assert "protocol.context_len" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("parallel", ["0", "-1"])
     def test_parallel_below_one_rejected(self, tmp_path, capsys, parallel):
