@@ -28,16 +28,17 @@ def main():
     out.mkdir(parents=True, exist_ok=True)
     domain = fb.DomainSpec(peak_mass=0.99, seed=0)
     protocol = fb.BenchProtocol()
-    config, data, snapshot = fb.pretrain_snapshot(
+    pretrained = fb.pretrain_snapshot(
         domain, fb.ConflictSpec(), fb.GenerationSizes(), protocol, args.seed
     )
+    config, data, snapshot = pretrained
 
     records = ls.score_corpus(snapshot, data.finetune, k=protocol.k)
     ls.export_records(records, out / "finetune_scored.jsonl")
     stats = ls.quadrant_stats(records, q=0.15)
     print("fine-tune corpus quadrants (q=0.15):", stats["counts"])
 
-    scores = fb.score_gates(snapshot, data.finetune, protocol.k)
+    scores, _ = pretrained.pilot(protocol.k, protocol.pilot_quantile)
     for name in ("ce", "eaft"):
         spec, pw = fb.resolve_objective(name, scores, protocol)
         result = toylm.train(

@@ -20,8 +20,9 @@ acquisition is NLL/accuracy on the new domain-B transitions.
 
 from __future__ import annotations
 
+import functools
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -430,13 +431,14 @@ def generate_domains(
 
 
 def score_gates(params: toylm.ToyModelParams, corpus: toylm.Corpus, k: int = 20):
-    """Per-position (gate, p_target) under the given model."""
+    """Per-position (gate, p_target) under the given model, which runs once
+    per distinct context (``toylm.distinct_blocks``)."""
     toylm.check_corpus_ids(corpus, params.embedding.shape[0])
     gates, p_target = np.empty(len(corpus)), np.empty(len(corpus))
-    for rows, logits in toylm.row_blocks(params, corpus.contexts):
+    for positions, rows, logits in toylm.distinct_blocks(params, corpus):
         probs = probstats.softmax_rows(logits)
-        gates[rows] = probstats.gate_rows(probs, k)
-        p_target[rows] = probs[np.arange(len(probs)), corpus.targets[rows]]
+        gates[positions] = probstats.gate_rows(probs, k)[rows]
+        p_target[positions] = probs[rows, corpus.targets[positions]]
     return gates, p_target
 
 
@@ -485,13 +487,55 @@ def derive_domain_seed(domain: DomainSpec, cell_seed: int) -> int:
     return int(np.random.default_rng([domain.seed, cell_seed]).integers(2**31))
 
 
+@dataclass(frozen=True, eq=False)
+class Snapshot:
+    """A pretrained model and the domains it was trained on; it unpacks and
+    indexes as ``(config, data, params)``.
+
+    It scores itself on first use, and only once: ``base``, the snapshot's
+    ``evaluate`` on ``eval_a``, and ``pilot(k, q)``, its scores on the
+    fine-tune corpus. Every cell of a seed reads them instead of scoring the
+    same model again.
+    """
+
+    config: toylm.ModelConfig
+    data: DomainData
+    params: toylm.ToyModelParams
+    _pilots: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __iter__(self):
+        return iter((self.config, self.data, self.params))
+
+    def __getitem__(self, index):
+        return tuple(self)[index]
+
+    @functools.cached_property
+    def base(self) -> dict:
+        """``toylm.evaluate`` of the snapshot on ``eval_a``."""
+        return toylm.evaluate(self.params, self.data.eval_a)
+
+    def pilot(self, k: int, q: float):
+        """``((gates, p_target), cc_share)``: the read-only ``score_gates`` of
+        the fine-tune corpus at top-min(k, V), the k the objectives' gates
+        use, and the share of its positions in the confident-conflict
+        quadrant at percentile ``q``."""
+        key = (min(k, self.config.vocab_size), q)
+        if key not in self._pilots:
+            scores = score_gates(self.params, self.data.finetune, key[0])
+            for array in scores:
+                array.flags.writeable = False
+            labels, _ = probstats.quadrant_labels(*scores, q)
+            self._pilots[key] = scores, float((labels == "confident-conflict").mean())
+        return self._pilots[key]
+
+
 def pretrain_snapshot(
     domain: DomainSpec,
     conflict: ConflictSpec,
     sizes: GenerationSizes,
     protocol: BenchProtocol,
     seed: int,
-):
+) -> Snapshot:
     data = generate_domains(
         replace(domain, seed=derive_domain_seed(domain, seed)),
         conflict,
@@ -525,14 +569,14 @@ def pretrain_snapshot(
             )
         )
         params = result.params
-    return config, data, params
+    return Snapshot(config, data, params)
 
 
 def resolve_objective(name: str, scores, protocol: BenchProtocol):
     """Concrete objective spec plus any frozen per-position weights.
 
-    ``scores`` is the ``score_gates`` (gate, p_target) of the snapshot on the
-    fine-tune corpus. The hard-mask threshold is the ``mask_quantile``
+    ``scores`` is the ``Snapshot.pilot`` (gate, p_target) of the snapshot on
+    the fine-tune corpus. The hard-mask threshold is the ``mask_quantile``
     percentile of the snapshot gate distribution (the boundary of the
     confident cluster, so the mask keeps only uncertain tokens for
     training). The masking pilot freezes its token set once, from snapshot
@@ -561,17 +605,18 @@ def run_cell(
     protocol: BenchProtocol = BenchProtocol(),
     _pretrained=None,
 ) -> BenchCell:
-    """Pretrain with CE, snapshot, fine-tune with the objective, evaluate."""
+    """Pretrain with CE, snapshot, fine-tune with the objective, evaluate.
+
+    ``_pretrained``, a ``Snapshot`` of this seed, skips the pretraining; its
+    own scores of the snapshot are reused.
+    """
     if objective_name not in obj.OBJECTIVE_NAMES:
         raise InvalidArgumentError(f"unknown objective {objective_name!r}")
-    if _pretrained is None:
-        config, data, snapshot = pretrain_snapshot(domain, conflict, sizes, protocol, seed)
-    else:
-        config, data, snapshot = _pretrained
-    base = toylm.evaluate(snapshot, data.eval_a)
-    scores = score_gates(snapshot, data.finetune, protocol.k)
-    labels, _ = probstats.quadrant_labels(*scores, protocol.pilot_quantile)
-    cc_share = float((labels == "confident-conflict").mean())
+    pretrained = _pretrained
+    if pretrained is None:
+        pretrained = pretrain_snapshot(domain, conflict, sizes, protocol, seed)
+    config, data, snapshot = pretrained
+    scores, cc_share = pretrained.pilot(protocol.k, protocol.pilot_quantile)
     spec, position_weights = resolve_objective(objective_name, scores, protocol)
     result = toylm.train(
         toylm.TrainRun(
@@ -594,7 +639,7 @@ def run_cell(
     return BenchCell(
         objective=objective_name,
         seed=seed,
-        retention_delta=float(after["mean_nll"] - base["mean_nll"]),
+        retention_delta=float(after["mean_nll"] - pretrained.base["mean_nll"]),
         acquisition_nll=float(acq["mean_nll"]),
         acquisition_acc=float(acq["top1_accuracy"]),
         conflict_quadrant_share=cc_share,

@@ -157,14 +157,15 @@ def score_corpus(
     k: int = 20,
     source_id: str = "corpus",
 ) -> RecordTable:
-    """One record per corpus position, in corpus (sequence-major) order."""
+    """One record per corpus position, in corpus (sequence-major) order; the
+    model runs once per distinct context (``toylm.distinct_blocks``)."""
     toylm.check_corpus_ids(corpus, params.embedding.shape[0])
     p_target, entropy_full, entropy_topk = (np.empty(len(corpus)) for _ in range(3))
-    for rows, logits in toylm.row_blocks(params, corpus.contexts):
+    for positions, rows, logits in toylm.distinct_blocks(params, corpus):
         probs = probstats.softmax_rows(logits)
-        p_target[rows] = probs[np.arange(len(probs)), corpus.targets[rows]]
-        entropy_full[rows] = probstats.entropy_rows(probs)
-        entropy_topk[rows] = probstats.topk_entropy_rows(probs, k)
+        p_target[positions] = probs[rows, corpus.targets[positions]]
+        entropy_full[positions] = probstats.entropy_rows(probs)[rows]
+        entropy_topk[positions] = probstats.topk_entropy_rows(probs, k)[rows]
     return RecordTable.of(
         source_id=source_id,
         position=np.arange(len(corpus)),

@@ -93,6 +93,25 @@ class Corpus:
     def __len__(self) -> int:
         return int(self.targets.shape[0])
 
+    @functools.cached_property
+    def distinct(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(contexts, row, order)``, read-only: each distinct context once,
+        in ascending order; the row of each position's context among them;
+        and the positions sorted by that row, in corpus order within a row.
+        Found on first use, so the corpus's contexts must not be written to
+        afterwards."""
+        key = _row_keys(self.contexts)
+        order = np.argsort(key, kind="stable")
+        sorted_key = key[order]
+        first = np.ones(len(key), dtype=bool)
+        first[1:] = sorted_key[1:] != sorted_key[:-1]
+        row = np.empty(len(key), dtype=np.int64)
+        row[order] = np.cumsum(first) - 1
+        found = self.contexts[order[first]], row, order
+        for array in found:
+            array.flags.writeable = False
+        return found
+
     @classmethod
     def from_sequences(cls, sequences, context_len: int) -> "Corpus":
         """Every window of ``context_len`` tokens and the token after it, from a
@@ -113,6 +132,28 @@ class Corpus:
         if not ctxs:
             raise InvalidArgumentError("sequences yield no training positions")
         return cls(np.array(ctxs, dtype=np.int64), np.array(tgts, dtype=np.int64))
+
+
+def _row_keys(contexts: np.ndarray) -> np.ndarray:
+    """One int64 per row, equal for equal rows and ordered as the rows are.
+
+    Each column is packed in mixed radix over its range of values. Where the
+    next column would carry the keys past int64, they are first replaced by
+    their ranks, which lie below the row count; a column whose values span
+    2**32 or more is replaced by the ranks of its values.
+    """
+    key, span = np.zeros(len(contexts), dtype=np.int64), 1  # keys lie in [0, span)
+    for col in contexts.T:
+        lo, hi = (int(col.min()), int(col.max())) if len(col) else (0, 0)
+        if hi - lo >= 2**32:
+            values, col = np.unique(col, return_inverse=True)
+            lo, hi = 0, len(values) - 1
+        if span * (hi - lo + 1) > 2**63:
+            ranks, key = np.unique(key, return_inverse=True)
+            span = len(ranks)
+        key = key * (hi - lo + 1) + (col - lo)
+        span *= hi - lo + 1
+    return key
 
 
 def check_optimizer(kind, learning_rate, kind_field: str, rate_field: str) -> None:
@@ -207,6 +248,26 @@ def row_blocks(params: ToyModelParams, contexts: np.ndarray):
     for start, stop in zip(starts, starts[1:] + [n]):
         logits, _ = forward_batch(params, contexts[start:stop])
         yield slice(start, stop), logits
+
+
+def distinct_blocks(params: ToyModelParams, corpus: Corpus):
+    """Yield ``(positions, rows, logits)`` for the ``row_blocks`` of the
+    corpus's distinct contexts: the positions whose context lies in the
+    block, and the row of each one's context in ``logits``.
+
+    Each position gets the logits of its context as a whole-corpus product
+    would give them, because a row's result in a product of two or more
+    rows does not depend on the other rows. So two or more positions that
+    share one context still score it in a two-row product, never in a
+    one-row gemv. Token ids are not checked, as in ``forward_batch``.
+    """
+    contexts, row, order = corpus.distinct
+    if len(contexts) == 1 < len(corpus):
+        contexts = np.repeat(contexts, 2, axis=0)
+    sorted_rows = row[order]
+    for rows, logits in row_blocks(params, contexts):
+        lo, hi = np.searchsorted(sorted_rows, (rows.start, rows.stop))
+        yield order[lo:hi], sorted_rows[lo:hi] - rows.start, logits
 
 
 def _param_shapes(v: int, n: int, d: int, h: int) -> dict[str, tuple]:
@@ -548,17 +609,17 @@ def _capture_records(run: TrainRun, params: ToyModelParams, probe_idx, step: int
 
 
 def evaluate(params: ToyModelParams, eval_set: Corpus) -> dict:
-    """Mean NLL (nats) and top-1 accuracy (argmax ties -> lowest index)."""
+    """Mean NLL (nats) and top-1 accuracy (argmax ties -> lowest index); the
+    model runs once per distinct context (``distinct_blocks``)."""
     if len(eval_set) == 0:
         raise InvalidArgumentError("eval_set must be non-empty")
     check_corpus_ids(eval_set, params.embedding.shape[0])
     nll = np.empty(len(eval_set))
     correct = np.empty(len(eval_set), dtype=bool)
-    for rows, logits in row_blocks(params, eval_set.contexts):
-        targets = eval_set.targets[rows]
-        logp = probstats.log_softmax_rows(logits)
-        nll[rows] = -logp[np.arange(len(targets)), targets]
-        correct[rows] = logits.argmax(axis=1) == targets
+    for positions, rows, logits in distinct_blocks(params, eval_set):
+        targets = eval_set.targets[positions]
+        nll[positions] = -probstats.log_softmax_rows(logits)[rows, targets]
+        correct[positions] = logits.argmax(axis=1)[rows] == targets
     return {"mean_nll": float(nll.mean()), "top1_accuracy": float(correct.mean())}
 
 

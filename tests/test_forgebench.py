@@ -351,3 +351,50 @@ class TestShortLogs:
             )
         )
         assert calls == [4, 4, 4]
+
+
+class TestSnapshotScoresItselfOnce:
+    def test_nine_cells_score_the_snapshot_once(self, monkeypatch):
+        counts = {"evaluate": 0, "score_gates": 0}
+        evaluate, score_gates = toylm.evaluate, fb.score_gates
+        snapshot_params = []
+
+        def counting_evaluate(params, eval_set):
+            counts["evaluate"] += any(params is p for p in snapshot_params)
+            return evaluate(params, eval_set)
+
+        def counting_score_gates(*args):
+            counts["score_gates"] += 1
+            return score_gates(*args)
+
+        monkeypatch.setattr(toylm, "evaluate", counting_evaluate)
+        monkeypatch.setattr(fb, "score_gates", counting_score_gates)
+        domain = fb.DomainSpec(seed=3)
+        snapshot = fb.pretrain_snapshot(domain, fb.ConflictSpec(), SMALL_SIZES, FAST_PROTOCOL, 0)
+        snapshot_params.append(snapshot.params)
+        assert counts == {"evaluate": 0, "score_gates": 0}  # nothing is scored eagerly
+        cells = [
+            fb.run_cell(name, 0, domain, fb.ConflictSpec(), SMALL_SIZES, FAST_PROTOCOL, _pretrained=snapshot)
+            for name in fb.DEFAULT_OBJECTIVE_GRID
+        ]
+        assert counts == {"evaluate": 1, "score_gates": 1}
+        # the cached scores are those of a fresh pass over the same model
+        config, data, params = snapshot
+        gates, p_target = score_gates(params, data.finetune, FAST_PROTOCOL.k)
+        (cached_gates, cached_p), cc_share = snapshot.pilot(FAST_PROTOCOL.k, FAST_PROTOCOL.pilot_quantile)
+        assert cached_gates.tobytes() == gates.tobytes() and cached_p.tobytes() == p_target.tobytes()
+        assert not cached_gates.flags.writeable
+        labels, _ = ps.quadrant_labels(gates, p_target, FAST_PROTOCOL.pilot_quantile)
+        assert all(c.conflict_quadrant_share == cc_share for c in cells)
+        assert cc_share == float((labels == "confident-conflict").mean())
+        assert snapshot.base == evaluate(params, data.eval_a)
+
+    def test_unpacks_and_indexes_as_a_triple(self):
+        snapshot = fb.pretrain_snapshot(
+            fb.DomainSpec(seed=3), fb.ConflictSpec(), SMALL_SIZES,
+            replace(FAST_PROTOCOL, pretrain_stages=(fb.TrainStage(2, "adam-lite", 3e-3),)), 0,
+        )
+        config, data, params = snapshot
+        assert (snapshot[0], snapshot[1], snapshot[2]) == (config, data, params) == tuple(snapshot)
+        assert (snapshot.config, snapshot.data, snapshot.params) == (config, data, params)
+        assert snapshot[-1] is params and snapshot[:2] == (config, data)
