@@ -12,7 +12,8 @@ Subcommands
 
 Exit codes: 0 success, 1 configuration/validation error, 2 runtime error
 (a diverged or overflowing training run among them). Configs are strict:
-unknown keys are rejected.
+unknown keys are rejected. With EAFTLAB_TRACEBACK=1 in the environment, an
+unexpected runtime error also prints its traceback.
 """
 
 from __future__ import annotations
@@ -20,11 +21,21 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
+import traceback
 from pathlib import Path
 
 from . import forgebench, landscape, objectives, probstats, toylm
-from .errors import ConfigError, EaftLabError, InvalidArgumentError, TrainingDivergedError, is_int
+from .errors import (
+    ConfigError,
+    EaftLabError,
+    InvalidArgumentError,
+    RecordParseError,
+    RecordValidationError,
+    TrainingDivergedError,
+    is_int,
+)
 from .fileio import atomic_write
 
 def _require_keys(doc: dict, allowed, where: str) -> None:
@@ -70,6 +81,20 @@ def _read_checkpoint(path, what: str):
     if not p.is_file():
         raise ConfigError(f"{what} not found: {p}")
     return toylm.load_checkpoint(p)
+
+
+def _read_records(path) -> landscape.RecordTable:
+    """The records of a JSONL file; a missing, malformed or empty file is a
+    validation error naming it."""
+    if not Path(path).is_file():
+        raise ConfigError(f"records file not found: {path}")
+    try:
+        records = landscape.ingest_records(path)
+    except RecordParseError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    if not records:
+        raise ConfigError(f"no records in {path}")
+    return records
 
 
 def _distinct_list(doc: dict, key: str, default: list, check, what: str) -> list:
@@ -286,7 +311,7 @@ def cmd_analyze(args) -> int:
         raise ConfigError(f"--q must be in (0, 1), got {args.q}")
     if args.top < 0:
         raise ConfigError(f"--top must be >= 0, got {args.top}")
-    if args.k < 1:
+    if args.k is not None and args.k < 1:
         raise ConfigError(f"--k must be >= 1, got {args.k}")
     has_model = args.checkpoint is not None or args.corpus is not None
     if bool(args.records) == bool(has_model):
@@ -294,14 +319,16 @@ def cmd_analyze(args) -> int:
     if has_model and (args.checkpoint is None or args.corpus is None):
         raise ConfigError("model scoring needs both --checkpoint and --corpus")
     if args.records:
-        records = landscape.ingest_records(args.records)
-        if not records:
-            raise ConfigError(f"no records in {args.records}")
+        records = _read_records(args.records)
     else:
         cfg, params = _read_checkpoint(args.checkpoint, "--checkpoint")
+        # the default top-20 gate works on any model, as in the objectives
+        k = min(20, cfg.vocab_size) if args.k is None else args.k
+        if k > cfg.vocab_size:
+            raise ConfigError(f"--k {k} exceeds the checkpoint's vocab_size {cfg.vocab_size}")
         corpus_doc = _load_json(args.corpus)
         corpus = _corpus_from_doc(corpus_doc, cfg.context_len, "corpus", "--checkpoint")
-        records = landscape.score_corpus(params, corpus, k=args.k)
+        records = landscape.score_corpus(params, corpus, k=k)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     hist = landscape.histogram2d(records, x_bins=args.bins, y_bins=args.bins)
@@ -372,14 +399,16 @@ def cmd_dynamics(args) -> int:
     files = sorted(records_dir.glob("*.jsonl"))
     if not files:
         raise ConfigError(f"no captured record files (*.jsonl) in {records_dir}")
+    tables = {}  # every file is read before any output exists
+    for path in files:
+        try:
+            tables[path.stem] = landscape.dynamics_track(_read_records(path), args.hi, args.lo)
+        except RecordValidationError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for path in files:
-        records = landscape.ingest_records(path)
-        if not records:
-            raise ConfigError(f"no records in {path}")
-        rows = landscape.dynamics_track(records, args.hi, args.lo)
-        landscape.export_rows(rows, landscape.DYNAMICS_FIELDS, out / f"dynamics_{path.stem}.csv")
+    for stem, rows in tables.items():
+        landscape.export_rows(rows, landscape.DYNAMICS_FIELDS, out / f"dynamics_{stem}.csv")
     return 0
 
 
@@ -407,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--records", help="pre-scored records.jsonl (skips model scoring)")
     p.add_argument("--bins", type=int, default=40, help="histogram bins per axis")
     p.add_argument("--q", type=float, default=0.15, help="quadrant percentile")
-    p.add_argument("--k", type=int, default=20, help="top-K for the entropy gate")
+    p.add_argument("--k", type=int, help="top-K for the entropy gate (default 20, or V if smaller)")
     p.add_argument("--top", type=int, default=30, help="ranking rows per quadrant")
 
     p = sub.add_parser("topk-study", help="top-K fidelity vs memory table")
@@ -448,6 +477,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # runtime failures
+        if os.environ.get("EAFTLAB_TRACEBACK") == "1":
+            traceback.print_exc()
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
 

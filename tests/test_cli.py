@@ -386,6 +386,26 @@ class TestBench:
         assert "--parallel" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_k_above_vocab_scores_the_pilot_at_vocab(self, tmp_path):
+        # the default protocol.k = 20 on V = 16: the objectives and the pilot
+        # both read the top-16 gate, so the cells equal those of k = 16
+        doc = json.loads(bench_protocol(tmp_path).read_text())
+        doc["domain"]["vocab_size"] = 16
+        doc["objectives"] = ["eaft", "hard_mask", "conflict_mask"]
+        doc["seeds"] = [0]
+        outs = []
+        for k in (None, 16):
+            if k is not None:
+                doc["protocol"]["k"] = k
+            path = tmp_path / f"protocol_{k}.json"
+            path.write_text(json.dumps(doc))
+            outs.append(tmp_path / f"out_{k}")
+            assert cli.main(["bench", str(path), str(outs[-1])]) == 0
+        names = sorted(p.name for p in outs[0].glob("cell_*.json"))
+        assert len(names) == 3
+        for name in names + ["pareto.csv"]:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
 
 class TestAnalyze:
     @pytest.mark.parametrize(
@@ -475,6 +495,30 @@ class TestAnalyze:
         assert not out.exists() or not any(out.iterdir())
 
 
+    def test_k_above_checkpoint_vocab_rejected(self, tmp_path, capsys):
+        run_out = tmp_path / "run"
+        assert cli.main(["train", str(train_config(tmp_path)), str(run_out)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "scored"
+        argv = ["analyze", str(out), "--checkpoint", str(run_out / "checkpoint.ckpt"),
+                "--corpus", str(tmp_path / "never_read.json"), "--k", "100"]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert "--k 100" in err and "vocab_size 16" in err
+        assert not out.exists()
+
+    def test_default_k_is_clamped_to_checkpoint_vocab(self, tmp_path):
+        run_out = tmp_path / "run"
+        assert cli.main(["train", str(train_config(tmp_path)), str(run_out)]) == 0
+        corpus_doc = tmp_path / "corpus.json"
+        corpus_doc.write_text(json.dumps({"sequences": small_sequences(40)}))
+        argv = ["--checkpoint", str(run_out / "checkpoint.ckpt"), "--corpus", str(corpus_doc)]
+        assert cli.main(["analyze", str(tmp_path / "default"), *argv]) == 0
+        assert cli.main(["analyze", str(tmp_path / "k16"), *argv, "--k", "16"]) == 0
+        for name in ("landscape.csv", "quadrants.csv", "ranking.csv"):
+            assert (tmp_path / "default" / name).read_bytes() == (tmp_path / "k16" / name).read_bytes()
+
+
 class TestMissingCheckpoint:
     @pytest.mark.parametrize("command", ["train", "analyze", "topk-study"])
     def test_missing_checkpoint_names_path(self, tmp_path, capsys, command):
@@ -561,6 +605,55 @@ class TestDynamics:
         assert table[0] == "step,high_entropy_ce,high_entropy_count,low_entropy_ce,low_entropy_count"
         # one row per capture step: steps 0,10,20,30 plus the final state
         assert len(table) == 1 + 5
+
+
+    def test_bad_file_leaves_no_partial_output(self, tmp_path, capsys):
+        cfg = train_config(tmp_path)
+        run_out = tmp_path / "run"
+        assert cli.main(["train", str(cfg), str(run_out)]) == 0
+        d = tmp_path / "records"
+        d.mkdir()
+        lines = (run_out / "records.jsonl").read_text().splitlines(keepends=True)
+        (d / "a.jsonl").write_text("".join(lines))
+        doc = json.loads(lines[1])
+        doc["step"] = "x"
+        (d / "b.jsonl").write_text(lines[0] + json.dumps(doc) + "\n")
+        capsys.readouterr()
+        out = tmp_path / "dyn"
+        assert cli.main(["dynamics", str(d), str(out)]) == 1
+        assert f"{d / 'b.jsonl'}: line 2: step must be a JSON integer" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_missing_field_names_the_file(self, tmp_path, capsys):
+        records = ls.RecordTable.of(
+            source_id="a", position=np.arange(3), token_id=1, p_target=0.5,
+            entropy_full=1.0, entropy_topk=0.5, gate=0.2,
+        )
+        d = tmp_path / "records"
+        d.mkdir()
+        ls.export_records(records, d / "nostep.jsonl")
+        out = tmp_path / "dyn"
+        assert cli.main(["dynamics", str(d), str(out)]) == 1
+        assert f"{d / 'nostep.jsonl'}: record 0: lacks the 'step' field" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestTracebackOnRequest:
+    @pytest.mark.parametrize("setting,shown", [(None, False), ("0", False), ("1", True)])
+    def test_runtime_failure_traceback(self, tmp_path, monkeypatch, capsys, setting, shown):
+        def failing(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "cmd_dynamics", failing)
+        if setting is None:
+            monkeypatch.delenv("EAFTLAB_TRACEBACK", raising=False)
+        else:
+            monkeypatch.setenv("EAFTLAB_TRACEBACK", setting)
+        assert cli.main(["dynamics", str(tmp_path), str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "runtime error: boom" in err
+        assert ("Traceback (most recent call last)" in err) == shown
+        assert ("in failing" in err) == shown
 
 
 class TestWarmStartWorkflow:
