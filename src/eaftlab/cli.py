@@ -32,7 +32,6 @@ from .errors import (
     EaftLabError,
     InvalidArgumentError,
     RecordParseError,
-    RecordValidationError,
     TrainingDivergedError,
     is_int,
 )
@@ -83,13 +82,14 @@ def _read_checkpoint(path, what: str):
     return toylm.load_checkpoint(p)
 
 
-def _read_records(path) -> landscape.RecordTable:
-    """The records of a JSONL file; a missing, malformed or empty file is a
-    validation error naming it."""
+def _read_records(path, require) -> landscape.RecordTable:
+    """The records of a JSONL file, each holding the optional fields in
+    ``require``; a missing, malformed or empty file, or a record without a
+    required field, is a validation error naming the file and the line."""
     if not Path(path).is_file():
         raise ConfigError(f"records file not found: {path}")
     try:
-        records = landscape.ingest_records(path)
+        records = landscape.ingest_records(path, require)
     except RecordParseError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     if not records:
@@ -319,7 +319,7 @@ def cmd_analyze(args) -> int:
     if has_model and (args.checkpoint is None or args.corpus is None):
         raise ConfigError("model scoring needs both --checkpoint and --corpus")
     if args.records:
-        records = _read_records(args.records)
+        records = _read_records(args.records, ("entropy_full",))
     else:
         cfg, params = _read_checkpoint(args.checkpoint, "--checkpoint")
         # the default top-20 gate works on any model, as in the objectives
@@ -358,30 +358,34 @@ def cmd_analyze(args) -> int:
     return 0
 
 
+def _k_grid(text, vocab_size: int) -> list[int]:
+    """The ``--k-grid`` option against a vocabulary of ``vocab_size``: an
+    ascending list of ks in [1, V], or the default grid when absent."""
+    if not text:
+        return landscape.default_k_grid(vocab_size)
+    try:
+        grid = [int(x) for x in text.split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"bad --k-grid: {text!r}") from exc
+    if grid != sorted(grid) or not 1 <= grid[0] <= grid[-1] <= vocab_size:
+        raise ConfigError(f"--k-grid {text} must ascend within [1, V] = [1, {vocab_size}]")
+    return grid
+
+
 def cmd_topk_study(args) -> int:
     if bool(args.synthetic) == bool(args.checkpoint):
         raise ConfigError("provide either --synthetic or --checkpoint/--corpus")
-    if args.k_grid:
-        try:
-            grid = [int(x) for x in args.k_grid.split(",")]
-        except ValueError as exc:
-            raise ConfigError(f"bad --k-grid: {args.k_grid!r}") from exc
-    else:
-        grid = None
     if args.synthetic:
-        rows = landscape.fidelity_from_blocks(
-            landscape.synthetic_fidelity_blocks(),
-            grid or landscape.default_k_grid(landscape.SYNTHETIC_VOCAB),
-        )
+        grid = _k_grid(args.k_grid, landscape.SYNTHETIC_VOCAB)
+        rows = landscape.fidelity_from_blocks(landscape.synthetic_fidelity_blocks(), grid)
     else:
         if not args.corpus:
             raise ConfigError("--checkpoint mode needs --corpus")
         cfg, params = _read_checkpoint(args.checkpoint, "--checkpoint")
+        grid = _k_grid(args.k_grid, cfg.vocab_size)
         corpus_doc = _load_json(args.corpus)
         corpus = _corpus_from_doc(corpus_doc, cfg.context_len, "corpus", "--checkpoint")
-        rows = landscape.topk_fidelity_study(
-            params, corpus, grid or landscape.default_k_grid(cfg.vocab_size)
-        )
+        rows = landscape.topk_fidelity_study(params, corpus, grid)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     landscape.export_rows(
@@ -401,10 +405,8 @@ def cmd_dynamics(args) -> int:
         raise ConfigError(f"no captured record files (*.jsonl) in {records_dir}")
     tables = {}  # every file is read before any output exists
     for path in files:
-        try:
-            tables[path.stem] = landscape.dynamics_track(_read_records(path), args.hi, args.lo)
-        except RecordValidationError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
+        records = _read_records(path, ("step", "entropy_full"))
+        tables[path.stem] = landscape.dynamics_track(records, args.hi, args.lo)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for stem, rows in tables.items():

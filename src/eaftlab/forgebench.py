@@ -28,7 +28,7 @@ import numpy as np
 
 from . import objectives as obj
 from . import probstats, toylm
-from .errors import InvalidArgumentError, check_ints, check_reals
+from .errors import InvalidArgumentError, check_ints, check_reals, is_int
 
 TOKEN_KINDS = ("conflict", "novel", "unchanged")
 
@@ -119,12 +119,8 @@ class GroundTruth:
     active: int
 
     def state_of(self, context) -> int:
-        """Ravel the last ``order`` context tokens into a state index."""
-        tail = list(context)[-self.order:]
-        state = 0
-        for tok in tail:
-            state = state * self.active + int(tok)
-        return state
+        """The chain state of a context (``_chain_state``)."""
+        return int(_chain_state(np.asarray(context), self.order, self.active))
 
 
 @dataclass
@@ -226,36 +222,40 @@ def _transition_cdf(rows: np.ndarray) -> np.ndarray:
     return cdf
 
 
-def _sample(cdf: np.ndarray, states: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """The token drawn by uniform ``u[i]`` from CDF row ``cdf[states[i]]``.
+def _chain_state(tokens: np.ndarray, order: int, active: int) -> np.ndarray:
+    """The state of each row of ``tokens``: its last ``order`` tokens, read
+    as the digits of a number in base ``active``."""
+    state = np.zeros(tokens.shape[:-1], dtype=np.int64)
+    for i in range(tokens.shape[-1] - order, tokens.shape[-1]):
+        state = state * active + tokens[..., i]
+    return state
+
+
+def _sample(cdf_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The token drawn by uniform ``u[i]`` from CDF row ``cdf_rows[i]``.
 
     On a non-decreasing row the count of entries <= u is
     ``searchsorted(u, side="right")``, which is ``Generator.choice(V, p=row)``
     on the same ``random()`` draw, without its checks.
     """
-    return (cdf[states] <= u[:, None]).sum(axis=1)
+    return (cdf_rows <= u[:, None]).sum(axis=1)
 
 
-def _walks(rng: np.random.Generator, cdf: np.ndarray, order: int, active: int, n: int, length: int):
-    """``n`` chain walks as an (n, length) array, advanced in lock-step.
+def _walks(rng: np.random.Generator, next_cdf, starts: int, active: int, n: int, length: int):
+    """``n`` walks as an (n, length) array, advanced in lock-step.
 
-    Each walk draws its ``order`` start tokens and then its ``length - order``
-    uniforms, walk after walk: the same stream, in the same order, as one
-    ``Generator.choice`` per token.
+    Each walk draws its ``starts`` start tokens and then its ``length -
+    starts`` uniforms, walk after walk: the same stream, in the same order,
+    as one ``Generator.choice`` per token. ``next_cdf`` maps the windows of
+    ``starts`` tokens before a position to the CDF rows drawn from there.
     """
     seqs = np.empty((n, length), dtype=np.int64)
-    u = np.empty((n, length - order))
+    u = np.empty((n, length - starts))
     for w in range(n):
-        seqs[w, :order] = rng.integers(0, active, size=order)
-        u[w] = rng.random(length - order)
-    state = np.zeros(n, dtype=np.int64)
-    for i in range(order):
-        state = state * active + seqs[:, i]
-    strip = active**order
-    for i in range(order, length):
-        nxt = _sample(cdf, state, u[:, i - order])
-        seqs[:, i] = nxt
-        state = (state * active + nxt) % strip
+        seqs[w, :starts] = rng.integers(0, active, size=starts)
+        u[w] = rng.random(length - starts)
+    for i in range(starts, length):
+        seqs[:, i] = _sample(next_cdf(seqs[:, i - starts : i]), u[:, i - starts])
     return seqs
 
 
@@ -263,10 +263,8 @@ def _positions(seqs: np.ndarray, context_len: int, order: int, active: int):
     """Every (context, target, chain state) of the walks, walk by walk."""
     windows = np.lib.stride_tricks.sliding_window_view(seqs, context_len + 1, axis=1)
     windows = windows.reshape(-1, context_len + 1)
-    states = np.zeros(len(windows), dtype=np.int64)
-    for i in range(context_len - order, context_len):
-        states = states * active + windows[:, i]
-    return np.ascontiguousarray(windows[:, :context_len]), windows[:, context_len].copy(), states
+    contexts = np.ascontiguousarray(windows[:, :context_len])
+    return contexts, windows[:, context_len].copy(), _chain_state(contexts, order, active)
 
 
 def _first_visits(states: np.ndarray, cap: int) -> np.ndarray:
@@ -307,7 +305,7 @@ def generate_domains(
     cdf = _transition_cdf(rows)
 
     def positions(n_walks: int):
-        seqs = _walks(rng, cdf, order, m, n_walks, sizes.sequence_len)
+        seqs = _walks(rng, lambda w: cdf[_chain_state(w, order, m)], order, m, n_walks, sizes.sequence_len)
         return _positions(seqs, context_len, order, m)
 
     pre_ctx, pre_tgt, pre_states = positions(sizes.pretrain_sequences)
@@ -387,7 +385,7 @@ def generate_domains(
     novel_cdf[is_novel] = _transition_cdf(novel_table[is_novel])
 
     def novel_draws(states: np.ndarray) -> np.ndarray:
-        return _sample(novel_cdf, states, rng.random(len(states)))
+        return _sample(novel_cdf[states], rng.random(len(states)))
 
     kinds = np.full(ft_n, "unchanged", dtype=object)
     new_targets = ft_tgt.copy()
@@ -463,18 +461,19 @@ def sample_rollouts(
     context_len: int,
     seed: int,
 ) -> toylm.Corpus:
-    """Sequences sampled from the model itself at temperature 1 (on-policy)."""
+    """Sequences sampled from the model itself at temperature 1 (on-policy),
+    one ``forward_batch`` per position over all of them (``_walks``)."""
+    if not (is_int(n_sequences) and n_sequences >= 1):
+        raise InvalidArgumentError(f"n_sequences must be an integer >= 1, got {n_sequences!r}")
+    if not (is_int(sequence_len) and sequence_len > context_len):
+        raise InvalidArgumentError(f"sequence_len must be an integer > context_len {context_len}, got {sequence_len!r}")
+
+    def next_cdf(contexts: np.ndarray) -> np.ndarray:
+        return _transition_cdf(probstats.softmax_rows(toylm.forward_batch(params, contexts)[0]))
+
     rng = np.random.default_rng(seed)
-    only_row = np.zeros(1, dtype=np.int64)
-    seqs = []
-    for _ in range(n_sequences):
-        seq = [int(t) for t in rng.integers(0, ground_truth.active, size=context_len)]
-        for _ in range(sequence_len - context_len):
-            logits = toylm.forward(params, seq[-context_len:])
-            cdf = _transition_cdf(probstats.softmax_rows(logits[None, :]))
-            seq.append(int(_sample(cdf, only_row, rng.random(1))[0]))
-        seqs.append(seq)
-    return toylm.Corpus.from_sequences(seqs, context_len)
+    seqs = _walks(rng, next_cdf, context_len, ground_truth.active, n_sequences, sequence_len)
+    return toylm.Corpus(*_positions(seqs, context_len, ground_truth.order, ground_truth.active)[:2])
 
 
 # ---------------------------------------------------------------------------

@@ -155,7 +155,6 @@ def score_corpus(
     params: toylm.ToyModelParams,
     corpus: toylm.Corpus,
     k: int = 20,
-    source_id: str = "corpus",
 ) -> RecordTable:
     """One record per corpus position, in corpus (sequence-major) order; the
     model runs once per distinct context (``toylm.distinct_blocks``)."""
@@ -167,7 +166,7 @@ def score_corpus(
         entropy_full[positions] = probstats.entropy_rows(probs)[rows]
         entropy_topk[positions] = probstats.topk_entropy_rows(probs, k)[rows]
     return RecordTable.of(
-        source_id=source_id,
+        source_id="corpus",
         position=np.arange(len(corpus)),
         token_id=corpus.targets,
         p_target=p_target,
@@ -260,11 +259,12 @@ def export_rows(rows, fieldnames, path) -> None:
             writer.writerow([_fmt(row.get(f)) for f in fieldnames])
 
 
-def ingest_records(path) -> RecordTable:
+def ingest_records(path, require=()) -> RecordTable:
     """Parse a JSONL record file into one table, line by line into typed
     columns; unknown fields are ignored. Every value must have its field's
     JSON type (``RECORD_FIELDS``), and an integer field lies in [0, 2**63).
-    ``NaN`` and ``Infinity`` literals are not JSON and are rejected. An
+    An optional field named in ``require`` must be present, as a required
+    one must. ``NaN`` and ``Infinity`` literals are not JSON and are rejected. An
     error names the earliest bad line, whatever kind of error it is."""
     columns = {
         f: array("d") if kind is float else array("q") if kind is int else []
@@ -272,7 +272,8 @@ def ingest_records(path) -> RecordTable:
     }
     present = {f: bytearray() for f in OPTIONAL_FIELDS}
     slots = [
-        (f, kind, columns[f].append, present[f].append if f in present else None, _FILLS[kind])
+        (f, kind, columns[f].append, present[f].append if f in present else None, _FILLS[kind],
+         f not in present or f in require)
         for f, kind in RECORD_FIELDS.items()
     ]
     lines = array("q")
@@ -293,10 +294,10 @@ def ingest_records(path) -> RecordTable:
                 if type(doc) is not dict:
                     raise RecordParseError("record must be a JSON object", lineno)
                 get = doc.get
-                for field, kind, append, mark, fill in slots:
+                for field, kind, append, mark, fill, required in slots:
                     value = get(field)
                     if value is None:
-                        if mark is None:
+                        if required:
                             raise RecordParseError(f"missing required field {field!r}", lineno)
                         append(fill)
                         mark(0)

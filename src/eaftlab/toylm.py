@@ -197,22 +197,11 @@ def init_model(config: ModelConfig) -> ToyModelParams:
     )
 
 
-def forward(params: ToyModelParams, context) -> np.ndarray:
-    """Logits over the vocabulary for one context of token ids."""
-    ctx = np.asarray(context, dtype=np.int64)
-    v, n, d, _ = params.config_dims()
-    if ctx.shape != (n,):
-        raise InvalidArgumentError(f"context must have length {n}")
-    if np.any(ctx < 0) or np.any(ctx >= v):
-        raise InvalidArgumentError("context token id out of range")
-    return forward_batch(params, ctx[None, :])[0][0]
-
-
 def forward_batch(params: ToyModelParams, contexts: np.ndarray):
     """Logits for a (B, n) batch; returns (logits, cache) for backprop.
 
-    Token ids are not checked here: the public entry points (``forward``,
-    ``evaluate``, ``train``, ``loss_and_grads``, ...) check a corpus once.
+    Token ids are not checked here: the public entry points (``evaluate``,
+    ``train``, ``loss_and_grads``, ...) check a corpus once.
     """
     ctx = np.asarray(contexts, dtype=np.int64)
     _, n, d, _ = params.config_dims()

@@ -552,6 +552,25 @@ class TestTopkStudy:
     def test_requires_exactly_one_source(self, tmp_path):
         assert cli.main(["topk-study", str(tmp_path / "out")]) == 1
 
+    @pytest.mark.parametrize("mode", ["synthetic", "checkpoint"])
+    @pytest.mark.parametrize("grid", ["0", "1,100000", "5,2", "0,5"])
+    def test_bad_k_grid_rejected_before_output(self, tmp_path, capsys, mode, grid):
+        # a k below 1, a k above V or a descending grid exits 1 naming the
+        # option and V, before the corpus is read or the output exists
+        if mode == "synthetic":
+            source, v = ["--synthetic"], 4096
+        else:
+            run_out = tmp_path / "run"
+            assert cli.main(["train", str(train_config(tmp_path)), str(run_out)]) == 0
+            source = ["--checkpoint", str(run_out / "checkpoint.ckpt"), "--corpus", str(tmp_path / "never_read.json")]
+            v = 16
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert cli.main(["topk-study", str(out), *source, "--k-grid", grid]) == 1
+        err = capsys.readouterr().err
+        assert f"--k-grid {grid}" in err and f"[1, {v}]" in err
+        assert not out.exists()
+
     def test_synthetic_streams_the_whole_matrix_rows(self, tmp_path):
         assert cli.main(["topk-study", str(tmp_path / "out"), "--synthetic"]) == 0
         grid = ls.default_k_grid(ls.SYNTHETIC_VOCAB)
@@ -634,7 +653,24 @@ class TestDynamics:
         ls.export_records(records, d / "nostep.jsonl")
         out = tmp_path / "dyn"
         assert cli.main(["dynamics", str(d), str(out)]) == 1
-        assert f"{d / 'nostep.jsonl'}: record 0: lacks the 'step' field" in capsys.readouterr().err
+        assert f"{d / 'nostep.jsonl'}: line 1: missing required field 'step'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,field", [
+        ("analyze", "entropy_full"), ("dynamics", "entropy_full"), ("dynamics", "step"),
+    ])
+    def test_missing_needed_field_names_the_line(self, tmp_path, capsys, command, field):
+        # the blank second line makes the bad record's line (3) differ from its row (1)
+        doc = {"source_id": "a", "position": 0, "token_id": 1, "p_target": 0.5,
+               "entropy_full": 1.0, "entropy_topk": 0.1, "gate": 0.2, "step": 0}
+        d = tmp_path / "records"
+        d.mkdir()
+        path = d / "r.jsonl"
+        path.write_text(json.dumps(doc) + "\n\n" + json.dumps(doc | {field: None}) + "\n")
+        out = tmp_path / "out"
+        argv = ["analyze", str(out), "--records", str(path)] if command == "analyze" else ["dynamics", str(d), str(out)]
+        assert cli.main(argv) == 1
+        assert f"{path}: line 3: missing required field {field!r}" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -77,10 +77,11 @@ class TestSampler:
         # draw for draw, and leave the generator in the same state
         for order, active in ((1, 5), (2, 4), (3, 3)):
             rows = self.rows(active, order, v=active + 3)
+            cdf = fb._transition_cdf(rows)
             a, b = np.random.default_rng(3), np.random.default_rng(3)
             for n, length in ((1, order + 1), (40, 30), (300, 12)):
                 want = _choice_walks(a, rows, order, active, n, length)
-                got = fb._walks(b, fb._transition_cdf(rows), order, active, n, length)
+                got = fb._walks(b, lambda w: cdf[fb._chain_state(w, order, active)], order, active, n, length)
                 assert np.array_equal(got, want), (order, active, n)
                 assert a.bit_generator.state == b.bit_generator.state
 
@@ -94,7 +95,41 @@ class TestSampler:
         )
         u = np.minimum(u, np.nextafter(1.0, 0.0))
         want = [int(cdf[s].searchsorted(x, side="right")) for s, x in zip(states, u)]
-        assert fb._sample(cdf, states, u).tolist() == want
+        assert fb._sample(cdf[states], u).tolist() == want
+
+    def test_rollouts_match_token_loop(self):
+        # the lock-step rollouts must be the per-token loop they replaced:
+        # start tokens, then one Generator.choice per token, walk after walk;
+        # each row's logits come from a two-row product, whose bits a row of
+        # any product of two or more rows has
+        config = toylm.ModelConfig(vocab_size=12, context_len=3, embed_dim=4, hidden_dim=8, seed=4)
+        params = toylm.init_model(config)
+        gt = fb.generate_domains(fb.DomainSpec(vocab_size=12, seed=1), fb.ConflictSpec(), SMALL_SIZES).ground_truth
+        for n in (2, 40):
+            a, b = np.random.default_rng(9), np.random.default_rng(9)
+            want = []
+            for _ in range(n):
+                seq = [int(t) for t in a.integers(0, gt.active, size=3)]
+                for _ in range(20 - 3):
+                    logits, _ = toylm.forward_batch(params, np.array([seq[-3:]] * 2))
+                    seq.append(int(a.choice(12, p=ps.softmax_rows(logits)[0])))
+                want.append(seq)
+            # default_rng hands a Generator back unaltered, so b is the stream used
+            got = fb.sample_rollouts(params, gt, n, 20, 3, seed=b)
+            expected = toylm.Corpus.from_sequences(want, 3)
+            assert np.array_equal(got.contexts, expected.contexts), n
+            assert np.array_equal(got.targets, expected.targets), n
+            assert a.bit_generator.state == b.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "n_sequences,sequence_len,name",
+        [(0, 10, "n_sequences"), (2.0, 10, "n_sequences"), (2, 3, "sequence_len"), (2, 1, "sequence_len")],
+    )
+    def test_rollout_bounds_name_the_argument(self, n_sequences, sequence_len, name):
+        params = toylm.init_model(toylm.ModelConfig(vocab_size=12, context_len=3, embed_dim=4, hidden_dim=8))
+        gt = fb.generate_domains(fb.DomainSpec(vocab_size=12), fb.ConflictSpec(), SMALL_SIZES).ground_truth
+        with pytest.raises(InvalidArgumentError, match=f"^{name} must be an integer"):
+            fb.sample_rollouts(params, gt, n_sequences, sequence_len, 3, seed=0)
 
     @pytest.mark.parametrize("cap", [1, 2, 3, 50])
     def test_first_visits_match_dict_loop(self, cap):

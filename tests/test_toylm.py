@@ -42,32 +42,35 @@ class TestInitModel:
 
 
 class TestForward:
+    CTX = np.array([[0, 1, 2]])
+
     def test_zero_params_give_uniform(self):
         params = toylm.init_model(TINY)
         for f in toylm.PARAM_FIELDS:
             getattr(params, f)[:] = 0.0
-        logits = toylm.forward(params, [0, 1, 2])
-        np.testing.assert_array_equal(logits, np.zeros(8))
+        logits, _ = toylm.forward_batch(params, self.CTX)
+        np.testing.assert_array_equal(logits, np.zeros((1, 8)))
 
     def test_reproducible(self):
-        a = toylm.forward(toylm.init_model(TINY), [1, 2, 3])
-        b = toylm.forward(toylm.init_model(TINY), [1, 2, 3])
+        ctx = np.array([[1, 2, 3], [3, 2, 1]])
+        a, _ = toylm.forward_batch(toylm.init_model(TINY), ctx)
+        b, _ = toylm.forward_batch(toylm.init_model(TINY), ctx)
         np.testing.assert_array_equal(a, b)
 
     def test_locality_of_embedding_rows(self):
         params = toylm.init_model(TINY)
-        base = toylm.forward(params, [0, 1, 2])
+        base, _ = toylm.forward_batch(params, self.CTX)
         used = params.copy()
         used.embedding[1] += 0.1
-        assert not np.array_equal(toylm.forward(used, [0, 1, 2]), base)
+        assert not np.array_equal(toylm.forward_batch(used, self.CTX)[0], base)
         unused = params.copy()
         unused.embedding[7] += 0.1
-        np.testing.assert_array_equal(toylm.forward(unused, [0, 1, 2]), base)
+        np.testing.assert_array_equal(toylm.forward_batch(unused, self.CTX)[0], base)
 
     def test_rejects_out_of_range_ids(self):
         for bad_id in (-1, 8):
-            with pytest.raises(InvalidArgumentError):
-                toylm.forward(toylm.init_model(TINY), [0, 1, bad_id])
+            with pytest.raises(InvalidArgumentError, match=f"contexts holds token id {bad_id}"):
+                toylm.check_corpus_ids(toylm.Corpus([[0, 1, bad_id]], [0]), 8)
 
 
 class TestLossAndGrads:
