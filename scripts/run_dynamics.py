@@ -1,18 +1,22 @@
 #!/usr/bin/env python3
 """Token-subgroup training dynamics: CE versus the entropy-gated objective.
 
-Pretrains once, fine-tunes on the conflict-injected corpus under both
-objectives with periodic token captures, and writes per-step subgroup
-cross-entropy tables plus the entropy/probability landscape of the
-fine-tuning corpus before training.
+Pretrains once on the acceptance protocol (protocols/acceptance.json),
+fine-tunes on the conflict-injected corpus under both objectives with
+periodic token captures, and writes per-step subgroup cross-entropy tables
+plus the entropy/probability landscape of the fine-tuning corpus before
+training.
 """
 
 import argparse
 from pathlib import Path
 
+from eaftlab import cli
 from eaftlab import forgebench as fb
 from eaftlab import landscape as ls
 from eaftlab import toylm
+
+ACCEPTANCE = Path(__file__).resolve().parent.parent / "protocols" / "acceptance.json"
 
 
 def main():
@@ -24,13 +28,11 @@ def main():
     ap.add_argument("--capture-every", type=int, default=50)
     args = ap.parse_args()
 
+    e = cli.load_experiment(ACCEPTANCE)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    domain = fb.DomainSpec(peak_mass=0.99, seed=0)
-    protocol = fb.BenchProtocol()
-    pretrained = fb.pretrain_snapshot(
-        domain, fb.ConflictSpec(), fb.GenerationSizes(), protocol, args.seed
-    )
+    protocol = e.protocol
+    pretrained = fb.pretrain_snapshot(e.domain, e.conflict, e.sizes, protocol, args.seed)
     config, data, snapshot = pretrained
 
     records = ls.score_corpus(snapshot, data.finetune, k=protocol.k)

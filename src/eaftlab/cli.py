@@ -31,6 +31,7 @@ from .errors import (
     ConfigError,
     EaftLabError,
     InvalidArgumentError,
+    InvalidInputError,
     RecordParseError,
     TrainingDivergedError,
     is_int,
@@ -72,14 +73,17 @@ def _build_dataclass(cls, doc: dict, where: str):
 
 
 def _read_checkpoint(path, what: str):
-    """Load a checkpoint named by a config field or an option; a missing file
-    is a validation error naming both."""
+    """Load a checkpoint named by a config field or an option; a missing or
+    malformed file is a validation error naming both."""
     if not isinstance(path, str):
         raise ConfigError(f"{what} must be a path, got {path!r}")
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"{what} not found: {p}")
-    return toylm.load_checkpoint(p)
+    try:
+        return toylm.load_checkpoint(p)
+    except (InvalidArgumentError, InvalidInputError) as exc:
+        raise ConfigError(f"{what} {p}: {exc}") from exc
 
 
 def _read_records(path, require) -> landscape.RecordTable:
@@ -153,6 +157,17 @@ def _objective_from_doc(doc: dict, where: str) -> objectives.ObjectiveSpec:
     return _construct(objectives.named_objective, where, **doc)
 
 
+def _generation_specs(doc: dict) -> tuple:
+    """The ``domain``, ``conflict`` and ``sizes`` sections of a ``bench``
+    protocol or a ``corpus.bench`` part; an absent section takes the
+    defaults."""
+    return (
+        _build_dataclass(forgebench.DomainSpec, doc.get("domain", {}), "domain"),
+        _build_dataclass(forgebench.ConflictSpec, doc.get("conflict", {}), "conflict"),
+        _build_dataclass(forgebench.GenerationSizes, doc.get("sizes", {}), "sizes"),
+    )
+
+
 def _corpus_from_doc(doc: dict, context_len: int, where: str, context_where: str):
     """Either explicit sequences or a generated benchmark corpus part; a
     ``context_len`` that the part's walks cannot hold is named as
@@ -166,9 +181,7 @@ def _corpus_from_doc(doc: dict, context_len: int, where: str, context_where: str
         )
     bench = doc["bench"]
     _require_keys(bench, ("domain", "conflict", "sizes", "part"), f"{where}.bench")
-    domain = _build_dataclass(forgebench.DomainSpec, bench.get("domain", {}), "domain")
-    conflict = _build_dataclass(forgebench.ConflictSpec, bench.get("conflict", {}), "conflict")
-    sizes = _build_dataclass(forgebench.GenerationSizes, bench.get("sizes", {}), "sizes")
+    domain, conflict, sizes = _generation_specs(bench)
     part = bench.get("part", "finetune")
     if part not in ("pretrain", "finetune", "eval_a", "eval_b"):
         raise ConfigError(f"unknown corpus part {part!r}")
@@ -246,19 +259,17 @@ def cmd_train(config_path, out_dir) -> int:
     return 0
 
 
-def cmd_bench(protocol_path, out_dir, parallel: int = 1) -> int:
-    if parallel < 1:
-        raise ConfigError(f"--parallel must be >= 1, got {parallel}")
-    doc = _load_json(protocol_path)
+def load_experiment(path) -> forgebench.Experiment:
+    """The ``bench`` protocol file at ``path``, checked in full before any
+    domain is generated."""
+    doc = _load_json(path)
     _require_keys(
         doc,
         ("version", "domain", "conflict", "sizes", "protocol", "objectives", "seeds"),
         "protocol",
     )
     _check_version(doc)
-    domain = _build_dataclass(forgebench.DomainSpec, doc.get("domain", {}), "domain")
-    conflict = _build_dataclass(forgebench.ConflictSpec, doc.get("conflict", {}), "conflict")
-    sizes = _build_dataclass(forgebench.GenerationSizes, doc.get("sizes", {}), "sizes")
+    domain, conflict, sizes = _generation_specs(doc)
     if conflict.novelty_rate == 0:
         raise ConfigError("conflict.novelty_rate must be > 0: acquisition is measured on the domain-B tokens")
     proto_doc = dict(doc.get("protocol", {}))
@@ -270,19 +281,27 @@ def cmd_bench(protocol_path, out_dir, parallel: int = 1) -> int:
     )
     # a repeated objective or seed would overwrite its cell file and be
     # counted twice in the report
+    defaults = forgebench.Experiment()
     names = _distinct_list(
-        doc, "objectives", forgebench.DEFAULT_OBJECTIVE_GRID,
+        doc, "objectives", list(defaults.objectives),
         lambda name: name in objectives.OBJECTIVE_NAMES,
         f"one of {list(objectives.OBJECTIVE_NAMES)}",
     )
     seeds = _distinct_list(
-        doc, "seeds", [0, 1, 2, 3, 4],
+        doc, "seeds", list(defaults.seeds),
         lambda seed: is_int(seed) and 0 <= seed < 2**64,
         "an integer in [0, 2**64)",
     )
+    return forgebench.Experiment(domain, conflict, sizes, protocol, tuple(names), tuple(seeds))
+
+
+def cmd_bench(protocol_path, out_dir, parallel: int = 1) -> int:
+    if parallel < 1:
+        raise ConfigError(f"--parallel must be >= 1, got {parallel}")
+    experiment = load_experiment(protocol_path)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    cells = forgebench.run_grid(names, seeds, domain, conflict, sizes, protocol, parallel=parallel)
+    cells = forgebench.run_grid(experiment, parallel)
     for cell in cells:
         with atomic_write(out / f"cell_{cell.objective}_{cell.seed}.json") as fh:
             json.dump(dataclasses.asdict(cell), fh, sort_keys=True, indent=2)

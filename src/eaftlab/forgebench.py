@@ -186,6 +186,21 @@ class BenchProtocol:
 DEFAULT_OBJECTIVE_GRID = list(obj.OBJECTIVE_NAMES)
 
 
+@dataclass(frozen=True)
+class Experiment:
+    """A whole forgetting-benchmark run: the (objective x seed) grid of
+    ``run_grid`` over one domain, conflict, sizes and protocol. The
+    committed acceptance protocol is ``protocols/acceptance.json``, read
+    through ``cli.load_experiment``."""
+
+    domain: DomainSpec = DomainSpec()
+    conflict: ConflictSpec = ConflictSpec()
+    sizes: GenerationSizes = GenerationSizes()
+    protocol: BenchProtocol = BenchProtocol()
+    objectives: tuple = tuple(DEFAULT_OBJECTIVE_GRID)
+    seeds: tuple = (0, 1, 2, 3, 4)
+
+
 # ---------------------------------------------------------------------------
 # Domain generation
 # ---------------------------------------------------------------------------
@@ -645,34 +660,27 @@ def run_cell(
     )
 
 
-def _run_seed(args) -> list[BenchCell]:
-    (seed, objective_names, domain, conflict, sizes, protocol) = args
-    pretrained = pretrain_snapshot(domain, conflict, sizes, protocol, seed)
+def _run_seed(job) -> list[BenchCell]:
+    seed, e = job
+    pretrained = pretrain_snapshot(e.domain, e.conflict, e.sizes, e.protocol, seed)
     return [
-        run_cell(name, seed, domain, conflict, sizes, protocol, _pretrained=pretrained)
-        for name in objective_names
+        run_cell(name, seed, e.domain, e.conflict, e.sizes, e.protocol, _pretrained=pretrained)
+        for name in e.objectives
     ]
 
 
-def run_grid(
-    objective_names=None,
-    seeds=(0, 1, 2, 3, 4),
-    domain: DomainSpec = DomainSpec(),
-    conflict: ConflictSpec = ConflictSpec(),
-    sizes: GenerationSizes = GenerationSizes(),
-    protocol: BenchProtocol = BenchProtocol(),
-    parallel: int = 1,
-) -> list[BenchCell]:
+def run_grid(experiment: Experiment = Experiment(), parallel: int = 1) -> list[BenchCell]:
     """Every (objective, seed) cell; the pretrained snapshot is shared per seed.
 
     Cells are independent; the merged result is sorted by (objective, seed)
     so it does not depend on the execution order or degree of parallelism.
+    A pool starts all its workers at once, so it gets one per seed at most.
     """
-    names = list(objective_names) if objective_names else list(DEFAULT_OBJECTIVE_GRID)
-    jobs = [(int(s), names, domain, conflict, sizes, protocol) for s in seeds]
+    jobs = [(seed, experiment) for seed in experiment.seeds]
+    workers = min(parallel, len(jobs))
     cells: list[BenchCell] = []
-    if parallel > 1:
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for chunk in pool.map(_run_seed, jobs):
                 cells.extend(chunk)
     else:

@@ -13,6 +13,8 @@ single-threaded and fully determined by its seed.
 from __future__ import annotations
 
 import functools
+import math
+import os
 import struct
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -37,6 +39,7 @@ if TYPE_CHECKING:
 
 CHECKPOINT_MAGIC = b"EAFTCKPT"
 CHECKPOINT_VERSION = 1
+_HEADER_BYTES = 36  # magic, then u32 version, V, n, d, h and u64 seed
 
 PARAM_FIELDS = ("embedding", "hidden_weight", "hidden_bias", "out_weight", "out_bias")
 OPTIMIZER_KINDS = ("sgd-momentum", "adam-lite")
@@ -640,26 +643,39 @@ def save_checkpoint(path, config: ModelConfig, params: ToyModelParams) -> None:
 
 
 def load_checkpoint(path) -> tuple[ModelConfig, ToyModelParams]:
+    """The config and parameters of a ``save_checkpoint`` file. The payload
+    that the header's dimensions declare is checked against the file's size
+    before any of it is read, and every parameter must be finite; a
+    rejection names the header or the tensor at fault."""
     with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != CHECKPOINT_MAGIC:
-            raise InvalidInputError(f"bad checkpoint magic {magic!r}")
-        (version,) = struct.unpack("<I", fh.read(4))
+        header = fh.read(_HEADER_BYTES)
+        if header[:8] != CHECKPOINT_MAGIC:
+            raise InvalidInputError(f"bad checkpoint magic {header[:8]!r}")
+        if len(header) < _HEADER_BYTES:
+            raise InvalidInputError("checkpoint truncated in header")
+        version, v, n, d, h, seed = struct.unpack("<IIIIIQ", header[8:])
         if version != CHECKPOINT_VERSION:
             raise InvalidInputError(f"unsupported checkpoint version {version}")
-        v, n, d, h = struct.unpack("<IIII", fh.read(16))
-        (seed,) = struct.unpack("<Q", fh.read(8))
         config = ModelConfig(
             vocab_size=v, context_len=n, embed_dim=d, hidden_dim=h, seed=seed
         )
-        tensors = {}
-        for name, shape in _param_shapes(v, n, d, h).items():
-            count = int(np.prod(shape))
-            raw = fh.read(count * 8)
-            if len(raw) != count * 8:
-                raise InvalidInputError(f"checkpoint truncated in {name}")
-            tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-        trailing = fh.read(1)
-        if trailing:
+        shapes = _param_shapes(v, n, d, h)
+        payload = os.fstat(fh.fileno()).st_size - _HEADER_BYTES
+        declared = 8 * sum(map(math.prod, shapes.values()))
+        end = 0
+        for name, shape in shapes.items():
+            end += 8 * math.prod(shape)
+            if end > payload:
+                raise InvalidInputError(
+                    f"checkpoint truncated in {name}: the header's (V, n, d, h) = ({v}, {n}, {d}, {h})"
+                    f" declare {declared} bytes of parameters, the file holds {payload}"
+                )
+        if declared < payload:
             raise InvalidInputError("trailing bytes after checkpoint payload")
+        tensors = {}
+        for name, shape in shapes.items():
+            raw = fh.read(8 * math.prod(shape))
+            tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+            if not np.isfinite(tensors[name]).all():
+                raise InvalidInputError(f"checkpoint {name} holds a non-finite value")
     return config, ToyModelParams(**tensors)

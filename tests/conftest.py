@@ -2,19 +2,22 @@
 reused by the benchmark, acceptance, and property tests."""
 
 import time
+from pathlib import Path
 
 import pytest
 
+from eaftlab import cli
 from eaftlab import forgebench as fb
 
-# Acceptance-run benchmark configuration. DomainSpec defaults stay at the
-# library values; the acceptance protocol sharpens the domain-A peak so that
-# pretraining produces genuinely stubborn priors (gate ~0.03 on conflicts).
-ACCEPT_DOMAIN = fb.DomainSpec(peak_mass=0.99, seed=0)
-ACCEPT_CONFLICT = fb.ConflictSpec()
-ACCEPT_SIZES = fb.GenerationSizes()
-ACCEPT_PROTOCOL = fb.BenchProtocol()
-ACCEPT_SEEDS = (0, 1, 2, 3, 4)
+# The acceptance protocol: library defaults, except that the domain-A peak
+# is sharpened so that pretraining produces genuinely stubborn priors (gate
+# ~0.03 on conflicts). The printed acceptance criteria rest on this file.
+ACCEPTANCE_FILE = Path(__file__).resolve().parent.parent / "protocols" / "acceptance.json"
+ACCEPT = cli.load_experiment(ACCEPTANCE_FILE)
+ACCEPT_DOMAIN = ACCEPT.domain
+ACCEPT_CONFLICT = ACCEPT.conflict
+ACCEPT_SIZES = ACCEPT.sizes
+ACCEPT_PROTOCOL = ACCEPT.protocol
 
 # Dynamics runs need slow transit through the entropy bands and full corpus
 # coverage, hence the smaller learning rate and longer schedule.
@@ -31,9 +34,9 @@ def snapshots():
     t0 = time.perf_counter()
     out = {
         seed: fb.pretrain_snapshot(
-            ACCEPT_DOMAIN, ACCEPT_CONFLICT, ACCEPT_SIZES, ACCEPT_PROTOCOL, seed
+            ACCEPT.domain, ACCEPT.conflict, ACCEPT.sizes, ACCEPT.protocol, seed
         )
-        for seed in ACCEPT_SEEDS
+        for seed in ACCEPT.seeds
     }
     _TIMINGS["pretrain"] = time.perf_counter() - t0
     return out
@@ -49,16 +52,16 @@ def bench_cells(snapshots):
     """The full objective grid over the acceptance seeds."""
     t0 = time.perf_counter()
     cells = []
-    for seed in ACCEPT_SEEDS:
-        for name in fb.DEFAULT_OBJECTIVE_GRID:
+    for seed in ACCEPT.seeds:
+        for name in ACCEPT.objectives:
             cells.append(
                 fb.run_cell(
                     name,
                     seed,
-                    domain=ACCEPT_DOMAIN,
-                    conflict=ACCEPT_CONFLICT,
-                    sizes=ACCEPT_SIZES,
-                    protocol=ACCEPT_PROTOCOL,
+                    domain=ACCEPT.domain,
+                    conflict=ACCEPT.conflict,
+                    sizes=ACCEPT.sizes,
+                    protocol=ACCEPT.protocol,
                     _pretrained=snapshots[seed],
                 )
             )

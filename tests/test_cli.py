@@ -2,6 +2,7 @@
 
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eaftlab import cli, landscape as ls
+from eaftlab import cli, forgebench as fb, landscape as ls, toylm
 
 RNG = np.random.default_rng(20260810)
 
@@ -379,6 +380,33 @@ class TestBench:
         assert "conflict.novelty_rate" in capsys.readouterr().err
         assert not list(tmp_path.glob("out/*"))
 
+    @pytest.mark.parametrize("seeds,parallel,started", [([0, 1], 500, [2]), ([0, 1, 2], 2, [2]), ([0], 500, [])])
+    def test_pool_starts_at_most_one_worker_per_seed(self, tmp_path, monkeypatch, seeds, parallel, started):
+        # a pool forks all its workers at once; the fake starts no process
+        pools = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(fb, "ProcessPoolExecutor", SerialPool)
+        doc = json.loads(bench_protocol(tmp_path).read_text())
+        doc["seeds"] = seeds
+        path = tmp_path / "protocol.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["bench", str(path), str(tmp_path / "out"), "--parallel", str(parallel)]) == 0
+        assert pools == started
+        assert len(list((tmp_path / "out").glob("cell_*.json"))) == 2 * len(seeds)
+
     @pytest.mark.parametrize("parallel", ["0", "-1"])
     def test_parallel_below_one_rejected(self, tmp_path, capsys, parallel):
         argv = ["bench", str(bench_protocol(tmp_path)), str(tmp_path / "out"), "--parallel", parallel]
@@ -519,22 +547,56 @@ class TestAnalyze:
             assert (tmp_path / "default" / name).read_bytes() == (tmp_path / "k16" / name).read_bytes()
 
 
+def checkpoint_argv(tmp_path, command, checkpoint, out):
+    """``command`` reading ``checkpoint``, and the field or option naming it."""
+    if command == "train":
+        return ["train", str(train_config(tmp_path, init_checkpoint=str(checkpoint))), str(out)], "init_checkpoint"
+    corpus_doc = tmp_path / "corpus.json"
+    corpus_doc.write_text(json.dumps({"sequences": small_sequences(40)}))
+    return [command, str(out), "--checkpoint", str(checkpoint), "--corpus", str(corpus_doc)], "--checkpoint"
+
+
+def bad_checkpoint(path, case: str) -> str:
+    """Write the ``train_config`` model's checkpoint to ``path``, spoilt as
+    ``case`` says; return the header part or tensor that a rejection names."""
+    config = toylm.ModelConfig(vocab_size=16, context_len=3, embed_dim=4, hidden_dim=8, seed=1)
+    params = toylm.init_model(config)
+    if case in ("nan", "inf", "-inf"):
+        params.out_bias[3] = float(case)
+    toylm.save_checkpoint(path, config, params)
+    raw = path.read_bytes()
+    if case == "oversized header":
+        # (2**32 - 1)**2 doubles of embedding alone: more than a read can ask for
+        path.write_bytes(raw[:12] + struct.pack("<IIII", *[2**32 - 1] * 4) + raw[28:])
+        return "embedding"
+    if case == "truncated payload":
+        path.write_bytes(raw[:-16])
+    return "out_bias"
+
+
 class TestMissingCheckpoint:
     @pytest.mark.parametrize("command", ["train", "analyze", "topk-study"])
     def test_missing_checkpoint_names_path(self, tmp_path, capsys, command):
         missing = tmp_path / "gone.ckpt"
         out = tmp_path / "out"
-        if command == "train":
-            argv = ["train", str(train_config(tmp_path, init_checkpoint=str(missing))), str(out)]
-            field = "init_checkpoint"
-        else:
-            corpus_doc = tmp_path / "corpus.json"
-            corpus_doc.write_text(json.dumps({"sequences": small_sequences(40)}))
-            argv = [command, str(out), "--checkpoint", str(missing), "--corpus", str(corpus_doc)]
-            field = "--checkpoint"
+        argv, field = checkpoint_argv(tmp_path, command, missing, out)
         assert cli.main(argv) == 1
         err = capsys.readouterr().err
         assert field in err and str(missing) in err
+        assert not out.exists()
+
+
+class TestBadCheckpoint:
+    @pytest.mark.parametrize("command", ["train", "analyze", "topk-study"])
+    @pytest.mark.parametrize("case", ["oversized header", "truncated payload", "nan", "inf", "-inf"])
+    def test_bad_checkpoint_rejected_before_output(self, tmp_path, capsys, command, case):
+        path = tmp_path / "bad.ckpt"
+        tensor = bad_checkpoint(path, case)
+        out = tmp_path / "out"
+        argv, field = checkpoint_argv(tmp_path, command, path, out)
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert field in err and str(path) in err and tensor in err, err
         assert not out.exists()
 
 
