@@ -141,9 +141,9 @@ def _load_json(path) -> dict:
     if not p.exists():
         raise ConfigError(f"config file not found: {p}")
     try:
-        with open(p) as fh:
+        with open(p, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # JSON text is UTF-8
         raise ConfigError(f"invalid JSON in {p}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"top-level JSON in {p} must be an object")
@@ -299,9 +299,9 @@ def cmd_bench(protocol_path, out_dir, parallel: int = 1) -> int:
     if parallel < 1:
         raise ConfigError(f"--parallel must be >= 1, got {parallel}")
     experiment = load_experiment(protocol_path)
+    cells = forgebench.run_grid(experiment, parallel)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    cells = forgebench.run_grid(experiment, parallel)
     for cell in cells:
         with atomic_write(out / f"cell_{cell.objective}_{cell.seed}.json") as fh:
             json.dump(dataclasses.asdict(cell), fh, sort_keys=True, indent=2)
@@ -337,6 +337,8 @@ def cmd_analyze(args) -> int:
         raise ConfigError("provide either --records or both --checkpoint and --corpus")
     if has_model and (args.checkpoint is None or args.corpus is None):
         raise ConfigError("model scoring needs both --checkpoint and --corpus")
+    if args.records and args.k is not None:
+        raise ConfigError("--k applies to --checkpoint/--corpus scoring; --records hold their gates")
     if args.records:
         records = _read_records(args.records, ("entropy_full",))
     else:
@@ -394,12 +396,12 @@ def _k_grid(text, vocab_size: int) -> list[int]:
 def cmd_topk_study(args) -> int:
     if bool(args.synthetic) == bool(args.checkpoint):
         raise ConfigError("provide either --synthetic or --checkpoint/--corpus")
+    if bool(args.corpus) != bool(args.checkpoint):
+        raise ConfigError("--corpus goes with --checkpoint, and only with it")
     if args.synthetic:
         grid = _k_grid(args.k_grid, landscape.SYNTHETIC_VOCAB)
         rows = landscape.fidelity_from_blocks(landscape.synthetic_fidelity_blocks(), grid)
     else:
-        if not args.corpus:
-            raise ConfigError("--checkpoint mode needs --corpus")
         cfg, params = _read_checkpoint(args.checkpoint, "--checkpoint")
         grid = _k_grid(args.k_grid, cfg.vocab_size)
         corpus_doc = _load_json(args.corpus)

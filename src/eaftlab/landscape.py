@@ -8,11 +8,11 @@ external plotting tools.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
 from array import array
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
@@ -279,8 +279,12 @@ def ingest_records(path, require=()) -> RecordTable:
     lines = array("q")
     decode = _DECODER.decode
     try:
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, start=1):
+        with open(path, "rb") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                try:
+                    line = raw.decode()
+                except UnicodeDecodeError as exc:
+                    raise RecordParseError(f"not UTF-8: {exc}", lineno) from exc
                 if line.isspace():
                     continue
                 try:
@@ -463,25 +467,38 @@ def dynamics_track(
 # np.partition work row by row, so the block size changes no output bit; it
 # bounds the study's working set at a few MB for V=4096.
 _ROW_BLOCK = 64
-# Helper threads that score blocks while the caller's iterator produces the
-# next one. On two cores, two helpers measured no faster than one and held
-# ~8 MB more.
-_SCORE_WORKERS = 1
 
 SYNTHETIC_VOCAB = 4096
 # a float64 probability and an int32 index per kept top-k entry
 _BYTES_PER_ENTRY = 8 + 4
 
 
+def _read_ahead(items):
+    """The items of ``items``, each produced on one helper thread while the
+    caller works on the one before; an error of ``items`` is raised where a
+    plain loop would raise it. Closing the generator joins the helper."""
+    it, done = iter(items), object()
+    with ThreadPoolExecutor(1) as pool:
+        future = pool.submit(next, it, done)
+        while (item := future.result()) is not done:
+            future = pool.submit(next, it, done)
+            yield item
+
+
 def _score_block(block, ks: list[int]) -> list[np.ndarray]:
     """The exact entropy of each row of one block, then its top-k entropy
-    for each k of the grid."""
+    for each k of the ascending grid. A k below kmax, the largest k below V,
+    is taken from one partition of each row to its top kmax; kmax and V are
+    taken from the whole row, so they keep the bits of the kernel alone."""
     p = np.asarray(block, dtype=np.float64)
     if p.ndim != 2:
         raise InvalidArgumentError("need a (N, V) probability matrix with N >= 2")
-    if any(k < 1 or k > p.shape[1] for k in ks):
+    v = p.shape[1]
+    if any(k < 1 or k > v for k in ks):
         raise InvalidArgumentError("k grid entries must lie in [1, V]")
-    return [probstats.entropy_rows(p)] + [probstats.topk_entropy_rows(p, k) for k in ks]
+    kmax = max([k for k in ks if k < v], default=v)
+    top = np.partition(p, v - kmax, axis=1)[:, v - kmax :] if ks and ks[0] < kmax else p
+    return [probstats.entropy_rows(p)] + [probstats.topk_entropy_rows(top if k < kmax else p, k) for k in ks]
 
 
 def fidelity_from_blocks(blocks, k_grid) -> list[dict]:
@@ -489,35 +506,15 @@ def fidelity_from_blocks(blocks, k_grid) -> list[dict]:
     linear per-token memory cost of storing the k (probability, index) pairs.
 
     ``blocks`` is an iterable of (b, V) probability blocks, the rows of one
-    corpus in order. Block i is scored on one helper thread while the
-    iterator produces block i+1 (numpy releases the GIL in the draws, the
-    ufunc loops and np.partition), so at most two blocks are held at a time.
-    Scores are collected in block order and each block goes through the same
-    kernels, so every output bit is that of a serial loop, and an error of
-    block i, or of the iterator while it produces block i+1, is raised before
-    anything of a later block.
+    corpus in order. The caller scores block i while one helper thread
+    produces block i+1 (numpy releases the GIL in the draws, the ufunc loops
+    and np.partition); an error is raised where a plain loop would raise it.
     """
     ks = [int(k) for k in k_grid]
     if sorted(ks) != ks:
         raise InvalidArgumentError("k grid must be ascending")
-    scores: list[list[np.ndarray]] = []
-    pending = deque()
-    with ThreadPoolExecutor(_SCORE_WORKERS) as pool:  # joins the helper on every exit
-        it = iter(blocks)
-        while True:
-            try:
-                block = next(it)
-            except StopIteration:
-                break
-            except BaseException:
-                for future in pending:  # an earlier block's error comes first
-                    future.result()
-                raise
-            pending.append(pool.submit(_score_block, block, ks))
-            del block  # the helper holds it until it is scored
-            if len(pending) > _SCORE_WORKERS:
-                scores.append(pending.popleft().result())
-        scores.extend(future.result() for future in pending)
+    with contextlib.closing(_read_ahead(blocks)) as ahead:  # joins the helper on every exit
+        scores = [_score_block(block, ks) for block in ahead]
     if sum(len(score[0]) for score in scores) < 2:
         raise InvalidArgumentError("need a (N, V) probability matrix with N >= 2")
     exact = np.concatenate([score[0] for score in scores])

@@ -378,7 +378,7 @@ class TestBench:
         path.write_text(json.dumps(doc))
         assert cli.main(["bench", str(path), str(tmp_path / "out")]) == 1
         assert "conflict.novelty_rate" in capsys.readouterr().err
-        assert not list(tmp_path.glob("out/*"))
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("seeds,parallel,started", [([0, 1], 500, [2]), ([0, 1, 2], 2, [2]), ([0], 500, [])])
     def test_pool_starts_at_most_one_worker_per_seed(self, tmp_path, monkeypatch, seeds, parallel, started):
@@ -480,6 +480,18 @@ class TestAnalyze:
         path.write_text(json.dumps(doc) + "\n" + bad + "\n")
         assert cli.main(["analyze", str(tmp_path / "out"), "--records", str(path)]) == 1
         assert f"line 2: {field}" in capsys.readouterr().err
+
+    def test_k_with_records_rejected(self, tmp_path, capsys):
+        # scored records already hold their gates; --k would be ignored
+        path = tmp_path / "records.jsonl"
+        ls.export_records(ls.RecordTable.of(
+            source_id="a", position=np.arange(3), token_id=1, p_target=0.5,
+            entropy_full=1.0, entropy_topk=0.1, gate=0.2,
+        ), path)
+        out = tmp_path / "out"
+        assert cli.main(["analyze", str(out), "--records", str(path), "--k", "5"]) == 1
+        assert "--k" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_both_sources_rejected(self, tmp_path, capsys):
         assert cli.main([
@@ -614,6 +626,13 @@ class TestTopkStudy:
     def test_requires_exactly_one_source(self, tmp_path):
         assert cli.main(["topk-study", str(tmp_path / "out")]) == 1
 
+    def test_corpus_with_synthetic_rejected(self, tmp_path, capsys):
+        # the synthetic corpus is drawn, so --corpus would be ignored
+        out = tmp_path / "out"
+        assert cli.main(["topk-study", str(out), "--synthetic", "--corpus", str(tmp_path / "none.json")]) == 1
+        assert "--corpus" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("mode", ["synthetic", "checkpoint"])
     @pytest.mark.parametrize("grid", ["0", "1,100000", "5,2", "0,5"])
     def test_bad_k_grid_rejected_before_output(self, tmp_path, capsys, mode, grid):
@@ -733,6 +752,18 @@ class TestDynamics:
         argv = ["analyze", str(out), "--records", str(path)] if command == "analyze" else ["dynamics", str(d), str(out)]
         assert cli.main(argv) == 1
         assert f"{path}: line 3: missing required field {field!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestNonUtf8Input:
+    @pytest.mark.parametrize("command", ["train", "bench"])
+    def test_config_rejected_naming_the_file(self, tmp_path, capsys, command):
+        path = train_config(tmp_path) if command == "train" else bench_protocol(tmp_path)
+        path.write_bytes(path.read_bytes().replace(b'"1"', b'"\xff"', 1))
+        out = tmp_path / "out"
+        assert cli.main([command, str(path), str(out)]) == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and "can't decode byte 0xff" in err
         assert not out.exists()
 
 

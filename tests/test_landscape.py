@@ -690,7 +690,7 @@ def failing_after(blocks, exc):
 
 
 class TestFidelityPipeline:
-    """Blocks are scored on a helper thread while the next one is drawn."""
+    """Blocks are scored on the caller while a helper thread produces the next one."""
 
     @pytest.mark.parametrize("n", [BLOCK, 2 * BLOCK, 2 * BLOCK + 5])
     def test_rows_match_serial_oracle(self, n):
@@ -699,10 +699,9 @@ class TestFidelityPipeline:
         ks = [1, 2, 5, 48]
         assert ls.fidelity_from_blocks(iter(blocks), ks) == serial_fidelity(blocks, ks)
 
-    def test_rows_match_serial_oracle_under_stress(self, monkeypatch):
-        # more helpers than cores and a short switch interval interleave the
-        # threads as often as they can; the rows still come out in order
-        monkeypatch.setattr(ls, "_SCORE_WORKERS", 3)
+    def test_rows_match_serial_oracle_under_stress(self):
+        # a short switch interval interleaves the two threads as often as it
+        # can; the rows still come out in order
         blocks = list(ls.synthetic_fidelity_blocks(9 * BLOCK + 7, 32, 4))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -712,18 +711,50 @@ class TestFidelityPipeline:
             sys.setswitchinterval(interval)
         assert rows == serial_fidelity(blocks, [1, 3, 32])
 
-    def test_scored_on_one_helper_thread(self, monkeypatch):
-        idents = []
+    @pytest.mark.parametrize("vocab", [64, 256, 1024])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_one_partition_matches_per_k_kernel(self, vocab, seed):
+        # k < kmax is taken from the top-kmax slice, whose sums run in another
+        # order: those values may differ from the per-k kernel in the last
+        # bits, within a bound of ~kmax * (1 + ln kmax) float64 ulps
+        ks = ls.default_k_grid(vocab)
+        kmax = ks[-2]
+        blocks = list(ls.synthetic_fidelity_blocks(3 * BLOCK + 5, vocab, seed))
+        for block in blocks:
+            exact, *approx = ls._score_block(block, ks)
+            assert exact.tobytes() == probstats.entropy_rows(block).tobytes()
+            for k, values in zip(ks, approx):
+                oracle = probstats.topk_entropy_rows(block, k)
+                if k >= kmax:
+                    assert values.tobytes() == oracle.tobytes()
+                else:
+                    np.testing.assert_allclose(values, oracle, rtol=0, atol=1e-12)
+        rows = ls.fidelity_from_blocks(iter(blocks), ks)
+        for row, expected in zip(rows, serial_fidelity(blocks, ks), strict=True):
+            if row["k"] >= kmax or expected["pearson_r"] is None:
+                assert row == expected
+            else:
+                assert row == {**expected, "pearson_r": pytest.approx(expected["pearson_r"], abs=1e-12)}
+
+    def test_produced_on_one_helper_thread_scored_on_caller(self, monkeypatch):
+        producers, scorers = [], []
         score = ls._score_block
 
         def recording(block, ks):
-            idents.append(threading.get_ident())
+            scorers.append(threading.get_ident())
             return score(block, ks)
 
+        def produced(blocks):
+            for block in blocks:
+                producers.append(threading.get_ident())
+                yield block
+
         monkeypatch.setattr(ls, "_score_block", recording)
-        ls.fidelity_from_blocks(ls.synthetic_fidelity_blocks(5 * BLOCK, 16, 1), [2, 16])
-        assert len(idents) == 5
-        assert len(set(idents)) == 1 and idents[0] != threading.get_ident()
+        blocks = ls.synthetic_fidelity_blocks(5 * BLOCK, 16, 1)
+        ls.fidelity_from_blocks(produced(blocks), [2, 16])
+        caller = threading.get_ident()
+        assert len(producers) == 5 and len(set(producers)) == 1 and producers[0] != caller
+        assert scorers == [caller] * 5
 
     @pytest.mark.parametrize(
         "bad,message",
@@ -773,6 +804,16 @@ class TestFidelityPipeline:
         assert threading.active_count() == start
         with pytest.raises(InvalidArgumentError, match="N >= 2"):
             ls.fidelity_from_blocks(iter([np.full((1, 16), 1 / 16)]), [4])
+        assert threading.active_count() == start
+
+    def test_helper_joined_while_traceback_is_held(self):
+        # the failing frame, held by the traceback, still refers to the
+        # read-ahead; the helper is joined all the same
+        good = list(ls.synthetic_fidelity_blocks(3 * BLOCK, 8, 2))
+        start = threading.active_count()
+        with pytest.raises(InvalidArgumentError) as info:
+            ls.fidelity_from_blocks(iter(good[:1] + [np.full(8, 1 / 8)] + good), [2, 8])
+        assert info.tb is not None
         assert threading.active_count() == start
 
     def test_iterator_at_most_two_blocks_ahead(self, monkeypatch):

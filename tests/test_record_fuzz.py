@@ -101,3 +101,19 @@ def test_dynamics_contract(tmp_path_factory, capsys, mutation, line, bad_first):
     code = cli.main(["dynamics", str(records), str(out)])
     check_rejected(code, capsys.readouterr().err, bad, line, field)
     assert not out.exists()
+
+
+def test_non_utf8_line_rejected(tmp_path, capsys):
+    # each line is decoded on its own, so the bad byte is named by its line
+    records = tmp_path / "records"
+    records.mkdir()
+    path = records / "records.jsonl"
+    write_records(path)
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[3] = lines[3].replace(b'"token_text": "a"', b'"token_text": "\xff"')
+    path.write_bytes(b"".join(lines))
+    for argv in (["analyze", str(tmp_path / "out"), "--records", str(path)],
+                 ["dynamics", str(records), str(tmp_path / "out")]):
+        code = cli.main(argv)
+        check_rejected(code, capsys.readouterr().err, path, 4, "UTF-8")
+        assert not (tmp_path / "out").exists()
