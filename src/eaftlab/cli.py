@@ -138,7 +138,7 @@ def _optimizer(kind, lr, kind_field: str, lr_field: str) -> tuple[str, float]:
 
 def _load_json(path) -> dict:
     p = Path(path)
-    if not p.exists():
+    if not p.is_file():
         raise ConfigError(f"config file not found: {p}")
     try:
         with open(p, encoding="utf-8") as fh:

@@ -21,7 +21,6 @@ acquisition is NLL/accuracy on the new domain-B transitions.
 from __future__ import annotations
 
 import functools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -206,27 +205,30 @@ class Experiment:
 # ---------------------------------------------------------------------------
 
 
+def _peaked_row(rng: np.random.Generator, m: int, v: int, peak_mass: float, concentration: float):
+    """``(d, row)``: a row over ``v`` tokens whose dominant token ``d``, drawn
+    among the first ``m``, carries ``peak_mass``; the other ``m - 1`` share the
+    rest by a Dirichlet draw of the given concentration."""
+    d = int(rng.integers(0, m))
+    row = np.zeros(v)
+    row[np.delete(np.arange(m), d)] = rng.dirichlet(np.ones(m - 1) * concentration) * (1.0 - peak_mass)
+    row[d] = peak_mass
+    return d, row
+
+
 def _build_tables(domain: DomainSpec, rng: np.random.Generator):
     m = domain.resolved_active()
     n_states = m**domain.markov_order
     v = domain.vocab_size
     peaked_mask = np.zeros(n_states, dtype=bool)
-    n_peaked = int(round(domain.peaked_fraction * n_states))
-    peaked_mask[rng.permutation(n_states)[:n_peaked]] = True
+    peaked_mask[rng.permutation(n_states)[: int(round(domain.peaked_fraction * n_states))]] = True
     rows = np.zeros((n_states, v))
     dominant = np.full(n_states, -1, dtype=np.int64)
     for s in range(n_states):
         if peaked_mask[s]:
-            d = int(rng.integers(0, m))
-            dominant[s] = d
-            tail = rng.dirichlet(np.ones(m - 1) * domain.tail_concentration)
-            row = np.zeros(v)
-            row[np.delete(np.arange(m), d)] = tail * (1.0 - domain.peak_mass)
-            row[d] = domain.peak_mass
+            dominant[s], rows[s] = _peaked_row(rng, m, v, domain.peak_mass, domain.tail_concentration)
         else:
-            row = np.zeros(v)
-            row[:m] = rng.dirichlet(np.ones(m) * domain.flat_concentration)
-        rows[s] = row
+            rows[s, :m] = rng.dirichlet(np.ones(m) * domain.flat_concentration)
     return rows, dominant, peaked_mask
 
 
@@ -293,6 +295,14 @@ def _first_visits(states: np.ndarray, cap: int) -> np.ndarray:
     return rank < cap
 
 
+def _within_budget(states: np.ndarray, visits: np.ndarray, budget: float) -> np.ndarray:
+    """The leading ``states`` taken while the ``visits`` of those taken before
+    stay below ``budget``, so the taken visits can exceed it by the last
+    state's."""
+    taken_before = np.cumsum(visits[states]) - visits[states]
+    return states[taken_before < budget]
+
+
 def check_context_len(domain: DomainSpec, sizes: GenerationSizes, context_len: int) -> None:
     """Reject a context that cannot hold the chain state (shorter than
     ``markov_order``) or whose window of ``context_len + 1`` tokens does not
@@ -333,108 +343,71 @@ def generate_domains(
     ev_ctx, ev_tgt, ev_states = positions(sizes.eval_sequences)
 
     pre_visits = np.bincount(pre_states, minlength=n_states)
-    pre_tails = np.zeros(n_states, dtype=np.int64)
-    conflicting = pre_tgt != dominant[pre_states]
-    np.add.at(pre_tails, pre_states[conflicting & peaked_mask[pre_states]], 1)
+    conflicting = (pre_tgt != dominant[pre_states]) & peaked_mask[pre_states]
+    pre_tails = np.bincount(pre_states[conflicting], minlength=n_states)
     ft_visits = np.bincount(ft_states, minlength=n_states)
 
     # conflicts target the strongest priors: contexts whose pretraining
-    # evidence is plentiful and near-unanimous, in tiers of falling strength
-    with np.errstate(invalid="ignore"):
-        agree = np.where(pre_visits > 0, (pre_visits - pre_tails) / np.maximum(pre_visits, 1), 0.0)
-    ids = np.arange(n_states)
+    # evidence is plentiful and near-unanimous, in tiers of falling strength,
+    # by pretraining visits within a tier, each context at its first tier
+    agree = (pre_visits - pre_tails) / np.maximum(pre_visits, 1)
     eligible = peaked_mask & (ft_visits > 0)
-    tiers = [
-        ids[eligible & (pre_visits >= 15) & (agree >= 0.97)],
-        ids[eligible & (pre_visits >= 10) & (agree >= 0.94)],
-        ids[eligible & (pre_visits >= 5)],
-        ids[eligible],
-    ]
-    seen: set[int] = set()
-    ordered: list[int] = []
-    for tier in tiers:
-        for s in tier[np.argsort(-pre_visits[tier], kind="stable")]:
-            if int(s) not in seen:
-                seen.add(int(s))
-                ordered.append(int(s))
-    conflict_contexts: set[int] = set()
-    budget = conflict.conflict_rate * ft_n
-    acc = 0
-    for s in ordered:
-        if acc >= budget:
-            break
-        conflict_contexts.add(s)
-        acc += int(ft_visits[s])
-    conflict_labels = {
-        s: int(rng.choice(np.delete(np.arange(m), dominant[s])))
-        for s in sorted(conflict_contexts)
-    }
+    tiers = (
+        eligible & (pre_visits >= 15) & (agree >= 0.97),
+        eligible & (pre_visits >= 10) & (agree >= 0.94),
+        eligible & (pre_visits >= 5),
+        eligible,
+    )
+    ranked = np.concatenate([ids[np.argsort(-pre_visits[ids], kind="stable")] for ids in map(np.flatnonzero, tiers)])
+    _, first = np.unique(ranked, return_index=True)
+    chosen_conflicts = _within_budget(ranked[np.sort(first)], ft_visits, conflict.conflict_rate * ft_n)
+    conflicts = np.sort(chosen_conflicts)
+    # per state: its kind, and its forced conflict target or domain-B dominant token
+    kind = np.full(n_states, "unchanged", dtype=object)
+    kind[conflicts] = "conflict"
+    label = np.zeros(n_states, dtype=np.int64)
+    for s in conflicts:
+        label[s] = rng.choice(np.delete(np.arange(m), dominant[s]))
 
-    novel_contexts: set[int] = set()
-    budget = conflict.novelty_rate * ft_n
-    acc = 0
-    for s in rng.permutation(ids[(~peaked_mask) & (ft_visits > 0)]):
-        if acc >= budget:
-            break
-        novel_contexts.add(int(s))
-        acc += int(ft_visits[s])
-    novel_labels: dict[int, int] = {}
-    novel_rows: dict[int, np.ndarray] = {}
+    candidates = rng.permutation(np.flatnonzero(~peaked_mask & (ft_visits > 0)))
+    chosen_novels = _within_budget(candidates, ft_visits, conflict.novelty_rate * ft_n)
+    novels = np.sort(chosen_novels)
+    kind[novels] = "novel"
     # domain-B rows by state; rows of other states stay zero and are never read
     novel_table = np.zeros_like(rows)
-    for s in sorted(novel_contexts):
-        label = int(rng.integers(0, m))
-        novel_labels[s] = label
-        row = novel_table[s]
-        tail = rng.dirichlet(np.ones(m - 1) * domain.tail_concentration)
-        row[np.delete(np.arange(m), label)] = tail * (1.0 - conflict.novel_peak_mass)
-        row[label] = conflict.novel_peak_mass
-        novel_rows[s] = row
-    is_conflict = np.zeros(n_states, dtype=bool)
-    is_conflict[list(conflict_contexts)] = True
-    is_novel = np.zeros(n_states, dtype=bool)
-    is_novel[list(novel_contexts)] = True
-    label_of = np.zeros(n_states, dtype=np.int64)
-    label_of[list(conflict_labels)] = list(conflict_labels.values())
+    for s in novels:
+        label[s], novel_table[s] = _peaked_row(
+            rng, m, domain.vocab_size, conflict.novel_peak_mass, domain.tail_concentration
+        )
     novel_cdf = np.zeros_like(rows)
-    novel_cdf[is_novel] = _transition_cdf(novel_table[is_novel])
+    novel_cdf[novels] = _transition_cdf(novel_table[novels])
 
     def novel_draws(states: np.ndarray) -> np.ndarray:
         return _sample(novel_cdf[states], rng.random(len(states)))
 
-    kinds = np.full(ft_n, "unchanged", dtype=object)
-    new_targets = ft_tgt.copy()
-    conflicted = is_conflict[ft_states]
-    new_targets[conflicted] = label_of[ft_states[conflicted]]
-    kinds[conflicted] = "conflict"
-    novel = is_novel[ft_states] & ~conflicted
-    new_targets[novel] = novel_draws(ft_states[novel])
-    kinds[novel] = "novel"
+    ft_kinds = kind[ft_states]
+    conflicted, novel = ft_kinds == "conflict", ft_kinds == "novel"
+    ft_tgt[conflicted] = label[ft_states[conflicted]]
+    ft_tgt[novel] = novel_draws(ft_states[novel])
 
-    keep_a = ~is_novel[ev_states]
-    eval_a = toylm.Corpus(ev_ctx[keep_a], ev_tgt[keep_a])
-    eval_b = toylm.Corpus(ev_ctx[~keep_a], novel_draws(ev_states[~keep_a]))
-
-    gt = GroundTruth(
-        rows=rows,
-        dominant=dominant,
-        peaked_mask=peaked_mask,
-        conflict_contexts=conflict_contexts,
-        novel_contexts=novel_contexts,
-        conflict_labels=conflict_labels,
-        novel_labels=novel_labels,
-        novel_rows=novel_rows,
-        order=order,
-        active=m,
-    )
+    keep_a = kind[ev_states] != "novel"
     return DomainData(
         pretrain=toylm.Corpus(pre_ctx, pre_tgt),
-        finetune=toylm.Corpus(ft_ctx, new_targets),
-        finetune_kinds=kinds,
+        finetune=toylm.Corpus(ft_ctx, ft_tgt),
+        finetune_kinds=ft_kinds,
         finetune_states=ft_states,
-        eval_a=eval_a,
-        eval_b=eval_b,
-        ground_truth=gt,
+        eval_a=toylm.Corpus(ev_ctx[keep_a], ev_tgt[keep_a]),
+        eval_b=toylm.Corpus(ev_ctx[~keep_a], novel_draws(ev_states[~keep_a])),
+        # Python ints, through tolist(): digests hash reprs, and an np.int64's differs
+        ground_truth=GroundTruth(
+            rows=rows, dominant=dominant, peaked_mask=peaked_mask,
+            conflict_contexts=set(chosen_conflicts.tolist()),
+            novel_contexts=set(chosen_novels.tolist()),
+            conflict_labels=dict(zip(conflicts.tolist(), label[conflicts].tolist())),
+            novel_labels=dict(zip(novels.tolist(), label[novels].tolist())),
+            novel_rows={s: novel_table[s] for s in novels.tolist()},
+            order=order, active=m,
+        ),
     )
 
 
@@ -680,6 +653,8 @@ def run_grid(experiment: Experiment = Experiment(), parallel: int = 1) -> list[B
     workers = min(parallel, len(jobs))
     cells: list[BenchCell] = []
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # imports multiprocessing: only when used
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for chunk in pool.map(_run_seed, jobs):
                 cells.extend(chunk)

@@ -398,7 +398,7 @@ class TestBench:
             def map(self, fn, jobs):
                 return map(fn, jobs)
 
-        monkeypatch.setattr(fb, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
         doc = json.loads(bench_protocol(tmp_path).read_text())
         doc["seeds"] = seeds
         path = tmp_path / "protocol.json"
@@ -764,6 +764,24 @@ class TestNonUtf8Input:
         assert cli.main([command, str(path), str(out)]) == 1
         err = capsys.readouterr().err
         assert str(path) in err and "can't decode byte 0xff" in err
+        assert not out.exists()
+
+
+class TestDirectoryAsInputFile:
+    @pytest.mark.parametrize("command", ["train", "bench", "analyze"])
+    def test_directory_rejected_naming_it(self, tmp_path, capsys, command):
+        # a directory passes an exists() check but cannot be opened as JSON
+        directory = tmp_path / "a_directory"
+        directory.mkdir()
+        out = tmp_path / "out"
+        argv = [command, str(directory), str(out)]
+        if command == "analyze":
+            checkpoint = tmp_path / "model.ckpt"
+            config = toylm.ModelConfig(vocab_size=16, context_len=3, embed_dim=4, hidden_dim=8, seed=1)
+            toylm.save_checkpoint(checkpoint, config, toylm.init_model(config))
+            argv = ["analyze", str(out), "--checkpoint", str(checkpoint), "--corpus", str(directory)]
+        assert cli.main(argv) == 1
+        assert str(directory) in capsys.readouterr().err
         assert not out.exists()
 
 

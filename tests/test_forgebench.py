@@ -50,6 +50,36 @@ def _dict_dedup(states, cap):
     return np.array(mask, dtype=bool)
 
 
+def _tier_loop(eligible, pre_visits, agree):
+    """Oracle: the seen-set loop that ranked the conflict candidates, tier by
+    tier, each tier by pretraining visits."""
+    ids = np.arange(len(eligible))
+    tiers = [
+        ids[eligible & (pre_visits >= 15) & (agree >= 0.97)],
+        ids[eligible & (pre_visits >= 10) & (agree >= 0.94)],
+        ids[eligible & (pre_visits >= 5)],
+        ids[eligible],
+    ]
+    seen, ordered = set(), []
+    for tier in tiers:
+        for s in tier[np.argsort(-pre_visits[tier], kind="stable")]:
+            if int(s) not in seen:
+                seen.add(int(s))
+                ordered.append(int(s))
+    return ordered
+
+
+def _budget_loop(candidates, visits, budget):
+    """Oracle: the loop that took candidates until their visits met the budget."""
+    taken, acc = [], 0
+    for s in candidates:
+        if acc >= budget:
+            break
+        taken.append(int(s))
+        acc += int(visits[s])
+    return taken
+
+
 class TestSampler:
     @staticmethod
     def rows(active, order, v):
@@ -238,6 +268,80 @@ class TestGenerateDomains:
         b = fb.generate_domains(fb.DomainSpec(seed=8), fb.ConflictSpec(), SMALL_SIZES)
         assert np.array_equal(a.finetune.targets, b.finetune.targets)
         assert np.array_equal(a.pretrain.contexts, b.pretrain.contexts)
+
+
+SELECTION_EDGES = [
+    ({"peaked_fraction": 0.0}, {"conflict_rate": 0.5, "novelty_rate": 0.5}),  # no conflict candidate
+    ({"peaked_fraction": 1.0}, {"conflict_rate": 0.5, "novelty_rate": 0.5}),  # no novel candidate
+    ({}, {"conflict_rate": 0.0, "novelty_rate": 0.0}),  # budgets of 0
+    ({}, {"conflict_rate": 1.0, "novelty_rate": 0.0}),
+    ({}, {"conflict_rate": 0.0, "novelty_rate": 1.0}),
+]
+
+
+def _random_selection_spec(seed):
+    rng = np.random.default_rng(seed)
+    domain = {
+        "markov_order": int(rng.integers(1, 3)), "vocab_size": int(rng.integers(12, 25)),
+        "peaked_fraction": float(rng.random()), "peak_mass": float(rng.uniform(0.6, 1.0)),
+    }
+    rate = float(rng.random())
+    return domain, {"conflict_rate": rate, "novelty_rate": float(rng.uniform(0, 1 - rate))}
+
+
+class TestInjectionSelection:
+    def test_within_budget_matches_loop(self):
+        rng = np.random.default_rng(20)
+        for n in (0, 1, 5, 40):
+            for _ in range(50):
+                states = rng.permutation(60)[:n]
+                visits = rng.integers(0, 4, size=60)
+                prefix = np.cumsum(visits[states])
+                total = int(prefix[-1]) if n else 0
+                budgets = [0, 0.0, total, 1.0 * total, total + 1, rng.uniform(0, total + 2)]
+                if n:  # a budget equal to a prefix sum: the context that reaches it is taken
+                    budgets.append(float(prefix[rng.integers(n)]))
+                for budget in budgets:
+                    want = _budget_loop(states, visits, budget)
+                    assert fb._within_budget(states, visits, budget).tolist() == want
+
+    @pytest.mark.parametrize(
+        "domain,conflict", SELECTION_EDGES + [_random_selection_spec(seed) for seed in range(8)]
+    )
+    def test_chosen_sets_match_loops(self, monkeypatch, domain, conflict):
+        # the ranked conflict candidates equal the seen-set tier loop on the
+        # domain's own visit counts, and both chosen sets the budget loop
+        calls = []
+        within_budget = fb._within_budget
+
+        def recording(states, visits, budget):
+            calls.append((states.copy(), budget))
+            return within_budget(states, visits, budget)
+
+        monkeypatch.setattr(fb, "_within_budget", recording)
+        spec = fb.ConflictSpec(**conflict)
+        data = fb.generate_domains(fb.DomainSpec(seed=13, **domain), spec, SMALL_SIZES)
+        gt = data.ground_truth
+        (ranked, conflict_budget), (candidates, novel_budget) = calls
+        ft_n = len(data.finetune)
+        assert (conflict_budget, novel_budget) == (spec.conflict_rate * ft_n, spec.novelty_rate * ft_n)
+        n_states = len(gt.rows)
+        pre_states = fb._chain_state(data.pretrain.contexts, gt.order, gt.active)
+        pre_visits = np.bincount(pre_states, minlength=n_states)
+        pre_tails = np.zeros(n_states, dtype=np.int64)
+        conflicting = data.pretrain.targets != gt.dominant[pre_states]
+        np.add.at(pre_tails, pre_states[conflicting & gt.peaked_mask[pre_states]], 1)
+        with np.errstate(invalid="ignore"):
+            agree = np.where(pre_visits > 0, (pre_visits - pre_tails) / np.maximum(pre_visits, 1), 0.0)
+        ft_visits = np.bincount(data.finetune_states, minlength=n_states)
+        assert ranked.tolist() == _tier_loop(gt.peaked_mask & (ft_visits > 0), pre_visits, agree)
+        assert gt.conflict_contexts == set(_budget_loop(ranked, ft_visits, conflict_budget))
+        assert sorted(candidates.tolist()) == np.flatnonzero(~gt.peaked_mask & (ft_visits > 0)).tolist()
+        assert gt.novel_contexts == set(_budget_loop(candidates, ft_visits, novel_budget))
+        # the log holds Python ints, whose reprs the golden digests hash
+        labels = {**gt.conflict_labels, **gt.novel_labels}
+        logged = [*gt.conflict_contexts, *gt.novel_contexts, *labels, *labels.values(), *gt.novel_rows]
+        assert all(type(x) is int for x in logged)
 
 
 class TestClassifyConflicts:

@@ -31,14 +31,27 @@ GOLDEN = {
     "cli_train_sft_kl": "efde744d81cf3d4292c0e8c25f6cb93d53dc44a59ff00b487ab8ed9a92852632",
     "cli_diagnostics": "3ff559d7b9f9ad3d09f092b682226e51d9ce0748ff61b64d8208ca5f2527a0d8",
     "fidelity": "e8b846425c48f69eef7331f66e1b7794c844385293ac40749ae14c7a5e3b800a",
+    "domains_order3": "46768c08061091cfeb5989e9c0d96d2b543e4e3cd864090fe9cd913d95de69a6",
+    "domains_novel_only": "ec052b47451fb58e47a7b7d0c892306a866cd16e4577f25af7b5ff4c98d677fd",
+    "domains_cap3": "7678304f77c5b264e7a5ffe1c3e316b17d46616febf9b0709654c76fd3282b1e",
 }
 
 SIZES = fb.GenerationSizes(pretrain_sequences=100, finetune_walks=100, eval_sequences=100)
-DOMAINS = {
-    "domains_order2": (fb.DomainSpec(peak_mass=0.99, seed=11), 3, SIZES),
-    "domains_order1": (fb.DomainSpec(markov_order=1, vocab_size=12, active_tokens=5, seed=4), 2, SIZES),
+DOMAINS = {  # name -> (domain, context_len, sizes, conflict)
+    "domains_order2": (fb.DomainSpec(peak_mass=0.99, seed=11), 3, SIZES, fb.ConflictSpec()),
+    "domains_order1": (
+        fb.DomainSpec(markov_order=1, vocab_size=12, active_tokens=5, seed=4), 2, SIZES, fb.ConflictSpec(),
+    ),
     # the acceptance domain at default sizes: every walk, dedup and draw at full scale
-    "domains_default": (fb.DomainSpec(peak_mass=0.99), 3, fb.GenerationSizes()),
+    "domains_default": (fb.DomainSpec(peak_mass=0.99), 3, fb.GenerationSizes(), fb.ConflictSpec()),
+    "domains_order3": (fb.DomainSpec(markov_order=3, vocab_size=16, seed=5), 3, SIZES, fb.ConflictSpec()),
+    "domains_novel_only": (
+        fb.DomainSpec(seed=6), 3, SIZES, fb.ConflictSpec(conflict_rate=0.0, novelty_rate=0.7),
+    ),
+    "domains_cap3": (
+        fb.DomainSpec(vocab_size=12, active_tokens=5, seed=7), 2,
+        dataclasses.replace(SIZES, finetune_cap=3), fb.ConflictSpec(),
+    ),
 }
 PROTOCOL = fb.BenchProtocol(
     hidden_dim=32,
@@ -70,8 +83,8 @@ def _params(params: toylm.ToyModelParams) -> list:
 
 
 def domains_digest(name: str) -> str:
-    domain, context_len, sizes = DOMAINS[name]
-    data = fb.generate_domains(domain, fb.ConflictSpec(), sizes, context_len)
+    domain, context_len, sizes, conflict = DOMAINS[name]
+    data = fb.generate_domains(domain, conflict, sizes, context_len)
     gt = data.ground_truth
     return _sha(
         *_arrays(
