@@ -139,9 +139,14 @@ def topk_entropy_rows(probs: np.ndarray, k: int) -> np.ndarray:
         raise InvalidArgumentError(f"k={k} outside [1, {p.shape[-1]}]")
     # np.partition is faster than a full sort and, after renormalization,
     # tie-breaking cannot change the entropy value (tied entries are equal).
-    top = np.partition(p, p.shape[-1] - k, axis=-1)[..., p.shape[-1] - k:]
+    return _renormalized_entropy(np.partition(p, p.shape[-1] - k, axis=-1)[..., p.shape[-1] - k:])
+
+
+def _renormalized_entropy(top: np.ndarray) -> np.ndarray:
+    # the entropy of each row of ``top`` scaled to sum to 1; divides ``top``
+    # in place, so it must be a private copy (a partition is one)
     total = top.sum(axis=-1, keepdims=True)
-    top /= np.where(total > 0.0, total, 1.0)  # the partition is a private copy
+    top /= np.where(total > 0.0, total, 1.0)
     return _entropy_raw(top)
 
 

@@ -61,21 +61,77 @@ class ModelConfig:
             raise InvalidArgumentError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
 
 
-@dataclass
 class ToyModelParams:
-    embedding: np.ndarray      # V x d
-    hidden_weight: np.ndarray  # (n*d) x h
-    hidden_bias: np.ndarray    # h
-    out_weight: np.ndarray     # h x V
-    out_bias: np.ndarray       # V
+    """The model's parameters as one flat float64 vector, ``flat``, in
+    ``PARAM_FIELDS`` order; each field is a reshaped view of it, and
+    assigning to a field writes into that view. Gradients, optimizer steps
+    and checkpoint payloads share this layout.
+
+    ``dims`` is (V, n, d, h): the field shapes are V x d, (n*d) x h, h,
+    h x V and V.
+    """
+
+    def __init__(self, embedding, hidden_weight, hidden_bias, out_weight, out_bias):
+        """Copy the five arrays into a new flat vector; a field whose shape
+        disagrees with the others is rejected, naming it."""
+        arrays = (embedding, hidden_weight, hidden_bias, out_weight, out_bias)
+        if np.ndim(embedding) != 2 or np.ndim(hidden_weight) != 2:
+            raise InvalidArgumentError("embedding and hidden_weight must be matrices")
+        (v, d), (nd, h) = np.shape(embedding), np.shape(hidden_weight)
+        dims = (v, nd // d, d, h)
+        size, layout = _layout(dims)
+        flat = np.empty(size)
+        for (name, sl, shape), array in zip(layout, arrays):
+            if np.shape(array) != shape:
+                raise InvalidArgumentError(f"{name} has shape {np.shape(array)}, the other fields give {shape}")
+            flat[sl] = np.ravel(array)
+        self._bind(flat, dims)
+
+    @classmethod
+    def from_flat(cls, flat: np.ndarray, dims: tuple[int, int, int, int]) -> "ToyModelParams":
+        """Parameters whose fields are views of ``flat`` itself, not a copy."""
+        params = cls.__new__(cls)
+        params._bind(flat, dims)
+        return params
+
+    def _bind(self, flat, dims) -> None:
+        object.__setattr__(self, "flat", flat)
+        object.__setattr__(self, "dims", dims)
+        for name, sl, shape in _layout(dims)[1]:
+            object.__setattr__(self, name, flat[sl].reshape(shape))
+
+    def __setattr__(self, name, value):
+        # a field stays a view of ``flat``: write into it, never rebind it
+        target = getattr(self, name)
+        if value is not target:  # ``p.out_weight *= c`` has already written in place
+            target[...] = value
+
+    def __reduce__(self):
+        # pickle the vector once; the fields are rebuilt as views of it
+        return ToyModelParams.from_flat, (self.flat, self.dims)
 
     def copy(self) -> "ToyModelParams":
-        return ToyModelParams(**{f: getattr(self, f).copy() for f in PARAM_FIELDS})
+        return ToyModelParams.from_flat(self.flat.copy(), self.dims)
 
-    def config_dims(self) -> tuple[int, int, int, int]:
-        v, d = self.embedding.shape
-        nd, h = self.hidden_weight.shape
-        return v, nd // d, d, h
+    def norm(self) -> float:
+        """sqrt of the per-field sums of squares, added in field order."""
+        sq = self.flat * self.flat
+        return float(np.sqrt(sum(float(np.add.reduce(sq[sl])) for _, sl, _ in _layout(self.dims)[1])))
+
+
+@functools.lru_cache(maxsize=16)
+def _layout(dims: tuple[int, int, int, int]) -> tuple[int, tuple]:
+    """Total size and ``(field, slice, shape)`` of each field, in field
+    order, of a model with dimensions (V, n, d, h); ``math.prod`` keeps the
+    sizes of an oversized checkpoint header exact."""
+    v, n, d, h = dims
+    shapes = ((v, d), (n * d, h), (h,), (h, v), (v,))
+    layout, start = [], 0
+    for name, shape in zip(PARAM_FIELDS, shapes):
+        size = math.prod(shape)
+        layout.append((name, slice(start, start + size), shape))
+        start += size
+    return start, tuple(layout)
 
 
 @dataclass(frozen=True)
@@ -207,7 +263,7 @@ def forward_batch(params: ToyModelParams, contexts: np.ndarray):
     ``train``, ``loss_and_grads``, ...) check a corpus once.
     """
     ctx = np.asarray(contexts, dtype=np.int64)
-    _, n, d, _ = params.config_dims()
+    _, n, d, _ = params.dims
     if ctx.ndim != 2 or ctx.shape[1] != n:
         raise InvalidArgumentError(f"contexts must be (B, {n})")
     e = params.embedding[ctx].reshape(ctx.shape[0], n * d)
@@ -262,93 +318,22 @@ def distinct_blocks(params: ToyModelParams, corpus: Corpus):
         yield order[lo:hi], sorted_rows[lo:hi] - rows.start, logits
 
 
-def _param_shapes(v: int, n: int, d: int, h: int) -> dict[str, tuple]:
-    """Shape of each parameter of a model with dimensions (V, n, d, h)."""
-    return {
-        "embedding": (v, d),
-        "hidden_weight": (n * d, h),
-        "hidden_bias": (h,),
-        "out_weight": (h, v),
-        "out_bias": (v,),
-    }
-
-
-@functools.lru_cache(maxsize=16)
-def _flat_layout(dims: tuple[int, int, int, int]) -> tuple[int, tuple]:
-    """Total size and ``(field, slice, shape)`` of each field, in field order."""
-    layout, start = [], 0
-    for name, shape in _param_shapes(*dims).items():
-        size = int(np.prod(shape))
-        layout.append((name, slice(start, start + size), shape))
-        start += size
-    return start, tuple(layout)
-
-
-class Gradients(dict):
-    """Parameter gradients by field, as views into one flat vector.
-
-    ``flat`` holds the gradients in ``PARAM_FIELDS`` order and ``squared`` is
-    its elementwise square, formed on first use and read by both the train
-    log's grad norm and adam's second moment; it is not refreshed if the
-    gradients are written to afterwards.
-    """
-
-    def __init__(self, flat: np.ndarray, dims: tuple[int, int, int, int]):
-        self.layout = _flat_layout(dims)[1]
-        super().__init__((name, flat[sl].reshape(shape)) for name, sl, shape in self.layout)
-        self.flat = flat
-        self.dims = dims
-        self._squared = None
-
-    def __setitem__(self, name, value):
-        # a replaced field would leave ``flat`` stale; write into the view
-        raise TypeError("Gradients fields are views into one flat vector; update them in place")
-
-    @classmethod
-    def empty(cls, params: ToyModelParams) -> "Gradients":
-        dims = params.config_dims()
-        return cls(np.empty(_flat_layout(dims)[0]), dims)
-
-    @classmethod
-    def of(cls, grads, params: ToyModelParams) -> "Gradients":
-        """``grads`` itself if it is already flat, else a flat copy of it."""
-        dims = params.config_dims()
-        if isinstance(grads, cls) and grads.dims == dims:
-            return grads
-        for name, _, shape in _flat_layout(dims)[1]:
-            if np.shape(grads[name]) != shape:
-                raise InvalidArgumentError(f"gradient shape mismatch for {name}")
-        flat = np.concatenate([np.ravel(grads[name]) for name in PARAM_FIELDS], dtype=np.float64)
-        return cls(flat, dims)
-
-    @property
-    def squared(self) -> np.ndarray:
-        if self._squared is None:
-            self._squared = self.flat * self.flat
-        return self._squared
-
-    def norm(self) -> float:
-        """sqrt of the per-field sums of squares, added in field order."""
-        sq = self.squared
-        return float(np.sqrt(sum(float(np.add.reduce(sq[sl])) for _, sl, _ in self.layout)))
-
-
-def backprop_logits(params: ToyModelParams, cache, grad_logits: np.ndarray) -> Gradients:
+def backprop_logits(params: ToyModelParams, cache, grad_logits: np.ndarray) -> ToyModelParams:
     """Exact parameter gradients given d(loss)/d(logits) for a batch."""
     ctx, e, a = cache
-    _, n, d, _ = params.config_dims()
-    grads = Gradients.empty(params)
-    grad_logits.sum(axis=0, out=grads["out_bias"])
-    np.matmul(a.T, grad_logits, out=grads["out_weight"])
+    _, n, d, _ = params.dims
+    grads = ToyModelParams.from_flat(np.empty(params.flat.size), params.dims)
+    grad_logits.sum(axis=0, out=grads.out_bias)
+    np.matmul(a.T, grad_logits, out=grads.out_weight)
     gz = grad_logits @ params.out_weight.T
     gz *= 1.0 - a * a  # gz = ga * (1 - a * a)
-    gz.sum(axis=0, out=grads["hidden_bias"])
-    np.matmul(e.T, gz, out=grads["hidden_weight"])
+    gz.sum(axis=0, out=grads.hidden_bias)
+    np.matmul(e.T, gz, out=grads.hidden_weight)
     ge = (gz @ params.hidden_weight.T).reshape(ctx.shape[0], n, d)
     # one scatter-add over the flattened table: each entry receives the same
     # additions in the same order (context slot, then batch row) as one
     # np.add.at per slot, and the 1-D form is several times faster
-    g_embedding = grads["embedding"].reshape(-1)
+    g_embedding = grads.embedding.reshape(-1)
     g_embedding[:] = 0.0
     slots = (ctx.T[:, :, None] * d + np.arange(d)).ravel()
     np.add.at(g_embedding, slots, ge.transpose(1, 0, 2).ravel())
@@ -396,7 +381,7 @@ def loss_and_grads(
     objective: obj.ObjectiveSpec,
     ref_params: ToyModelParams | None = None,
     position_weights: np.ndarray | None = None,
-) -> tuple[float, dict, obj.TokenTerms]:
+) -> tuple[float, ToyModelParams, obj.TokenTerms]:
     """Batch loss, exact parameter gradients, and the per-token terms."""
     if len(batch) == 0:
         raise InvalidArgumentError("batch must be non-empty")
@@ -417,43 +402,43 @@ class OptimizerState:
         check_optimizer(self.kind, self.learning_rate, "kind", "learning_rate")
 
 
-def apply_update(params: ToyModelParams, grads: dict, state: OptimizerState) -> None:
+def apply_update(params: ToyModelParams, grads: ToyModelParams, state: OptimizerState) -> None:
     """One deterministic optimizer step that overwrites ``params`` and ``state``.
 
     The optimizer runs once, elementwise, over the flat gradient vector with
-    flat state buffers; each parameter then subtracts its slice of the step.
-    Each in-place operation rounds exactly like the expression in its
-    comment, so the result is bit-equal to the textbook form.
+    flat state buffers, and the flat parameters subtract the step. Each
+    in-place operation rounds exactly like the expression in its comment,
+    so the result is bit-equal to the textbook form.
     """
-    g = Gradients.of(grads, params)
+    if grads.dims != params.dims:
+        raise InvalidArgumentError(f"gradient dims {grads.dims} differ from the model's {params.dims}")
+    g = grads.flat
     state.step_count += 1
     t = state.step_count
     lr = state.learning_rate
     buf = state.buffers
     if state.kind == "sgd-momentum":
         if "velocity" not in buf:
-            buf["velocity"] = np.zeros_like(g.flat)
+            buf["velocity"] = np.zeros_like(g)
         v = buf["velocity"]
         v *= 0.9  # v = 0.9 * v + g
-        v += g.flat
+        v += g
         step = lr * v  # p -= lr * v
     else:  # adam-lite
         if "m" not in buf:
-            buf["m"], buf["v"] = np.zeros_like(g.flat), np.zeros_like(g.flat)
+            buf["m"], buf["v"] = np.zeros_like(g), np.zeros_like(g)
         m, v = buf["m"], buf["v"]
         m *= 0.9  # m = 0.9 * m + 0.1 * g
-        m += 0.1 * g.flat
+        m += 0.1 * g
         v *= 0.999  # v = 0.999 * v + 0.001 * (g * g)
-        v += 0.001 * g.squared
+        v += 0.001 * (g * g)
         step = m / (1.0 - 0.9**t)  # p -= lr * m_hat / (sqrt(v_hat) + 1e-8)
         step *= lr
         denom = v / (1.0 - 0.999**t)
         np.sqrt(denom, out=denom)
         denom += 1e-8
         step /= denom
-    for name, sl, shape in g.layout:
-        p = getattr(params, name)
-        p -= step[sl].reshape(shape)
+    params.flat -= step
 
 
 @dataclass(frozen=True)
@@ -557,7 +542,7 @@ def train(run: TrainRun) -> TrainResult:
     return TrainResult(params=params, log=log, captures=RecordTable.concat(captures))
 
 
-def _log_entry(run: TrainRun, step: int, terms: obj.TokenTerms, grads: Gradients) -> TrainLogEntry:
+def _log_entry(run: TrainRun, step: int, terms: obj.TokenTerms, grads: ToyModelParams) -> TrainLogEntry:
     mean_loss = float(terms.losses.mean())
     if not run.log_stats:
         return TrainLogEntry(step=step, mean_loss=mean_loss)
@@ -618,28 +603,18 @@ def evaluate(params: ToyModelParams, eval_set: Corpus) -> dict:
 # ---------------------------------------------------------------------------
 # Checkpoint I/O: flat little-endian binary layout. Header is the magic,
 # a u32 version, the four model dimensions as u32, and the seed as u64;
-# parameter tensors follow as float64 in declaration order. Round-trips
-# are bit-exact.
+# ``ToyModelParams.flat`` follows as float64, the tensors in declaration
+# order. Round-trips are bit-exact.
 # ---------------------------------------------------------------------------
 
 
 def save_checkpoint(path, config: ModelConfig, params: ToyModelParams) -> None:
+    dims = (config.vocab_size, config.context_len, config.embed_dim, config.hidden_dim)
+    if params.dims != dims:  # the header would declare another payload
+        raise InvalidArgumentError(f"parameter dims {params.dims} differ from the config's {dims}")
     with atomic_write(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        fh.write(
-            struct.pack(
-                "<IIII",
-                config.vocab_size,
-                config.context_len,
-                config.embed_dim,
-                config.hidden_dim,
-            )
-        )
-        fh.write(struct.pack("<Q", config.seed & 0xFFFFFFFFFFFFFFFF))
-        for name in PARAM_FIELDS:
-            arr = np.ascontiguousarray(getattr(params, name), dtype="<f8")
-            fh.write(arr.tobytes())
+        fh.write(CHECKPOINT_MAGIC + struct.pack("<IIIIIQ", CHECKPOINT_VERSION, *dims, config.seed))
+        fh.write(params.flat.astype("<f8").tobytes())
 
 
 def load_checkpoint(path) -> tuple[ModelConfig, ToyModelParams]:
@@ -659,23 +634,18 @@ def load_checkpoint(path) -> tuple[ModelConfig, ToyModelParams]:
         config = ModelConfig(
             vocab_size=v, context_len=n, embed_dim=d, hidden_dim=h, seed=seed
         )
-        shapes = _param_shapes(v, n, d, h)
+        dims = (v, n, d, h)
+        size, layout = _layout(dims)
         payload = os.fstat(fh.fileno()).st_size - _HEADER_BYTES
-        declared = 8 * sum(map(math.prod, shapes.values()))
-        end = 0
-        for name, shape in shapes.items():
-            end += 8 * math.prod(shape)
-            if end > payload:
-                raise InvalidInputError(
-                    f"checkpoint truncated in {name}: the header's (V, n, d, h) = ({v}, {n}, {d}, {h})"
-                    f" declare {declared} bytes of parameters, the file holds {payload}"
-                )
-        if declared < payload:
-            raise InvalidInputError("trailing bytes after checkpoint payload")
-        tensors = {}
-        for name, shape in shapes.items():
-            raw = fh.read(8 * math.prod(shape))
-            tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-            if not np.isfinite(tensors[name]).all():
-                raise InvalidInputError(f"checkpoint {name} holds a non-finite value")
-    return config, ToyModelParams(**tensors)
+        if 8 * size != payload:
+            fault = next((f"truncated in {name}" for name, sl, _ in layout if 8 * sl.stop > payload), "has trailing bytes")
+            raise InvalidInputError(
+                f"checkpoint {fault}: the header's (V, n, d, h) = {dims}"
+                f" declare {8 * size} bytes of parameters, the file holds {payload}"
+            )
+        flat = np.frombuffer(fh.read(8 * size), dtype="<f8").astype(np.float64)
+    params = ToyModelParams.from_flat(flat, dims)
+    for name in PARAM_FIELDS:
+        if not np.isfinite(getattr(params, name)).all():
+            raise InvalidInputError(f"checkpoint {name} holds a non-finite value")
+    return config, params

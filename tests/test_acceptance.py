@@ -106,7 +106,7 @@ class TestCriterion1Gradients:
                     lm = _frozen_batch_loss(params, corpus, spec, rp, frozen_w)
                     arr[ix] = orig
                     fd = (lp - lm) / (2 * h)
-                    ga = grads[f][ix]
+                    ga = getattr(grads, f)[ix]
                     denom = max(abs(fd), 1e-6)
                     worst_model = max(worst_model, abs(ga - fd) / denom)
                     it.iternext()
@@ -151,7 +151,7 @@ class TestCriterion2SftRecovery:
             a == b for a, b in zip(per_ce.losses, per_one.losses)
         )
         grads_equal = all(
-            np.array_equal(g_ce[f], g_one[f]) for f in toylm.PARAM_FIELDS
+            np.array_equal(getattr(g_ce, f), getattr(g_one, f)) for f in toylm.PARAM_FIELDS
         )
         # the reference CE path from raw primitives, bit-for-bit
         logits, _ = toylm.forward_batch(params, corpus.contexts)

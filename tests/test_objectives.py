@@ -241,6 +241,21 @@ class TestTokenGrad:
             np.testing.assert_allclose(re.grad[0], w * rc.grad[0], atol=1e-15)
             assert norm(re.grad[0]) == pytest.approx(w * norm(rc.grad[0]), abs=1e-12)
 
+    @pytest.mark.parametrize("aggregation", [obj.AGG_MEAN, obj.AGG_SUM])
+    def test_dft_is_on_policy_reinforce(self, aggregation):
+        # DFT descends the exact expected REINFORCE gradient of the reward
+        # 1[y = t]: sum_y p_y 1[y = t] (onehot(y) - p) = p_t (onehot(t) - p)
+        rng = np.random.default_rng(9)
+        z = rng.normal(0, 3, (16, 64))
+        t = rng.integers(0, 64, 16)
+        spec = obj.named_objective("dft", aggregation=aggregation)
+        scale = 1.0 / len(t) if aggregation == obj.AGG_MEAN else 1.0
+        p = ps.softmax_rows(z)
+        reinforce = np.zeros_like(p)
+        for y in range(64):
+            reinforce += (p[:, y] * (t == y))[:, None] * (np.eye(64)[y] - p)
+        assert np.array_equal(obj.token_terms(spec, z, t).grad * scale, -reinforce * scale)
+
 
 TINY = toylm.ModelConfig(vocab_size=64, context_len=3, embed_dim=2, hidden_dim=4, seed=5)
 

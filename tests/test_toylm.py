@@ -1,5 +1,6 @@
 """Model, optimizer, training loop, and checkpoint tests."""
 
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -92,7 +93,7 @@ class TestLossAndGrads:
         l2, g2, _ = toylm.loss_and_grads(params, corpus, one)
         assert l1 == l2
         for f in toylm.PARAM_FIELDS:
-            np.testing.assert_array_equal(g1[f], g2[f])
+            np.testing.assert_array_equal(getattr(g1, f), getattr(g2, f))
 
     def test_all_gated_off_gives_zero_grads(self):
         params = toylm.init_model(TINY)
@@ -101,7 +102,7 @@ class TestLossAndGrads:
         loss, grads, per = toylm.loss_and_grads(params, corpus, spec)
         assert loss == 0.0
         for f in toylm.PARAM_FIELDS:
-            assert np.all(grads[f] == 0.0)
+            assert np.all(getattr(grads, f) == 0.0)
         assert np.all(per.weights == 0.0)
 
     def test_finite_differences_all_objectives(self):
@@ -133,7 +134,7 @@ class TestLossAndGrads:
                     fd[ix] = (lp - lm) / (2 * h)
                     it.iternext()
                 denom = max(np.abs(fd).max(), 1e-8)
-                worst = max(worst, float(np.abs(grads[f] - fd).max() / denom))
+                worst = max(worst, float(np.abs(getattr(grads, f) - fd).max() / denom))
             assert worst < 1e-5, f"{name}: rel err {worst}"
 
     def test_per_token_grads_recompose_batch_grads(self):
@@ -148,7 +149,7 @@ class TestLossAndGrads:
         _, cache = toylm.forward_batch(params, corpus.contexts)
         recomposed = toylm.backprop_logits(params, cache, rows)
         for f in toylm.PARAM_FIELDS:
-            np.testing.assert_allclose(g_eaft[f], recomposed[f], atol=1e-14)
+            np.testing.assert_allclose(getattr(g_eaft, f), getattr(recomposed, f), atol=1e-14)
 
     def test_loss_nonnegative(self):
         rng = np.random.default_rng(8)
@@ -199,10 +200,58 @@ def _frozen_weight_loss(params, corpus, spec, ref_params, frozen_w):
     return total / len(corpus)
 
 
+class TestParamsLayout:
+    """Parameters, gradients, optimizer steps and checkpoints share one flat
+    vector; every field is a view of it."""
+
+    def assert_views(self, params):
+        assert params.flat.dtype == np.float64 and params.flat.flags.c_contiguous
+        for f in toylm.PARAM_FIELDS:
+            assert np.shares_memory(getattr(params, f), params.flat), f
+        assert sum(getattr(params, f).size for f in toylm.PARAM_FIELDS) == params.flat.size
+
+    def test_fields_are_views_of_flat(self):
+        params = toylm.init_model(TINY)
+        self.assert_views(params)
+        assert np.array_equal(params.flat, np.concatenate([np.ravel(getattr(params, f)) for f in toylm.PARAM_FIELDS]))
+        _, grads, _ = toylm.loss_and_grads(params, tiny_corpus(), obj.named_objective("ce", k=8))
+        self.assert_views(grads)
+        assert grads.dims == params.dims == (8, 3, 2, 4)
+
+    def test_field_assignment_writes_into_flat(self):
+        params = toylm.init_model(TINY)
+        flat = params.flat
+        params.out_bias = np.arange(8.0)
+        params.hidden_weight *= 2.0
+        assert params.flat is flat
+        self.assert_views(params)
+        assert np.array_equal(flat[-8:], np.arange(8.0))
+        assert np.array_equal(params.hidden_weight, 2.0 * toylm.init_model(TINY).hidden_weight)
+
+    @pytest.mark.parametrize("how", ["copy", "pickle"])
+    def test_copies_are_independent_views(self, how):
+        params = toylm.init_model(TINY)
+        other = params.copy() if how == "copy" else pickle.loads(pickle.dumps(params))
+        assert params_equal(params, other) and other.dims == params.dims
+        assert not np.shares_memory(other.flat, params.flat)
+        self.assert_views(other)
+        other.out_bias[0] += 1.0
+        assert other.flat[-8] == params.flat[-8] + 1.0
+
+    def test_constructor_copies_and_rejects_mismatched_fields(self):
+        fields = {f: getattr(toylm.init_model(TINY), f) for f in toylm.PARAM_FIELDS}
+        params = toylm.ToyModelParams(**fields)
+        assert not np.shares_memory(params.embedding, fields["embedding"])
+        for f in toylm.PARAM_FIELDS:
+            bad = dict(fields, **{f: np.zeros(getattr(params, f).size + 1)})
+            with pytest.raises(InvalidArgumentError, match=f):
+                toylm.ToyModelParams(**bad)
+
+
 class TestApplyUpdate:
     def test_zero_grads_leave_params(self):
         params = toylm.init_model(TINY)
-        grads = {f: np.zeros_like(getattr(params, f)) for f in toylm.PARAM_FIELDS}
+        grads = toylm.ToyModelParams(**{f: np.zeros_like(getattr(params, f)) for f in toylm.PARAM_FIELDS})
         state = toylm.OptimizerState(kind="sgd-momentum", learning_rate=0.1)
         new = params.copy()
         toylm.apply_update(new, grads, state)
@@ -215,7 +264,7 @@ class TestApplyUpdate:
         grads["out_bias"] = np.ones_like(params.out_bias)
         state = toylm.OptimizerState(kind="sgd-momentum", learning_rate=0.1)
         new = params.copy()
-        toylm.apply_update(new, grads, state)
+        toylm.apply_update(new, toylm.ToyModelParams(**grads), state)
         np.testing.assert_allclose(new.out_bias, params.out_bias - 0.1, atol=1e-15)
 
     def test_adam_first_step_magnitude(self):
@@ -225,7 +274,7 @@ class TestApplyUpdate:
             state = toylm.OptimizerState(kind="adam-lite", learning_rate=0.01)
             grads = {f: np.full_like(getattr(params, f), c) for f in toylm.PARAM_FIELDS}
             new = params.copy()
-            toylm.apply_update(new, grads, state)
+            toylm.apply_update(new, toylm.ToyModelParams(**grads), state)
             delta = params.out_bias - new.out_bias
             np.testing.assert_allclose(delta, 0.01, rtol=1e-3)
 
@@ -242,7 +291,7 @@ class TestApplyUpdate:
         rng = np.random.default_rng(6)
         for t in range(1, 6):
             grads = {f: rng.normal(size=p[f].shape) for f in toylm.PARAM_FIELDS}
-            toylm.apply_update(live, grads, state)
+            toylm.apply_update(live, toylm.ToyModelParams(**grads), state)
             for f, g in grads.items():
                 if kind == "sgd-momentum":
                     v[f] = 0.9 * v[f] + g
@@ -259,8 +308,8 @@ class TestApplyUpdate:
 
     @pytest.mark.parametrize("kind", ["sgd-momentum", "adam-lite"])
     def test_flat_gradients_match_field_dict(self, kind):
-        # backprop's flat gradients and a plain per-field dict of the same
-        # values give the same update, and the flat grad norm is the
+        # backprop's gradients and a copy built field by field from the
+        # same values give the same update, and the flat grad norm is the
         # per-array sum of squares added in field order
         params = toylm.init_model(TINY)
         live, plain = params.copy(), params.copy()
@@ -268,21 +317,23 @@ class TestApplyUpdate:
         spec = obj.named_objective("ce", k=8)
         for seed in range(20):
             _, grads, _ = toylm.loss_and_grads(live, tiny_corpus(16, seed=seed), spec)
-            assert isinstance(grads, toylm.Gradients)
-            copied = {f: g.copy() for f, g in grads.items()}
+            assert isinstance(grads, toylm.ToyModelParams)
+            copied = {f: getattr(grads, f).copy() for f in toylm.PARAM_FIELDS}
             norm = float(np.sqrt(sum(float((g * g).sum()) for g in copied.values())))
             assert grads.norm() == norm
             toylm.apply_update(live, grads, states[0])
-            toylm.apply_update(plain, copied, states[1])
+            toylm.apply_update(plain, toylm.ToyModelParams(**copied), states[1])
             assert params_equal(live, plain)
 
     def test_shape_mismatch(self):
+        # gradients of a model of other dims are rejected, and the model is untouched
         params = toylm.init_model(TINY)
-        grads = {f: np.zeros_like(getattr(params, f)) for f in toylm.PARAM_FIELDS}
-        grads["out_bias"] = np.zeros(3)
+        grads = toylm.init_model(replace(TINY, vocab_size=9))
         state = toylm.OptimizerState(kind="sgd-momentum", learning_rate=0.1)
-        with pytest.raises(InvalidArgumentError):
+        before = params.copy()
+        with pytest.raises(InvalidArgumentError, match="gradient dims"):
             toylm.apply_update(params, grads, state)
+        assert params_equal(params, before) and state.step_count == 0
 
 
 class TestTrain:
@@ -524,6 +575,24 @@ class TestCheckpoint:
         path.write_bytes(b"NOTMAGIC" + b"\0" * 64)
         with pytest.raises(InvalidInputError):
             toylm.load_checkpoint(path)
+
+    def test_payload_is_the_flat_vector(self, tmp_path):
+        config = toylm.ModelConfig(seed=7)
+        params = toylm.init_model(config)
+        path = tmp_path / "model.ckpt"
+        toylm.save_checkpoint(path, config, params)
+        assert path.read_bytes()[36:] == params.flat.astype("<f8").tobytes()
+        _, loaded = toylm.load_checkpoint(path)
+        assert np.array_equal(loaded.flat, params.flat)
+        assert loaded.flat.flags.writeable
+
+    def test_params_of_other_dims_are_not_written(self, tmp_path):
+        # the header would declare a payload the file does not hold
+        path = tmp_path / "model.ckpt"
+        params = toylm.init_model(replace(TINY, vocab_size=9))
+        with pytest.raises(InvalidArgumentError, match="parameter dims"):
+            toylm.save_checkpoint(path, TINY, params)
+        assert not path.exists()
 
     def test_truncation_guard(self, tmp_path):
         config = toylm.ModelConfig(seed=1)
