@@ -14,7 +14,7 @@ from pathlib import Path
 from eaftlab import cli
 from eaftlab import forgebench as fb
 from eaftlab import landscape as ls
-from eaftlab import toylm
+from eaftlab import objectives, toylm
 
 ACCEPTANCE = Path(__file__).resolve().parent.parent / "protocols" / "acceptance.json"
 
@@ -32,24 +32,22 @@ def main():
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     protocol = e.protocol
-    pretrained = fb.pretrain_snapshot(e.domain, e.conflict, e.sizes, protocol, args.seed)
-    config, data, snapshot = pretrained
+    config, data, snapshot = fb.pretrain_snapshot(e.domain, e.conflict, e.sizes, protocol, args.seed)
 
     records = ls.score_corpus(snapshot, data.finetune, k=protocol.k)
     ls.export_records(records, out / "finetune_scored.jsonl")
     stats = ls.quadrant_stats(records, q=0.15)
     print("fine-tune corpus quadrants (q=0.15):", stats["counts"])
 
-    scores, _ = pretrained.pilot(protocol.k, protocol.pilot_quantile)
     for name in ("ce", "eaft"):
-        spec, pw = fb.resolve_objective(name, scores, protocol)
+        spec = objectives.named_objective(name, k=protocol.k)
         result = toylm.train(
             toylm.TrainRun(
                 config=config, corpus=data.finetune, objective=spec,
                 optimizer=protocol.finetune_optimizer, learning_rate=args.lr,
                 steps=args.steps, batch_size=protocol.finetune_batch,
                 capture_every=args.capture_every, probe_size=1024,
-                seed=13, init=snapshot, position_weights=pw,
+                seed=13, init=snapshot,
             )
         )
         ls.export_records(result.captures, out / f"{name}.jsonl")

@@ -197,8 +197,8 @@ def _corpus_from_doc(doc: dict, context_len: int, where: str, context_where: str
     }[part]
 
 
-def cmd_train(config_path, out_dir) -> int:
-    doc = _load_json(config_path)
+def cmd_train(args) -> int:
+    doc = _load_json(args.config)
     _require_keys(
         doc,
         ("version", "model", "corpus", "objective", "optimizer", "train", "init_checkpoint"),
@@ -249,9 +249,9 @@ def cmd_train(config_path, out_dir) -> int:
         ref_params=init if spec.kl_coefficient > 0 else None,
         **tr,
     )
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     result = toylm.train(run)
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     toylm.save_checkpoint(out / "checkpoint.ckpt", model_cfg, result.params)
     fields = [f.name for f in dataclasses.fields(toylm.TrainLogEntry)]
     landscape.export_rows(map(vars, result.log), fields, out / "trainlog.csv")
@@ -295,31 +295,19 @@ def load_experiment(path) -> forgebench.Experiment:
     return forgebench.Experiment(domain, conflict, sizes, protocol, tuple(names), tuple(seeds))
 
 
-def cmd_bench(protocol_path, out_dir, parallel: int = 1) -> int:
-    if parallel < 1:
-        raise ConfigError(f"--parallel must be >= 1, got {parallel}")
-    experiment = load_experiment(protocol_path)
-    cells = forgebench.run_grid(experiment, parallel)
-    out = Path(out_dir)
+def cmd_bench(args) -> int:
+    if args.parallel < 1:
+        raise ConfigError(f"--parallel must be >= 1, got {args.parallel}")
+    experiment = load_experiment(args.protocol)
+    cells = forgebench.run_grid(experiment, args.parallel)
+    out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for cell in cells:
         with atomic_write(out / f"cell_{cell.objective}_{cell.seed}.json") as fh:
             json.dump(dataclasses.asdict(cell), fh, sort_keys=True, indent=2)
             fh.write("\n")
     rows = forgebench.pareto_report(cells)
-    landscape.export_rows(
-        rows,
-        (
-            "objective",
-            "n_seeds",
-            "retention_delta_mean",
-            "retention_delta_sd",
-            "acquisition_nll_mean",
-            "acquisition_nll_sd",
-            "acquisition_acc_mean",
-        ),
-        out / "pareto.csv",
-    )
+    landscape.export_rows(rows, list(rows[0]), out / "pareto.csv")
     return 0
 
 
@@ -446,11 +434,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train one model from a JSON config")
     p.add_argument("config", help="path to the run config JSON")
     p.add_argument("out_dir", help="output directory")
+    p.set_defaults(run=cmd_train)
 
     p = sub.add_parser("bench", help="run the forgetting benchmark grid")
     p.add_argument("protocol", help="path to the benchmark protocol JSON")
     p.add_argument("out_dir", help="output directory")
     p.add_argument("--parallel", type=int, default=1, help="worker processes (cells merge deterministically)")
+    p.set_defaults(run=cmd_bench)
 
     p = sub.add_parser("analyze", help="landscape, quadrant, and ranking tables")
     p.add_argument("out_dir", help="output directory")
@@ -461,6 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=float, default=0.15, help="quadrant percentile")
     p.add_argument("--k", type=int, help="top-K for the entropy gate (default 20, or V if smaller)")
     p.add_argument("--top", type=int, default=30, help="ranking rows per quadrant")
+    p.set_defaults(run=cmd_analyze)
 
     p = sub.add_parser("topk-study", help="top-K fidelity vs memory table")
     p.add_argument("out_dir", help="output directory")
@@ -468,12 +459,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", help="corpus JSON to score")
     p.add_argument("--synthetic", action="store_true", help="use the fixed synthetic corpus")
     p.add_argument("--k-grid", help="comma-separated ascending k values")
+    p.set_defaults(run=cmd_topk_study)
 
     p = sub.add_parser("dynamics", help="subgroup dynamics tables from captures")
     p.add_argument("records_dir", help="directory of captured records (*.jsonl)")
     p.add_argument("out_dir", help="output directory")
     p.add_argument("--hi", type=float, default=probstats.HIGH_ENTROPY_MIN, help="high-entropy group minimum (nats)")
     p.add_argument("--lo", type=float, default=probstats.LOW_ENTROPY_MAX, help="low-entropy group maximum (nats)")
+    p.set_defaults(run=cmd_dynamics)
 
     return parser
 
@@ -482,17 +475,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "train":
-            return cmd_train(args.config, args.out_dir)
-        if args.command == "bench":
-            return cmd_bench(args.protocol, args.out_dir, args.parallel)
-        if args.command == "analyze":
-            return cmd_analyze(args)
-        if args.command == "topk-study":
-            return cmd_topk_study(args)
-        if args.command == "dynamics":
-            return cmd_dynamics(args)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return args.run(args)
     except TrainingDivergedError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2

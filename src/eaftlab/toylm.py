@@ -159,14 +159,14 @@ class Corpus:
         and the positions sorted by that row, in corpus order within a row.
         Found on first use, so the corpus's contexts must not be written to
         afterwards."""
-        key = _row_keys(self.contexts)
-        order = np.argsort(key, kind="stable")
-        sorted_key = key[order]
-        first = np.ones(len(key), dtype=bool)
-        first[1:] = sorted_key[1:] != sorted_key[:-1]
-        row = np.empty(len(key), dtype=np.int64)
+        # lexsort's last key is its primary one, and the sort is stable
+        order = np.lexsort(self.contexts.T[::-1])
+        in_order = self.contexts[order]
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = (in_order[1:] != in_order[:-1]).any(axis=1)
+        row = np.empty(len(order), dtype=np.int64)
         row[order] = np.cumsum(first) - 1
-        found = self.contexts[order[first]], row, order
+        found = in_order[first], row, order
         for array in found:
             array.flags.writeable = False
         return found
@@ -191,28 +191,6 @@ class Corpus:
         if not ctxs:
             raise InvalidArgumentError("sequences yield no training positions")
         return cls(np.array(ctxs, dtype=np.int64), np.array(tgts, dtype=np.int64))
-
-
-def _row_keys(contexts: np.ndarray) -> np.ndarray:
-    """One int64 per row, equal for equal rows and ordered as the rows are.
-
-    Each column is packed in mixed radix over its range of values. Where the
-    next column would carry the keys past int64, they are first replaced by
-    their ranks, which lie below the row count; a column whose values span
-    2**32 or more is replaced by the ranks of its values.
-    """
-    key, span = np.zeros(len(contexts), dtype=np.int64), 1  # keys lie in [0, span)
-    for col in contexts.T:
-        lo, hi = (int(col.min()), int(col.max())) if len(col) else (0, 0)
-        if hi - lo >= 2**32:
-            values, col = np.unique(col, return_inverse=True)
-            lo, hi = 0, len(values) - 1
-        if span * (hi - lo + 1) > 2**63:
-            ranks, key = np.unique(key, return_inverse=True)
-            span = len(ranks)
-        key = key * (hi - lo + 1) + (col - lo)
-        span *= hi - lo + 1
-    return key
 
 
 def check_optimizer(kind, learning_rate, kind_field: str, rate_field: str) -> None:

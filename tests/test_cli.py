@@ -54,6 +54,24 @@ def bench_protocol(tmp_path):
     return path
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["train", "c.json", "out"], ["analyze", "out"], ["topk-study", "out"], ["dynamics", "rec", "out"]],
+    ids=lambda argv: argv[0],
+)
+def test_main_looks_commands_up_when_called(monkeypatch, argv):
+    # a tracer that replaces cli.cmd_<x> after import still sees every call
+    seen = []
+
+    def recorder(args):
+        seen.append(args)
+        return 7
+
+    monkeypatch.setattr(cli, "cmd_" + argv[0].replace("-", "_"), recorder)
+    assert cli.main(argv) == 7
+    assert len(seen) == 1 and seen[0].out_dir == "out"
+
+
 class TestTrain:
     def test_missing_config_names_path(self, tmp_path, capsys):
         code = cli.main(["train", str(tmp_path / "nope.json"), str(tmp_path / "out")])
@@ -94,6 +112,7 @@ class TestTrain:
         assert cli.main(["train", str(cfg), str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert "diverged at step" in err
+        assert not (tmp_path / "out").exists()
 
     def test_overflow_is_runtime_error(self, tmp_path, capsys):
         # lr 1e300 leaves finite but overflowing parameters after one step;
@@ -106,6 +125,7 @@ class TestTrain:
         assert cli.main(["train", str(cfg), str(tmp_path / "out")]) == 2
         assert "diverged at step 1" in capsys.readouterr().err
         assert not (tmp_path / "out" / "checkpoint.ckpt").exists()
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "optimizer,field",

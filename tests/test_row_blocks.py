@@ -13,6 +13,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import eaftlab
 from eaftlab import forgebench as fb
@@ -141,14 +144,18 @@ def test_repeated_contexts_equal_per_position_oracle(params, c):
     check_score_corpus(params, c, K)
 
 
-@pytest.mark.parametrize("c", CORPUS_LIST, ids=CORPUS_IDS)
-def test_distinct_contexts_and_row_map(c):
+def check_distinct(c: toylm.Corpus) -> None:
     contexts, row, order = c.distinct
-    assert contexts.tobytes() == np.unique(c.contexts, axis=0).tobytes()
+    assert np.array_equal(contexts, np.unique(c.contexts, axis=0))
     assert np.array_equal(contexts[row], c.contexts)
     assert np.array_equal(order, np.argsort(row, kind="stable"))
     assert c.distinct is c.distinct  # found once per corpus
     assert not any(array.flags.writeable for array in c.distinct)
+
+
+@pytest.mark.parametrize("c", CORPUS_LIST, ids=CORPUS_IDS)
+def test_distinct_contexts_and_row_map(c):
+    check_distinct(c)
 
 
 @pytest.mark.parametrize("c", CORPUS_LIST, ids=CORPUS_IDS)
@@ -172,12 +179,29 @@ def test_passes_score_each_distinct_context_once(params, monkeypatch, c):
 
 
 def test_distinct_contexts_of_any_int64_ids():
-    # values spanning 2**64 are ranked before they are packed
+    # ids at both ends of the int64 range
     big = np.array([[-(2**63), 2**63 - 1], [2**63 - 1, -(2**63)], [-(2**63), 2**63 - 1], [0, 5]])
     c = toylm.Corpus(big, np.zeros(4, dtype=np.int64))
     contexts, row, _ = c.distinct
     assert contexts.tolist() == [[-(2**63), 2**63 - 1], [0, 5], [2**63 - 1, -(2**63)]]
     assert row.tolist() == [0, 2, 0, 1]
+
+
+# a small alphabet, with many repeats; any int64; and the extremes
+ID_SETS = (
+    st.integers(0, 3),
+    st.integers(-(2**63), 2**63 - 1),
+    st.sampled_from([-(2**63), -1, 0, 1, 2**63 - 1]),
+)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_distinct_contexts_of_random_int64_matrices(data):
+    ids = data.draw(st.sampled_from(ID_SETS))
+    shape = data.draw(st.tuples(st.integers(0, 60), st.integers(1, 6)))
+    contexts = data.draw(hnp.arrays(np.int64, shape, elements=ids))
+    check_distinct(toylm.Corpus(contexts, np.zeros(len(contexts), dtype=np.int64)))
 
 
 def test_passes_at_vocab_power_context_beyond_int64():
