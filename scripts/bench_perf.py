@@ -10,6 +10,8 @@ each end-to-end metric per workload, the traced run's per-layer metrics,
 every run's output digests, one run of the tier-1 test command (``TIER1``,
 after the benchmark runs): its wall seconds, exit code and outcome counts,
 and the line count of each tracked file under ``LOC_DIRS`` with their totals.
+An existing BENCH_<n>.json is refused before any run, and the new one is
+written to a temporary file that is then renamed onto it.
 
 ``trace.overhead_pct`` is left out: on diagnostics_cli it divides the medians
 of one or two iterations each and reads from -18% to +18% on unchanged code.
@@ -97,6 +99,9 @@ def main() -> int:
     ap.add_argument("--seeds", type=int, default=3, help="untraced runs per workload, one seed each")
     ap.add_argument("--first-seed", type=int, default=1, help="the seeds are first-seed, first-seed + 1, ...")
     args = ap.parse_args()
+    path = ROOT / f"BENCH_{args.n}.json"
+    if path.exists():  # refused before a many-minute run, not replaced after it
+        sys.exit(f"bench_perf: {path} exists; record under another number")
     seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
     seeds = list(range(args.first_seed, args.first_seed + args.seeds))
     git = ["git", "-C", str(ROOT)]
@@ -141,8 +146,9 @@ def main() -> int:
         }
     doc["tier1"] = tier1()
     doc["lines"] = line_counts(git)
-    path = ROOT / f"BENCH_{args.n}.json"
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    tmp = path.with_name(f".{path.name}.tmp")  # a reader never sees half a file
+    tmp.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    os.replace(tmp, path)
     print(f"wrote {path}", file=sys.stderr)
     return 0
 

@@ -188,13 +188,7 @@ def _corpus_from_doc(doc: dict, context_len: int, where: str, context_where: str
     _construct(
         forgebench.check_context_len, context_where, domain=domain, sizes=sizes, context_len=context_len
     )
-    data = forgebench.generate_domains(domain, conflict, sizes, context_len)
-    return {
-        "pretrain": data.pretrain,
-        "finetune": data.finetune,
-        "eval_a": data.eval_a,
-        "eval_b": data.eval_b,
-    }[part]
+    return getattr(forgebench.generate_domains(domain, conflict, sizes, context_len), part)
 
 
 def cmd_train(args) -> int:
@@ -423,6 +417,16 @@ def cmd_dynamics(args) -> int:
     return 0
 
 
+def _check_out_dir(path) -> None:
+    """Reject an output directory that is a file (a dangling link among them)
+    or lies under one, before any work; each command creates the directory
+    only when it writes its outputs."""
+    out = Path(path)
+    found = next((p for p in (out, *out.parents) if os.path.lexists(p)), None)
+    if found is not None and not found.is_dir():
+        raise ConfigError(f"output directory {out} cannot be made: {found} is not a directory")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eaftlab",
@@ -475,6 +479,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_out_dir(args.out_dir)
         return args.run(args)
     except TrainingDivergedError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)

@@ -136,7 +136,6 @@ class TokenTerms(NamedTuple):
     probs: np.ndarray             # (B, V) softmax of the logits
     p_target: np.ndarray
     gates: np.ndarray | None      # None when the gate kind does not read it
-    entropy_full: np.ndarray | None  # None unless asked for
     grad: np.ndarray              # (B, V) d(loss)/d(logits), unscaled
 
 
@@ -146,14 +145,12 @@ def token_terms(
     targets: np.ndarray,
     ref_logits: np.ndarray | None = None,
     position_weights: np.ndarray | None = None,
-    entropy: bool = True,
 ) -> TokenTerms:
     """Per-token losses, weights, stats, and d(loss)/d(logits) of (B, V) logits.
 
     The gate weight is evaluated on the live distribution and detached;
     ``position_weights`` (sample weights in [0, 1]) multiply the gate. A
-    single token is a batch of one row. ``entropy_full`` is computed only
-    when ``entropy`` is true; no other term depends on it.
+    single token is a batch of one row.
     """
     B = logits.shape[0]
     # one pass for both: bit-equal to softmax_rows and log_softmax_rows
@@ -170,7 +167,6 @@ def token_terms(
         gates = None
     else:
         gates = probstats.gate_rows(p, k, spec.norm_mode)
-    ent_full = probstats.entropy_rows(p) if entropy else None
     w = eval_gate_rows(spec.gate, gates, p_t)
     if position_weights is not None:
         w = w * position_weights
@@ -192,7 +188,7 @@ def token_terms(
         losses = losses + spec.kl_coefficient * kl
         # d/dz sum_i p_i (logp_i - logq_i)  =  p ⊙ (logp - logq - KL)
         grad = grad + spec.kl_coefficient * (p * (logp - logq - kl[:, None]))
-    return TokenTerms(losses, w, ce, p, p_t, gates, ent_full, grad)
+    return TokenTerms(losses, w, ce, p, p_t, gates, grad)
 
 
 # ---------------------------------------------------------------------------

@@ -296,11 +296,11 @@ def distinct_blocks(params: ToyModelParams, corpus: Corpus):
         yield order[lo:hi], sorted_rows[lo:hi] - rows.start, logits
 
 
-def backprop_logits(params: ToyModelParams, cache, grad_logits: np.ndarray) -> ToyModelParams:
-    """Exact parameter gradients given d(loss)/d(logits) for a batch."""
+def backprop_logits(params: ToyModelParams, cache, grad_logits: np.ndarray, grads: ToyModelParams) -> None:
+    """Write the exact parameter gradients, given d(loss)/d(logits) for a
+    batch, into ``grads``, overwriting every entry."""
     ctx, e, a = cache
     _, n, d, _ = params.dims
-    grads = ToyModelParams.from_flat(np.empty(params.flat.size), params.dims)
     grad_logits.sum(axis=0, out=grads.out_bias)
     np.matmul(a.T, grad_logits, out=grads.out_weight)
     gz = grad_logits @ params.out_weight.T
@@ -308,17 +308,15 @@ def backprop_logits(params: ToyModelParams, cache, grad_logits: np.ndarray) -> T
     gz.sum(axis=0, out=grads.hidden_bias)
     np.matmul(e.T, gz, out=grads.hidden_weight)
     ge = (gz @ params.hidden_weight.T).reshape(ctx.shape[0], n, d)
-    # one scatter-add over the flattened table: each entry receives the same
-    # additions in the same order (context slot, then batch row) as one
-    # np.add.at per slot, and the 1-D form is several times faster
-    g_embedding = grads.embedding.reshape(-1)
-    g_embedding[:] = 0.0
+    # one scatter over the flattened table: bincount adds each entry's
+    # weights from 0.0 in input order (context slot, then batch row), as one
+    # np.add.at per slot into a zeroed table would
     slots = (ctx.T[:, :, None] * d + np.arange(d)).ravel()
-    np.add.at(g_embedding, slots, ge.transpose(1, 0, 2).ravel())
-    return grads
+    weights = ge.transpose(1, 0, 2).ravel()
+    grads.embedding.reshape(-1)[:] = np.bincount(slots, weights, minlength=grads.embedding.size)
 
 
-def _step(
+def _step_terms(
     params: ToyModelParams,
     objective: obj.ObjectiveSpec,
     contexts: np.ndarray,
@@ -326,18 +324,10 @@ def _step(
     ref_params: ToyModelParams | None,
     position_weights: np.ndarray | None,
     step: int | None = None,
-    backprop: bool = True,
-    entropy: bool = True,
 ):
-    """One batch through the model and the objective kernel.
-
-    Runs the forward pass, the reference forward (only for a KL objective),
-    the per-token kernel and, if ``backprop``, the exact parameter gradients
-    of the aggregated loss. Returns ``(loss, grads, terms)``; ``grads`` is
-    None without backprop, and ``terms.entropy_full`` None without
-    ``entropy``. When ``step`` is given, non-finite logits of ``params``
-    mean the run diverged at that step.
-    """
+    """``(cache, terms)`` of one batch: the forward pass, the reference
+    forward (only for a KL objective) and the per-token kernel. When ``step``
+    is given, non-finite logits of ``params`` mean the run diverged there."""
     try:
         logits, cache = forward_batch(params, contexts)
     except NonFiniteLogitsError as exc:
@@ -347,10 +337,14 @@ def _step(
     ref_logits = None
     if objective.kl_coefficient > 0.0:
         ref_logits, _ = forward_batch(ref_params, contexts)
-    terms = obj.token_terms(objective, logits, targets, ref_logits, position_weights, entropy)
-    scale = 1.0 / len(targets) if objective.aggregation == obj.AGG_MEAN else 1.0
-    grads = backprop_logits(params, cache, terms.grad * scale) if backprop else None
-    return float(terms.losses.sum() * scale), grads, terms
+    return cache, obj.token_terms(objective, logits, targets, ref_logits, position_weights)
+
+
+def _step_grads(params: ToyModelParams, objective: obj.ObjectiveSpec, cache, terms, grads: ToyModelParams) -> float:
+    """Write the gradients of the batch's aggregated loss into ``grads``; return that loss."""
+    scale = 1.0 / len(terms.ce) if objective.aggregation == obj.AGG_MEAN else 1.0
+    backprop_logits(params, cache, terms.grad * scale, grads)
+    return float(terms.losses.sum() * scale)
 
 
 def loss_and_grads(
@@ -366,7 +360,9 @@ def loss_and_grads(
     if objective.kl_coefficient > 0.0 and ref_params is None:
         raise InvalidArgumentError("kl_coefficient > 0 requires ref_params")
     check_corpus_ids(batch, params.embedding.shape[0])
-    return _step(params, objective, batch.contexts, batch.targets, ref_params, position_weights)
+    cache, terms = _step_terms(params, objective, batch.contexts, batch.targets, ref_params, position_weights)
+    grads = ToyModelParams.from_flat(np.empty_like(params.flat), params.dims)
+    return _step_grads(params, objective, cache, terms, grads), grads, terms
 
 
 @dataclass
@@ -490,6 +486,7 @@ def train(run: TrainRun) -> TrainResult:
     probe_idx = None
     if run.capture_every > 0:
         probe_idx = np.sort(rng.choice(n, size=min(run.probe_size, n), replace=False))
+    grads = ToyModelParams.from_flat(np.empty_like(params.flat), params.dims)  # overwritten by each step
     log: list[TrainLogEntry] = []
     captures = []
 
@@ -505,10 +502,10 @@ def train(run: TrainRun) -> TrainResult:
                     capture(step)
                 idx = rng.integers(0, n, size=run.batch_size)
                 pw = None if run.position_weights is None else run.position_weights[idx]
-                _, grads, terms = _step(
-                    params, run.objective, run.corpus.contexts[idx], run.corpus.targets[idx],
-                    run.ref_params, pw, step, entropy=run.log_stats,
+                cache, terms = _step_terms(
+                    params, run.objective, run.corpus.contexts[idx], run.corpus.targets[idx], run.ref_params, pw, step
                 )
+                _step_grads(params, run.objective, cache, terms, grads)
                 log.append(_log_entry(run, step, terms, grads))
                 apply_update(params, grads, state)
     except FloatingPointError as exc:
@@ -529,7 +526,7 @@ def _log_entry(run: TrainRun, step: int, terms: obj.TokenTerms, grads: ToyModelP
         mean_loss=mean_loss,
         mean_gate=float(terms.weights.mean()),
         **probstats.subgroup_ce(
-            terms.ce, terms.entropy_full, probstats.HIGH_ENTROPY_MIN, probstats.LOW_ENTROPY_MAX
+            terms.ce, probstats.entropy_rows(terms.probs), probstats.HIGH_ENTROPY_MIN, probstats.LOW_ENTROPY_MAX
         ),
         grad_norm=grads.norm(),
     )
@@ -540,10 +537,7 @@ def _capture_records(run: TrainRun, params: ToyModelParams, probe_idx, step: int
 
     targets = run.corpus.targets[probe_idx]
     pw = None if run.position_weights is None else run.position_weights[probe_idx]
-    _, _, terms = _step(
-        params, run.objective, run.corpus.contexts[probe_idx], targets,
-        run.ref_params, pw, step, backprop=False,
-    )
+    _, terms = _step_terms(params, run.objective, run.corpus.contexts[probe_idx], targets, run.ref_params, pw, step)
     k = min(run.objective.k, terms.probs.shape[1])
     entropy_topk = probstats.topk_entropy_rows(terms.probs, k)
     gates = terms.gates
@@ -554,7 +548,7 @@ def _capture_records(run: TrainRun, params: ToyModelParams, probe_idx, step: int
         position=probe_idx,
         token_id=targets,
         p_target=terms.p_target,
-        entropy_full=terms.entropy_full,
+        entropy_full=probstats.entropy_rows(terms.probs),
         entropy_topk=entropy_topk,
         gate=gates,
         weight=terms.weights,

@@ -72,6 +72,24 @@ def test_main_looks_commands_up_when_called(monkeypatch, argv):
     assert len(seen) == 1 and seen[0].out_dir == "out"
 
 
+@pytest.mark.parametrize("command", ["train", "bench", "analyze", "topk-study", "dynamics"])
+def test_out_that_is_a_file_rejected_before_any_work(tmp_path, monkeypatch, capsys, command):
+    # an output directory that is a file, a dangling link or lies under a
+    # file exits 1 naming it before the command runs, instead of exit 2 after
+    # the command's whole run
+    monkeypatch.setattr(cli, "cmd_" + command.replace("-", "_"), lambda args: pytest.fail("the command ran"))
+    inputs = {"train": ["c.json"], "bench": ["p.json"], "dynamics": ["rec"]}.get(command, [])
+    blocker = tmp_path / "file"
+    blocker.write_text("kept")
+    dangling = tmp_path / "link"
+    dangling.symlink_to(tmp_path / "missing")
+    for out in (blocker, blocker / "sub", dangling):
+        assert cli.main([command, *inputs, str(out)]) == 1
+        err = capsys.readouterr().err
+        assert str(out) in err and "not a directory" in err
+    assert blocker.read_text() == "kept" and not (tmp_path / "missing").exists()
+
+
 class TestTrain:
     def test_missing_config_names_path(self, tmp_path, capsys):
         code = cli.main(["train", str(tmp_path / "nope.json"), str(tmp_path / "out")])

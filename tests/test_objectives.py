@@ -309,24 +309,23 @@ class TestEntropyOnRequest:
 
     @pytest.mark.parametrize("name", sorted(ALL_SPECS))
     def test_other_terms_bit_equal(self, name):
+        # the kernel computes no entropy; a reader that wants it takes
+        # entropy_rows of the kernel's probs, which are softmax_rows bits, and
+        # leaves every term as it was
         spec = ALL_SPECS[name]
         logits, targets, ref = self.batch(4)
         pw = np.linspace(0.0, 1.0, 40)
-        full = obj.token_terms(spec, logits, targets, ref, pw)
-        lean = obj.token_terms(spec, logits, targets, ref, pw, entropy=False)
-        assert lean.entropy_full is None
-        assert np.array_equal(full.entropy_full, ps.entropy_rows(full.probs))
-        for field in obj.TokenTerms._fields:
-            if field == "entropy_full":
-                continue
-            a, b = getattr(full, field), getattr(lean, field)
-            assert (a is None and b is None) or a.tobytes() == b.tobytes(), field
+        terms = obj.token_terms(spec, logits, targets, ref, pw)
+        before = [None if a is None else a.tobytes() for a in terms]
+        ps.entropy_rows(terms.probs)
+        assert terms.probs.tobytes() == ps.softmax_rows(logits).tobytes()
+        assert [None if a is None else a.tobytes() for a in terms] == before
 
     def test_ce_is_log_softmax_bits(self):
         # the target-only subtraction gives -log_softmax_rows at the target,
         # bit for bit and sign for sign: p_target == 1.0 gives a loss of -0.0
         logits, targets, _ = self.batch(5)
-        res = obj.token_terms(ALL_SPECS["ce"], logits, targets, entropy=False)
+        res = obj.token_terms(ALL_SPECS["ce"], logits, targets)
         oracle = -ps.log_softmax_rows(logits)[np.arange(40), targets]
         assert res.ce.tobytes() == oracle.tobytes()
         assert res.p_target[-1] == 1.0
@@ -336,7 +335,7 @@ class TestEntropyOnRequest:
 class TestGradMagnitudeLandscape:
     def test_projection(self):
         res = one_token(obj.named_objective("ce"), np.zeros(2), 0)
-        row = (res.p_target[0], res.entropy_full[0], norm(res.grad[0]))
+        row = (res.p_target[0], ps.entropy_rows(res.probs)[0], norm(res.grad[0]))
         assert row[:2] == pytest.approx((0.5, LN2), abs=1e-12)
         # uniform 2-vocab CE grad norm is sqrt(0.5)
         assert row[2] == pytest.approx(0.7071067811865476, abs=1e-12)

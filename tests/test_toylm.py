@@ -147,9 +147,26 @@ class TestLossAndGrads:
         _, _, per_ce = toylm.loss_and_grads(params, corpus, ce)
         rows = per_eaft.weights[:, None] * per_ce.grad / len(corpus)
         _, cache = toylm.forward_batch(params, corpus.contexts)
-        recomposed = toylm.backprop_logits(params, cache, rows)
+        recomposed = toylm.ToyModelParams.from_flat(np.empty_like(params.flat), params.dims)
+        toylm.backprop_logits(params, cache, rows, recomposed)
         for f in toylm.PARAM_FIELDS:
             np.testing.assert_allclose(getattr(g_eaft, f), getattr(recomposed, f), atol=1e-14)
+
+    def test_backprop_overwrites_every_entry_of_its_buffer(self):
+        # ids 0-3 only: embedding rows 4-7 receive no gradient and must read
+        # +0.0 whatever the buffer held before
+        params = toylm.init_model(TINY)
+        rng = np.random.default_rng(11)
+        contexts = rng.integers(0, 4, size=(12, 3))
+        logits, cache = toylm.forward_batch(params, contexts)
+        grad_logits = rng.normal(size=logits.shape)
+        filled = []
+        for fill in (np.nan, 0.0, -7.5):
+            grads = toylm.ToyModelParams.from_flat(np.full(params.flat.size, fill), params.dims)
+            toylm.backprop_logits(params, cache, grad_logits, grads)
+            filled.append(grads.flat.tobytes())
+        assert filled[0] == filled[1] == filled[2]
+        assert grads.embedding[4:].tobytes() == np.zeros((4, 2)).tobytes()
 
     def test_loss_nonnegative(self):
         rng = np.random.default_rng(8)
@@ -402,6 +419,27 @@ class TestTrain:
             toylm.train(run)
         with pytest.raises(AssertionError):
             toylm.train(replace(run, objective=obj.named_objective("eaft", k=8)))
+
+    def test_captures_never_backpropagate(self, monkeypatch):
+        calls = []
+        backprop = toylm.backprop_logits
+
+        def counting(*args):
+            calls.append(args[-1])
+            return backprop(*args)
+
+        monkeypatch.setattr(toylm, "backprop_logits", counting)
+        run = toylm.TrainRun(
+            config=TINY,
+            corpus=tiny_corpus(20),
+            objective=obj.named_objective("eaft", k=8),
+            steps=7,
+            batch_size=4,
+            capture_every=2,
+        )
+        assert len(toylm.train(run).captures) == 5 * 20  # steps 0, 2, 4, 6 and the final 7
+        assert len(calls) == run.steps
+        assert all(grads is calls[0] for grads in calls)  # one gradient buffer per run
 
     def test_gate_free_objective_still_checks_norm(self):
         # paper-3.0 is undefined for k != 20 whether or not the gate is read
