@@ -29,6 +29,7 @@ from pathlib import Path
 from . import forgebench, landscape, objectives, probstats, toylm
 from .errors import (
     ConfigError,
+    DegenerateVarianceError,
     EaftLabError,
     InvalidArgumentError,
     InvalidInputError,
@@ -362,16 +363,16 @@ def cmd_analyze(args) -> int:
 
 
 def _k_grid(text, vocab_size: int) -> list[int]:
-    """The ``--k-grid`` option against a vocabulary of ``vocab_size``: an
-    ascending list of ks in [1, V], or the default grid when absent."""
+    """The ``--k-grid`` option against a vocabulary of ``vocab_size``: a
+    strictly ascending list of ks in [1, V], or the default grid when absent."""
     if not text:
         return landscape.default_k_grid(vocab_size)
     try:
         grid = [int(x) for x in text.split(",")]
     except ValueError as exc:
         raise ConfigError(f"bad --k-grid: {text!r}") from exc
-    if grid != sorted(grid) or not 1 <= grid[0] <= grid[-1] <= vocab_size:
-        raise ConfigError(f"--k-grid {text} must ascend within [1, V] = [1, {vocab_size}]")
+    if grid != sorted(set(grid)) or not 1 <= grid[0] <= grid[-1] <= vocab_size:
+        raise ConfigError(f"--k-grid {text} must strictly ascend within [1, V] = [1, {vocab_size}]")
     return grid
 
 
@@ -388,7 +389,13 @@ def cmd_topk_study(args) -> int:
         grid = _k_grid(args.k_grid, cfg.vocab_size)
         corpus_doc = _load_json(args.corpus)
         corpus = _corpus_from_doc(corpus_doc, cfg.context_len, "corpus", "--checkpoint")
-        rows = landscape.topk_fidelity_study(params, corpus, grid)
+        # a correlation needs two positions whose exact entropies differ
+        if len(corpus) < 2:
+            raise ConfigError(f"--corpus {args.corpus}: the study needs at least 2 positions, got {len(corpus)}")
+        try:
+            rows = landscape.topk_fidelity_study(params, corpus, grid)
+        except DegenerateVarianceError as exc:
+            raise ConfigError(f"--corpus {args.corpus}: {exc} under the checkpoint; no r is defined") from exc
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     landscape.export_rows(
@@ -462,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", help="model checkpoint to score with")
     p.add_argument("--corpus", help="corpus JSON to score")
     p.add_argument("--synthetic", action="store_true", help="use the fixed synthetic corpus")
-    p.add_argument("--k-grid", help="comma-separated ascending k values")
+    p.add_argument("--k-grid", help="comma-separated strictly ascending k values")
     p.set_defaults(run=cmd_topk_study)
 
     p = sub.add_parser("dynamics", help="subgroup dynamics tables from captures")

@@ -104,22 +104,16 @@ class GenerationSizes:
 
 @dataclass
 class GroundTruth:
-    """Transition tables and the injection log, for oracle checks."""
+    """Transition tables and the injection log by chain state, for oracle checks."""
 
     rows: np.ndarray           # (n_states, V) domain-A conditional rows
     dominant: np.ndarray       # (n_states,) dominant token of peaked rows, -1 otherwise
     peaked_mask: np.ndarray    # (n_states,) bool
-    conflict_contexts: set
-    novel_contexts: set
-    conflict_labels: dict      # state -> forced target
-    novel_labels: dict         # state -> domain-B dominant token
-    novel_rows: dict           # state -> domain-B conditional row (V,)
+    kind: np.ndarray           # (n_states,) entry of TOKEN_KINDS
+    label: np.ndarray          # (n_states,) conflict target or domain-B dominant token, 0 otherwise
+    novel_rows: np.ndarray     # (n_states, V) domain-B conditional rows, zero outside novel states
     order: int
     active: int
-
-    def state_of(self, context) -> int:
-        """The chain state of a context (``_chain_state``)."""
-        return int(_chain_state(np.asarray(context), self.order, self.active))
 
 
 @dataclass
@@ -360,8 +354,7 @@ def generate_domains(
     )
     ranked = np.concatenate([ids[np.argsort(-pre_visits[ids], kind="stable")] for ids in map(np.flatnonzero, tiers)])
     _, first = np.unique(ranked, return_index=True)
-    chosen_conflicts = _within_budget(ranked[np.sort(first)], ft_visits, conflict.conflict_rate * ft_n)
-    conflicts = np.sort(chosen_conflicts)
+    conflicts = np.sort(_within_budget(ranked[np.sort(first)], ft_visits, conflict.conflict_rate * ft_n))
     # per state: its kind, and its forced conflict target or domain-B dominant token
     kind = np.full(n_states, "unchanged", dtype=object)
     kind[conflicts] = "conflict"
@@ -370,17 +363,16 @@ def generate_domains(
         label[s] = rng.choice(np.delete(np.arange(m), dominant[s]))
 
     candidates = rng.permutation(np.flatnonzero(~peaked_mask & (ft_visits > 0)))
-    chosen_novels = _within_budget(candidates, ft_visits, conflict.novelty_rate * ft_n)
-    novels = np.sort(chosen_novels)
+    novels = np.sort(_within_budget(candidates, ft_visits, conflict.novelty_rate * ft_n))
     kind[novels] = "novel"
-    # domain-B rows by state; rows of other states stay zero and are never read
-    novel_table = np.zeros_like(rows)
+    # domain-B rows by state; rows of other states stay zero
+    novel_rows = np.zeros_like(rows)
     for s in novels:
-        label[s], novel_table[s] = _peaked_row(
+        label[s], novel_rows[s] = _peaked_row(
             rng, m, domain.vocab_size, conflict.novel_peak_mass, domain.tail_concentration
         )
     novel_cdf = np.zeros_like(rows)
-    novel_cdf[novels] = _transition_cdf(novel_table[novels])
+    novel_cdf[novels] = _transition_cdf(novel_rows[novels])
 
     def novel_draws(states: np.ndarray) -> np.ndarray:
         return _sample(novel_cdf[states], rng.random(len(states)))
@@ -398,16 +390,7 @@ def generate_domains(
         finetune_states=ft_states,
         eval_a=toylm.Corpus(ev_ctx[keep_a], ev_tgt[keep_a]),
         eval_b=toylm.Corpus(ev_ctx[~keep_a], novel_draws(ev_states[~keep_a])),
-        # Python ints, through tolist(): digests hash reprs, and an np.int64's differs
-        ground_truth=GroundTruth(
-            rows=rows, dominant=dominant, peaked_mask=peaked_mask,
-            conflict_contexts=set(chosen_conflicts.tolist()),
-            novel_contexts=set(chosen_novels.tolist()),
-            conflict_labels=dict(zip(conflicts.tolist(), label[conflicts].tolist())),
-            novel_labels=dict(zip(novels.tolist(), label[novels].tolist())),
-            novel_rows={s: novel_table[s] for s in novels.tolist()},
-            order=order, active=m,
-        ),
+        ground_truth=GroundTruth(rows, dominant, peaked_mask, kind, label, novel_rows, order, m),
     )
 
 

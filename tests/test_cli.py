@@ -672,10 +672,11 @@ class TestTopkStudy:
         assert not out.exists()
 
     @pytest.mark.parametrize("mode", ["synthetic", "checkpoint"])
-    @pytest.mark.parametrize("grid", ["0", "1,100000", "5,2", "0,5"])
+    @pytest.mark.parametrize("grid", ["0", "1,100000", "5,2", "0,5", "5,5,20"])
     def test_bad_k_grid_rejected_before_output(self, tmp_path, capsys, mode, grid):
-        # a k below 1, a k above V or a descending grid exits 1 naming the
-        # option and V, before the corpus is read or the output exists
+        # a k below 1, a k above V or a grid that does not strictly ascend
+        # exits 1 naming the option and V, before the corpus is read or the
+        # output exists
         if mode == "synthetic":
             source, v = ["--synthetic"], 4096
         else:
@@ -688,6 +689,24 @@ class TestTopkStudy:
         assert cli.main(["topk-study", str(out), *source, "--k-grid", grid]) == 1
         err = capsys.readouterr().err
         assert f"--k-grid {grid}" in err and f"[1, {v}]" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "sequences,message",
+        [([[1, 2, 3]], "at least 2 positions"), ([[1, 1, 1, 1]], "exact entropies are constant")],
+        ids=["one position", "one context"],
+    )
+    def test_degenerate_corpus_names_option_before_output(self, tmp_path, capsys, sequences, message):
+        # no r is defined over one position, or over positions whose exact
+        # entropies are equal because they share one context
+        config = toylm.ModelConfig(vocab_size=8, context_len=2, embed_dim=4, hidden_dim=8, seed=1)
+        checkpoint, corpus = tmp_path / "model.ckpt", tmp_path / "corpus.json"
+        toylm.save_checkpoint(checkpoint, config, toylm.init_model(config))
+        corpus.write_text(json.dumps({"sequences": sequences}))
+        out = tmp_path / "out"
+        assert cli.main(["topk-study", str(out), "--checkpoint", str(checkpoint), "--corpus", str(corpus)]) == 1
+        err = capsys.readouterr().err
+        assert f"--corpus {corpus}" in err and message in err, err
         assert not out.exists()
 
     def test_synthetic_streams_the_whole_matrix_rows(self, tmp_path):

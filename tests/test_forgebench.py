@@ -15,6 +15,7 @@ from eaftlab import objectives as obj
 from eaftlab import probstats as ps
 from eaftlab import toylm
 from eaftlab.errors import InvalidArgumentError
+from test_golden import DOMAINS
 
 FAST_PROTOCOL = fb.BenchProtocol(
     hidden_dim=32,
@@ -232,11 +233,8 @@ class TestGenerateDomains:
         states = data.finetune_states[mask]
         assert np.all(gt.peaked_mask[states])
         assert np.all(data.finetune.targets[mask] != gt.dominant[states])
-        for ctx, tgt, s in zip(
-            data.finetune.contexts[mask], data.finetune.targets[mask], states
-        ):
-            assert gt.state_of(ctx) == s
-            assert tgt == gt.conflict_labels[int(s)]
+        assert np.array_equal(fb._chain_state(data.finetune.contexts[mask], gt.order, gt.active), states)
+        assert np.array_equal(data.finetune.targets[mask], gt.label[states])
 
     def test_novel_positions_in_flat_contexts(self):
         data = fb.generate_domains(fb.DomainSpec(seed=4), fb.ConflictSpec(), SMALL_SIZES)
@@ -248,10 +246,8 @@ class TestGenerateDomains:
     def test_eval_split_excludes_novel_contexts(self):
         data = fb.generate_domains(fb.DomainSpec(seed=5), fb.ConflictSpec(), SMALL_SIZES)
         gt = data.ground_truth
-        for ctx in data.eval_a.contexts:
-            assert gt.state_of(ctx) not in gt.novel_contexts
-        for ctx in data.eval_b.contexts:
-            assert gt.state_of(ctx) in gt.novel_contexts
+        assert np.all(gt.kind[fb._chain_state(data.eval_a.contexts, gt.order, gt.active)] != "novel")
+        assert np.all(gt.kind[fb._chain_state(data.eval_b.contexts, gt.order, gt.active)] == "novel")
 
     def test_rates_approximately_met(self):
         data = fb.generate_domains(fb.DomainSpec(seed=6), fb.ConflictSpec(), SMALL_SIZES)
@@ -268,6 +264,49 @@ class TestGenerateDomains:
         b = fb.generate_domains(fb.DomainSpec(seed=8), fb.ConflictSpec(), SMALL_SIZES)
         assert np.array_equal(a.finetune.targets, b.finetune.targets)
         assert np.array_equal(a.pretrain.contexts, b.pretrain.contexts)
+
+
+class TestInjectionLog:
+    """``GroundTruth`` logs the injection per chain state: ``kind``,
+    ``label`` and the domain-B ``novel_rows``."""
+
+    @pytest.mark.parametrize(
+        "domain,context_len,sizes,conflict",
+        [(fb.DomainSpec(seed=seed), 3, SMALL_SIZES, fb.ConflictSpec()) for seed in range(20, 24)]
+        + list(DOMAINS.values()),
+        ids=[f"seed{seed}" for seed in range(20, 24)] + list(DOMAINS),
+    )
+    def test_per_state_arrays(self, domain, context_len, sizes, conflict):
+        data = fb.generate_domains(domain, conflict, sizes, context_len)
+        gt, states, targets = data.ground_truth, data.finetune_states, data.finetune.targets
+        assert gt.kind.shape == gt.label.shape == (len(gt.rows),)
+        assert gt.label.dtype == np.int64 and gt.novel_rows.shape == gt.rows.shape
+        assert np.all(gt.kind[states] == data.finetune_kinds)
+        assert not gt.label[gt.kind == "unchanged"].any()
+        conflicted = data.finetune_kinds == "conflict"
+        assert np.array_equal(targets[conflicted], gt.label[states[conflicted]])
+        assert np.all(gt.label[states[conflicted]] != gt.dominant[states[conflicted]])
+        novel = gt.kind == "novel"
+        assert not gt.peaked_mask[novel].any()
+        rows = gt.novel_rows[novel]
+        np.testing.assert_allclose(rows.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        assert np.all(rows[np.arange(len(rows)), gt.label[novel]] == conflict.novel_peak_mass)
+        assert not gt.novel_rows[~novel].any()
+        novel_positions = data.finetune_kinds == "novel"
+        assert np.all(gt.novel_rows[states[novel_positions], targets[novel_positions]] > 0)
+        assert np.all(gt.kind[fb._chain_state(data.eval_a.contexts, gt.order, gt.active)] != "novel")
+        assert np.all(gt.kind[fb._chain_state(data.eval_b.contexts, gt.order, gt.active)] == "novel")
+
+    def test_novel_only_spec_under_fills(self):
+        # README's example: every visited near-uniform context is taken, and
+        # the novel share still falls short of novelty_rate 0.7
+        domain, context_len, sizes, conflict = DOMAINS["domains_novel_only"]
+        data = fb.generate_domains(domain, conflict, sizes, context_len)
+        gt = data.ground_truth
+        visited = np.bincount(data.finetune_states, minlength=len(gt.rows)) > 0
+        assert np.all(gt.kind[visited & ~gt.peaked_mask] == "novel")
+        assert len(data.finetune) == 756
+        assert round(float(np.mean(data.finetune_kinds == "novel")), 4) == 0.3955
 
 
 SELECTION_EDGES = [
@@ -335,13 +374,11 @@ class TestInjectionSelection:
             agree = np.where(pre_visits > 0, (pre_visits - pre_tails) / np.maximum(pre_visits, 1), 0.0)
         ft_visits = np.bincount(data.finetune_states, minlength=n_states)
         assert ranked.tolist() == _tier_loop(gt.peaked_mask & (ft_visits > 0), pre_visits, agree)
-        assert gt.conflict_contexts == set(_budget_loop(ranked, ft_visits, conflict_budget))
+        conflicts = np.flatnonzero(gt.kind == "conflict").tolist()
+        assert conflicts == sorted(_budget_loop(ranked, ft_visits, conflict_budget))
         assert sorted(candidates.tolist()) == np.flatnonzero(~gt.peaked_mask & (ft_visits > 0)).tolist()
-        assert gt.novel_contexts == set(_budget_loop(candidates, ft_visits, novel_budget))
-        # the log holds Python ints, whose reprs the golden digests hash
-        labels = {**gt.conflict_labels, **gt.novel_labels}
-        logged = [*gt.conflict_contexts, *gt.novel_contexts, *labels, *labels.values(), *gt.novel_rows]
-        assert all(type(x) is int for x in logged)
+        novels = np.flatnonzero(gt.kind == "novel").tolist()
+        assert novels == sorted(_budget_loop(candidates, ft_visits, novel_budget))
 
 
 class TestClassifyConflicts:

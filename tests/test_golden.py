@@ -86,6 +86,11 @@ def domains_digest(name: str) -> str:
     domain, context_len, sizes, conflict = DOMAINS[name]
     data = fb.generate_domains(domain, conflict, sizes, context_len)
     gt = data.ground_truth
+    # the injection log hashed as sorted state lists, (state, label) pairs
+    # and domain-B rows; tolist() gives Python ints, whose reprs differ from
+    # np.int64's
+    conflicts = np.flatnonzero(gt.kind == "conflict").tolist()
+    novels = np.flatnonzero(gt.kind == "novel").tolist()
     return _sha(
         *_arrays(
             data.pretrain.contexts,
@@ -102,11 +107,11 @@ def domains_digest(name: str) -> str:
             gt.peaked_mask,
         ),
         list(data.finetune_kinds),
-        sorted(gt.conflict_contexts),
-        sorted(gt.novel_contexts),
-        sorted(gt.conflict_labels.items()),
-        sorted(gt.novel_labels.items()),
-        *_arrays(*(gt.novel_rows[s] for s in sorted(gt.novel_rows))),
+        conflicts,
+        novels,
+        list(zip(conflicts, gt.label[conflicts].tolist())),
+        list(zip(novels, gt.label[novels].tolist())),
+        *_arrays(*gt.novel_rows[novels]),
     )
 
 

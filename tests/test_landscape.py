@@ -620,8 +620,9 @@ class TestFidelity:
 
     def test_grid_must_ascend(self):
         probs = ls.synthetic_fidelity_corpus(n_tokens=50, vocab_size=32)
-        with pytest.raises(InvalidArgumentError):
-            ls.fidelity_from_probs(probs, [10, 5])
+        for grid in ([10, 5], [5, 5]):
+            with pytest.raises(InvalidArgumentError):
+                ls.fidelity_from_probs(probs, grid)
 
     @pytest.mark.parametrize("n", [2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
     def test_blocks_match_whole_matrix(self, n):
@@ -670,11 +671,16 @@ class TestFidelity:
 
 
 def serial_fidelity(blocks, ks):
-    """The one-thread block loop: each block scored in turn, in order."""
+    """The one-thread block loop: each block scored in turn, in order, with
+    the per-k kernel below V; k = V keeps every entry, so it is the exact
+    entropy."""
     exact = np.concatenate([probstats.entropy_rows(b) for b in blocks])
     rows = []
     for k in ks:
-        approx = np.concatenate([probstats.topk_entropy_rows(b, k) for b in blocks])
+        if k == blocks[0].shape[1]:
+            approx = exact
+        else:
+            approx = np.concatenate([probstats.topk_entropy_rows(b, k) for b in blocks])
         r = probstats.pearson(exact, approx) if approx.std() > 0 else None
         rows.append({"k": k, "pearson_r": r, "extra_bytes_per_token": 12 * k})
     return rows
@@ -714,21 +720,25 @@ class TestFidelityPipeline:
     @pytest.mark.parametrize("vocab", [64, 256, 1024])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_one_partition_matches_per_k_kernel(self, vocab, seed):
-        # k < kmax is taken from the top-kmax slice, whose sums run in another
-        # order: those values may differ from the per-k kernel in the last
-        # bits, within a bound of ~kmax * (1 + ln kmax) float64 ulps
+        # k = V is the exact entropy itself, and k < kmax is taken from the
+        # top-kmax slice. The kernel sums both in another order, so they may
+        # differ from it in the last bits, within a bound of ~k * (1 + ln k)
+        # float64 ulps; only kmax is the kernel's own computation
         ks = ls.default_k_grid(vocab)
         kmax = ks[-2]
         blocks = list(ls.synthetic_fidelity_blocks(3 * BLOCK + 5, vocab, seed))
         for block in blocks:
             exact, *approx = ls._score_block(block, ks)
             assert exact.tobytes() == probstats.entropy_rows(block).tobytes()
+            assert approx[-1].tobytes() == exact.tobytes()
             for k, values in zip(ks, approx):
                 oracle = probstats.topk_entropy_rows(block, k)
-                if k >= kmax:
+                if k == kmax:
                     assert values.tobytes() == oracle.tobytes()
                 else:
                     np.testing.assert_allclose(values, oracle, rtol=0, atol=1e-12)
+            # a grid of V alone scores V as the exact entropy
+            assert [h.tobytes() for h in ls._score_block(block, [vocab])] == [exact.tobytes()] * 2
         rows = ls.fidelity_from_blocks(iter(blocks), ks)
         for row, expected in zip(rows, serial_fidelity(blocks, ks), strict=True):
             if row["k"] >= kmax or expected["pearson_r"] is None:
