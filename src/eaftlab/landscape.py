@@ -272,7 +272,8 @@ def ingest_records(path, require=()) -> RecordTable:
     }
     present = {f: bytearray() for f in OPTIONAL_FIELDS}
     slots = [
-        (f, kind, columns[f].append, present[f].append if f in present else None, _FILLS[kind],
+        (f, kind, _sharing(columns[f].append) if kind is str else columns[f].append,
+         present[f].append if f in present else None, _FILLS[kind],
          f not in present or f in require)
         for f, kind in RECORD_FIELDS.items()
     ]
@@ -328,12 +329,25 @@ def ingest_records(path, require=()) -> RecordTable:
     return _lined_table(columns, present, lines)
 
 
+def _sharing(append):
+    """``append`` that stores one object per distinct string: a repeated
+    value appends the first object seen with it."""
+    setdefault = {}.setdefault
+    return lambda value: append(setdefault(value, value))
+
+
 def _lined_table(columns: dict, present: dict, lines) -> RecordTable:
-    """The table of ingested columns; a range error names the record's line."""
+    """The table of ingested columns; a range error names the record's line.
+    The numeric columns and the masks are views of the parsed buffers, not
+    copies; nothing appends to those buffers afterwards."""
     try:
         return RecordTable(
-            {f: np.array(c, dtype=_DTYPES[RECORD_FIELDS[f]]) for f, c in columns.items()},
-            {f: np.array(m, dtype=bool) for f, m in present.items()},
+            {
+                f: np.array(c, dtype=object) if RECORD_FIELDS[f] is str
+                else np.frombuffer(c, _DTYPES[RECORD_FIELDS[f]])
+                for f, c in columns.items()
+            },
+            {f: np.frombuffer(m, bool) for f, m in present.items()},
         )
     except RecordValidationError as exc:
         raise RecordParseError(exc.message, lines[exc.row]) from exc

@@ -34,7 +34,7 @@ def check_gate_norm(k: int, norm: str) -> None:
 
 
 def pearson(xs, ys) -> float:
-    """Sample Pearson correlation; rejects constant inputs."""
+    """Sample Pearson correlation, clamped to [-1, 1]; rejects constant inputs."""
     x = np.asarray(xs, dtype=np.float64)
     y = np.asarray(ys, dtype=np.float64)
     if x.ndim != 1 or y.ndim != 1 or x.size != y.size:
@@ -49,7 +49,9 @@ def pearson(xs, ys) -> float:
     sy = float(np.sqrt((dy * dy).sum()))
     if sx == 0.0 or sy == 0.0:
         raise DegenerateVarianceError("constant input has no defined correlation")
-    return float((dx * dy).sum() / (sx * sy))
+    # sx and sy are rounded square roots: their product can fall one ulp
+    # short of |(dx * dy).sum()|
+    return float(np.clip((dx * dy).sum() / (sx * sy), -1.0, 1.0))
 
 
 def percentile_threshold(values, q: float) -> float:

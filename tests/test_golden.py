@@ -30,7 +30,7 @@ GOLDEN = {
     "cli_train_eaft": "31bf865992876d4a0a3b2b2f4a5bdc0ff04e7ce3fea204272204da916a3f5f52",
     "cli_train_sft_kl": "efde744d81cf3d4292c0e8c25f6cb93d53dc44a59ff00b487ab8ed9a92852632",
     "cli_diagnostics": "3ff559d7b9f9ad3d09f092b682226e51d9ce0748ff61b64d8208ca5f2527a0d8",
-    "fidelity": "e8b846425c48f69eef7331f66e1b7794c844385293ac40749ae14c7a5e3b800a",
+    "fidelity": "328f2aac34af0758c6691a282e0eae831a29b588c7ba4b40566b651511385600",
     "domains_order3": "46768c08061091cfeb5989e9c0d96d2b543e4e3cd864090fe9cd913d95de69a6",
     "domains_novel_only": "ec052b47451fb58e47a7b7d0c892306a866cd16e4577f25af7b5ff4c98d677fd",
     "domains_cap3": "7678304f77c5b264e7a5ffe1c3e316b17d46616febf9b0709654c76fd3282b1e",

@@ -274,6 +274,15 @@ class TestPearson:
         with pytest.raises(DegenerateVarianceError):
             ps.pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
 
+    def test_never_beyond_one(self):
+        # sx * sy can round one ulp below |sum(dx * dy)|: unclamped, r(x, x)
+        # read 1.0000000000000002 on 467 of these vectors
+        rng = np.random.default_rng(0)
+        for _ in range(2000):
+            xs = rng.standard_normal(int(rng.integers(2, 50)))
+            assert 1.0 - 1e-15 <= ps.pearson(xs, xs) <= 1.0
+            assert -1.0 <= ps.pearson(xs, -xs) <= -1.0 + 1e-15
+
 
 class TestPercentileThreshold:
     def test_integers_nearest_rank(self):
