@@ -19,6 +19,7 @@ unexpected runtime error also prints its traceback.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -383,7 +384,9 @@ def cmd_topk_study(args) -> int:
         raise ConfigError("--corpus goes with --checkpoint, and only with it")
     if args.synthetic:
         grid = _k_grid(args.k_grid, landscape.SYNTHETIC_VOCAB)
-        rows = landscape.fidelity_from_blocks(landscape.synthetic_fidelity_blocks(), grid)
+        # closed on every exit, so an error joins the generator's helper thread
+        with contextlib.closing(landscape.synthetic_fidelity_blocks()) as blocks:
+            rows = landscape.fidelity_from_blocks(blocks, grid)
     else:
         cfg, params = _read_checkpoint(args.checkpoint, "--checkpoint")
         grid = _k_grid(args.k_grid, cfg.vocab_size)

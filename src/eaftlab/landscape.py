@@ -8,6 +8,7 @@ external plotting tools.
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import csv
 import json
@@ -277,7 +278,7 @@ def ingest_records(path, require=()) -> RecordTable:
          f not in present or f in require)
         for f, kind in RECORD_FIELDS.items()
     ]
-    lines = array("q")
+    blanks = []  # the count of records before each blank line
     decode = _DECODER.decode
     try:
         with open(path, "rb") as fh:
@@ -287,6 +288,7 @@ def ingest_records(path, require=()) -> RecordTable:
                 except UnicodeDecodeError as exc:
                     raise RecordParseError(f"not UTF-8: {exc}", lineno) from exc
                 if line.isspace():
+                    blanks.append(lineno - 1 - len(blanks))
                     continue
                 try:
                     doc = decode(line)
@@ -319,14 +321,13 @@ def ingest_records(path, require=()) -> RecordTable:
                         raise RecordParseError(f"{field} {problem}", lineno) from exc
                     if mark is not None:
                         mark(1)
-                lines.append(lineno)
     except RecordParseError:
         # a range error on an earlier line wins over this line's error
         for values in (*columns.values(), *present.values()):
-            del values[len(lines):]
-        _lined_table(columns, present, lines)
+            del values[lineno - 1 - len(blanks):]
+        _lined_table(columns, present, blanks)
         raise
-    return _lined_table(columns, present, lines)
+    return _lined_table(columns, present, blanks)
 
 
 def _sharing(append):
@@ -336,8 +337,9 @@ def _sharing(append):
     return lambda value: append(setdefault(value, value))
 
 
-def _lined_table(columns: dict, present: dict, lines) -> RecordTable:
-    """The table of ingested columns; a range error names the record's line.
+def _lined_table(columns: dict, present: dict, blanks: list) -> RecordTable:
+    """The table of ingested columns; a range error names the record's line,
+    counting the blank lines before it (``blanks``, ascending record counts).
     The numeric columns and the masks are views of the parsed buffers, not
     copies; nothing appends to those buffers afterwards."""
     try:
@@ -350,7 +352,7 @@ def _lined_table(columns: dict, present: dict, lines) -> RecordTable:
             {f: np.frombuffer(m, bool) for f, m in present.items()},
         )
     except RecordValidationError as exc:
-        raise RecordParseError(exc.message, lines[exc.row]) from exc
+        raise RecordParseError(exc.message, exc.row + 1 + bisect.bisect_right(blanks, exc.row)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -489,8 +491,9 @@ _BYTES_PER_ENTRY = 8 + 4
 
 def _read_ahead(items):
     """The items of ``items``, each produced on one helper thread while the
-    caller works on the one before; an error of ``items`` is raised where a
-    plain loop would raise it. Closing the generator joins the helper."""
+    caller works on the one before, so item i+2 is produced only once the
+    caller asks for item i+1; an error of ``items`` is raised where a plain
+    loop would raise it. Closing the generator joins the helper."""
     it, done = iter(items), object()
     with ThreadPoolExecutor(1) as pool:
         future = pool.submit(next, it, done)
@@ -530,15 +533,12 @@ def fidelity_from_blocks(blocks, k_grid) -> list[dict]:
     linear per-token memory cost of storing the k (probability, index) pairs.
 
     ``blocks`` is an iterable of (b, V) probability blocks, the rows of one
-    corpus in order. The caller scores block i while one helper thread
-    produces block i+1 (numpy releases the GIL in the draws, the ufunc loops
-    and np.partition); an error is raised where a plain loop would raise it.
+    corpus in order, each scored as it arrives.
     """
     ks = [int(k) for k in k_grid]
     if sorted(set(ks)) != ks:
         raise InvalidArgumentError("k grid must strictly ascend")
-    with contextlib.closing(_read_ahead(blocks)) as ahead:  # joins the helper on every exit
-        scores = [_score_block(block, ks) for block in ahead]
+    scores = [_score_block(block, ks) for block in blocks]
     if sum(len(score[0]) for score in scores) < 2:
         raise InvalidArgumentError("need a (N, V) probability matrix with N >= 2")
     exact = np.concatenate([score[0] for score in scores])
@@ -584,14 +584,19 @@ def synthetic_fidelity_blocks(
 
     The temperatures are drawn first and the logits block after block from
     the same stream, so the blocks concatenate to the same bits as one
-    (n_tokens, vocab_size) draw."""
+    (n_tokens, vocab_size) draw. One helper thread draws block i+1 into one
+    of two buffers, allocated here, while the caller scales block i in the
+    other and takes its softmax (numpy releases the GIL in both); the helper
+    allocates nothing. Closing the generator joins the helper."""
     rng = np.random.default_rng(seed)
     temps = np.exp(rng.uniform(np.log(temp_low), np.log(temp_high), size=n_tokens))
-    for start in range(0, n_tokens, _ROW_BLOCK):
-        block_temps = temps[start : start + _ROW_BLOCK]
-        logits = rng.standard_normal((block_temps.size, vocab_size))
-        logits *= base_scale / block_temps[:, None]
-        yield probstats.softmax_rows(logits)
+    starts = range(0, n_tokens, _ROW_BLOCK)
+    buffers = [np.empty((min(n_tokens, _ROW_BLOCK), vocab_size)) for _ in range(2)]
+    draws = (rng.standard_normal(out=buffers[i % 2][: n_tokens - start]) for i, start in enumerate(starts))
+    with contextlib.closing(_read_ahead(draws)) as ahead:
+        for start, logits in zip(starts, ahead):
+            logits *= base_scale / temps[start : start + _ROW_BLOCK, None]
+            yield probstats.softmax_rows(logits)
 
 
 def synthetic_fidelity_corpus(*args, **kwargs) -> np.ndarray:

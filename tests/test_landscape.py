@@ -68,9 +68,10 @@ def make_records(n, seed=0, with_step=False):
     return table(rows)
 
 
-# tracemalloc peak of ingesting write_repetitive_records' file: 127.5 bytes
-# per record measured (CPython 3.11, numpy 2.4), 314 with the columns copied
-# out of the parse buffers and a string object per record
+# tracemalloc peak of ingesting write_repetitive_records' file: 119.3 bytes
+# per record measured (CPython 3.11, numpy 2.4), 127.5 with an array of
+# line numbers, 314 with the columns copied out of the parse buffers and a
+# string object per record
 INGEST_PEAK_BYTES_PER_RECORD = 160
 
 
@@ -242,6 +243,29 @@ class TestErrorPrecedence:
         path = tmp_path / "r.jsonl"
         path.write_text(json.dumps(REQUIRED) + "\n\n  \n" + self.RANGE + "\n")
         with pytest.raises(RecordParseError, match="p_target") as err:
+            ls.ingest_records(path)
+        assert err.value.line == 4
+
+    @pytest.mark.parametrize("second", ["json", "type", "range"])
+    def test_blank_lines_around_both_errors(self, tmp_path, second):
+        # blank lines before, between and after the two bad records, one of
+        # them right before the first; the range error on line 6 is named
+        # whatever fails on line 9
+        good = json.dumps(REQUIRED)
+        lines = ["", good, " ", good, "", self.RANGE, "\t", good, self.CASES[second], "", good]
+        path = tmp_path / "r.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(RecordParseError, match="p_target") as err:
+            ls.ingest_records(path)
+        assert err.value.line == 6
+
+    def test_partial_record_left_out_of_range_check(self, tmp_path):
+        # line 4 appends its out-of-range p_target before its step fails the
+        # type check; that partial record is dropped, so the type error is named
+        partial = json.dumps(dict(REQUIRED, p_target=1.5, step=2.5))
+        path = tmp_path / "r.jsonl"
+        path.write_text("\n".join(["", json.dumps(REQUIRED), " ", partial]) + "\n")
+        with pytest.raises(RecordParseError, match="step must be a JSON integer") as err:
             ls.ingest_records(path)
         assert err.value.line == 4
 
@@ -652,6 +676,15 @@ class TestDynamics:
                 ls.dynamics_track(recs, high_min, low_max)
 
 
+def whole_matrix_draw(n, vocab, seed):
+    """The synthetic corpus drawn, scaled and softmaxed as one (n, vocab) matrix."""
+    rng = np.random.default_rng(seed)
+    temps = np.exp(rng.uniform(np.log(0.3), np.log(2.0), size=n))
+    logits = rng.standard_normal((n, vocab))
+    logits *= 14.0 / temps[:, None]
+    return probstats.softmax_rows(logits)
+
+
 class TestFidelity:
     def test_k_equals_v_is_exact(self):
         probs = ls.synthetic_fidelity_corpus(n_tokens=400, vocab_size=128)
@@ -680,11 +713,7 @@ class TestFidelity:
         # N at and around the block boundaries; the oracle is one whole-matrix
         # draw, softmax and kernel call
         vocab, seed = 12, 7
-        rng = np.random.default_rng(seed)
-        temps = np.exp(rng.uniform(np.log(0.3), np.log(2.0), size=n))
-        logits = rng.standard_normal((n, vocab))
-        logits *= 14.0 / temps[:, None]
-        oracle = probstats.softmax_rows(logits)
+        oracle = whole_matrix_draw(n, vocab, seed)
 
         blocks = list(ls.synthetic_fidelity_blocks(n, vocab, seed))
         assert [len(b) for b in blocks[:-1]] == [BLOCK] * (len(blocks) - 1)
@@ -747,7 +776,8 @@ def failing_after(blocks, exc):
 
 
 class TestFidelityPipeline:
-    """Blocks are scored on the caller while a helper thread produces the next one."""
+    """Blocks are scored in turn on the caller; the synthetic generator's one
+    helper thread draws the next block's logits into one of two buffers."""
 
     @pytest.mark.parametrize("n", [BLOCK, 2 * BLOCK, 2 * BLOCK + 5])
     def test_rows_match_serial_oracle(self, n):
@@ -797,25 +827,86 @@ class TestFidelityPipeline:
             else:
                 assert row == {**expected, "pearson_r": pytest.approx(expected["pearson_r"], abs=1e-12)}
 
-    def test_produced_on_one_helper_thread_scored_on_caller(self, monkeypatch):
-        producers, scorers = [], []
-        score = ls._score_block
+    def test_drawn_on_one_helper_thread_into_two_buffers(self, monkeypatch):
+        # the helper only draws, each time into the buffer that the block
+        # before last used; the softmax and the scoring run on the caller
+        drawers, buffers, softmaxes, scorers = [], [], [], []
+        default_rng, softmax, score = np.random.default_rng, probstats.softmax_rows, ls._score_block
 
-        def recording(block, ks):
-            scorers.append(threading.get_ident())
-            return score(block, ks)
+        class RecordingRng:
+            def __init__(self, seed):
+                self.rng = default_rng(seed)
 
-        def produced(blocks):
-            for block in blocks:
-                producers.append(threading.get_ident())
-                yield block
+            def uniform(self, *args, **kwargs):
+                return self.rng.uniform(*args, **kwargs)
 
-        monkeypatch.setattr(ls, "_score_block", recording)
-        blocks = ls.synthetic_fidelity_blocks(5 * BLOCK, 16, 1)
-        ls.fidelity_from_blocks(produced(blocks), [2, 16])
+            def standard_normal(self, *args, **kwargs):
+                drawers.append(threading.get_ident())
+                out = kwargs.get("out")
+                buffers.append(None if out is None else out.__array_interface__["data"][0])
+                return self.rng.standard_normal(*args, **kwargs)
+
+        def recording(record, fn):
+            def call(*args):
+                record.append(threading.get_ident())
+                return fn(*args)
+            return call
+
+        expected = serial_fidelity(list(ls.synthetic_fidelity_blocks(5 * BLOCK, 16, 1)), [2, 16])
+        monkeypatch.setattr(np.random, "default_rng", RecordingRng)
+        monkeypatch.setattr(probstats, "softmax_rows", recording(softmaxes, softmax))
+        monkeypatch.setattr(ls, "_score_block", recording(scorers, score))
+        rows = ls.fidelity_from_blocks(ls.synthetic_fidelity_blocks(5 * BLOCK, 16, 1), [2, 16])
         caller = threading.get_ident()
-        assert len(producers) == 5 and len(set(producers)) == 1 and producers[0] != caller
-        assert scorers == [caller] * 5
+        assert rows == expected
+        assert len(drawers) == 5 and len(set(drawers)) == 1 and drawers[0] != caller
+        assert None not in buffers and len(set(buffers)) == 2
+        assert all(a != b for a, b in zip(buffers, buffers[1:]))
+        assert softmaxes == [caller] * 5 and scorers == [caller] * 5
+
+    def test_blocks_bit_equal_under_stress(self):
+        # a short switch interval interleaves the two threads as often as it
+        # can, and the slow consumer lets the helper finish each draw while
+        # it holds every block so far
+        n, vocab, seed = 9 * BLOCK + 7, 256, 4
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            blocks = []
+            for block in ls.synthetic_fidelity_blocks(n, vocab, seed):
+                time.sleep(0.002)
+                blocks.append(block)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.concatenate(blocks).tobytes() == whole_matrix_draw(n, vocab, seed).tobytes()
+
+    def test_model_and_matrix_studies_start_no_thread(self, monkeypatch):
+        # both score their blocks in turn on the caller; the pinned rows were
+        # computed when a helper thread made each block, and keep their bits
+        probs = ls.synthetic_fidelity_corpus(3 * BLOCK + 9, 48, 6)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was started")
+
+        monkeypatch.setattr(ls, "ThreadPoolExecutor", no_pool)
+        assert ls.fidelity_from_probs(probs, [1, 2, 5, 20, 48]) == [
+            {"k": 1, "pearson_r": None, "extra_bytes_per_token": 12},
+            {"k": 2, "pearson_r": 0.9164188433703544, "extra_bytes_per_token": 24},
+            {"k": 5, "pearson_r": 0.992343142357003, "extra_bytes_per_token": 60},
+            {"k": 20, "pearson_r": 0.9999999553050991, "extra_bytes_per_token": 240},
+            {"k": 48, "pearson_r": 0.9999999999999999, "extra_bytes_per_token": 576},
+        ]
+        config = toylm.ModelConfig(vocab_size=32, context_len=3, embed_dim=4, hidden_dim=8, seed=2)
+        rng = np.random.default_rng(5)
+        n = 3 * BLOCK + 9
+        corpus = toylm.Corpus(rng.integers(0, 32, (n, 3)), rng.integers(0, 32, n))
+        assert ls.topk_fidelity_study(toylm.init_model(config), corpus, [1, 2, 5, 20, 32]) == [
+            {"k": 1, "pearson_r": None, "extra_bytes_per_token": 12},
+            {"k": 2, "pearson_r": 0.12823613286112237, "extra_bytes_per_token": 24},
+            {"k": 5, "pearson_r": 0.3987124015382533, "extra_bytes_per_token": 60},
+            {"k": 20, "pearson_r": 0.7568415107531907, "extra_bytes_per_token": 240},
+            {"k": 32, "pearson_r": 1.0, "extra_bytes_per_token": 384},
+        ]
 
     @pytest.mark.parametrize(
         "bad,message",
@@ -867,13 +958,23 @@ class TestFidelityPipeline:
             ls.fidelity_from_blocks(iter([np.full((1, 16), 1 / 16)]), [4])
         assert threading.active_count() == start
 
-    def test_helper_joined_while_traceback_is_held(self):
-        # the failing frame, held by the traceback, still refers to the
-        # read-ahead; the helper is joined all the same
-        good = list(ls.synthetic_fidelity_blocks(3 * BLOCK, 8, 2))
+    def test_helper_joined_while_traceback_is_held(self, tmp_path, monkeypatch):
+        # the second block fails to score in the synthetic study; the failing
+        # frames, held by the traceback, still refer to the generator, and its
+        # helper is joined all the same
+        score, scored = ls._score_block, []
+
+        def failing_second(block, ks):
+            scored.append(block)
+            if len(scored) == 2:
+                raise InvalidArgumentError("block 2 failed")
+            return score(block, ks)
+
+        monkeypatch.setattr(ls, "_score_block", failing_second)
+        args = cli.build_parser().parse_args(["topk-study", str(tmp_path / "out"), "--synthetic"])
         start = threading.active_count()
-        with pytest.raises(InvalidArgumentError) as info:
-            ls.fidelity_from_blocks(iter(good[:1] + [np.full(8, 1 / 8)] + good), [2, 8])
+        with pytest.raises(InvalidArgumentError, match="block 2") as info:
+            cli.cmd_topk_study(args)
         assert info.tb is not None
         assert threading.active_count() == start
 
