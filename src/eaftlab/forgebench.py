@@ -270,23 +270,24 @@ def _walks(rng: np.random.Generator, next_cdf, starts: int, active: int, n: int,
     return seqs
 
 
-def _positions(seqs: np.ndarray, context_len: int, order: int, active: int):
-    """Every (context, target, chain state) of the walks, walk by walk."""
+def _positions(seqs: np.ndarray, context_len: int, order: int, active: int, cap: int | None = None):
+    """The (context, target, chain state) of the walks' positions, walk by walk; with
+    ``cap``, only each state's first ``cap`` visits, and only their windows are copied."""
     windows = np.lib.stride_tricks.sliding_window_view(seqs, context_len + 1, axis=1)
-    windows = windows.reshape(-1, context_len + 1)
-    contexts = np.ascontiguousarray(windows[:, :context_len])
-    return contexts, windows[:, context_len].copy(), _chain_state(contexts, order, active)
+    states = _chain_state(windows[..., :context_len], order, active)
+    kept = np.ones(states.shape, dtype=bool) if cap is None else _first_visits(states, cap)
+    return windows[kept, :context_len], windows[kept, context_len], states[kept]
 
 
 def _first_visits(states: np.ndarray, cap: int) -> np.ndarray:
-    """Mask of the positions among the first ``cap`` visits of their state."""
-    by_state = np.argsort(states, kind="stable")
-    sorted_states = states[by_state]
-    starts = np.flatnonzero(np.r_[True, sorted_states[1:] != sorted_states[:-1]])
-    counts = np.diff(np.r_[starts, len(states)])
-    rank = np.empty(len(states), dtype=np.int64)
-    rank[by_state] = np.arange(len(states)) - np.repeat(starts, counts)
-    return rank < cap
+    """Mask of the positions, in row-major order, among the first ``cap`` visits
+    of their state: those whose entry ``cap`` places earlier in the stable state
+    order belongs to another state."""
+    by_state = np.argsort(states, axis=None, kind="stable")
+    sorted_states = states.ravel()[by_state]
+    kept = np.ones(states.size, dtype=bool)
+    kept[by_state[cap:]] = sorted_states[cap:] != sorted_states[:-cap]
+    return kept.reshape(states.shape)
 
 
 def _within_budget(states: np.ndarray, visits: np.ndarray, budget: float) -> np.ndarray:
@@ -323,16 +324,14 @@ def generate_domains(
     n_states = rows.shape[0]
     cdf = _transition_cdf(rows)
 
-    def positions(n_walks: int):
+    def positions(n_walks: int, cap: int | None = None):
         seqs = _walks(rng, lambda w: cdf[_chain_state(w, order, m)], order, m, n_walks, sizes.sequence_len)
-        return _positions(seqs, context_len, order, m)
+        return _positions(seqs, context_len, order, m, cap)
 
     pre_ctx, pre_tgt, pre_states = positions(sizes.pretrain_sequences)
     # curated fine-tune pool: walk the chain, keep at most `cap` positions per
     # context so each rewritten fact is seen only a few times per epoch
-    ft_ctx, ft_tgt, ft_states = positions(sizes.finetune_walks)
-    kept = _first_visits(ft_states, sizes.finetune_cap)
-    ft_ctx, ft_tgt, ft_states = ft_ctx[kept], ft_tgt[kept], ft_states[kept]
+    ft_ctx, ft_tgt, ft_states = positions(sizes.finetune_walks, sizes.finetune_cap)
     ft_n = len(ft_tgt)
     ev_ctx, ev_tgt, ev_states = positions(sizes.eval_sequences)
 

@@ -5,6 +5,7 @@ gap) live in test_acceptance.py; this module covers the constructive
 guarantees that hold by design.
 """
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -25,6 +26,11 @@ FAST_PROTOCOL = fb.BenchProtocol(
 SMALL_SIZES = fb.GenerationSizes(
     pretrain_sequences=120, finetune_walks=150, eval_sequences=100
 )
+
+# tracemalloc peak of generate_domains at default GenerationSizes: 3.24 MB
+# measured (CPython 3.11, numpy 2.4), 5.50 MB with every fine-tune window
+# copied before the visit cap and a rank array per position
+GENERATION_PEAK_BYTES = 4_000_000
 
 
 def _choice_walks(rng, rows, order, active, n, length):
@@ -176,14 +182,20 @@ class TestSampler:
     def test_positions_match_window_loop(self):
         rng = np.random.default_rng(2)
         seqs = rng.integers(0, 5, size=(7, 11))
-        for context_len, order in ((3, 2), (2, 2), (4, 1)):
-            ctx, tgt, states = fb._positions(seqs, context_len, order, 5)
+        for context_len, order, cap in ((3, 2, None), (2, 2, None), (4, 1, None), (3, 2, 2), (4, 1, 1)):
+            ctx, tgt, states = fb._positions(seqs, context_len, order, 5, cap)
             windows = [s[i : i + context_len] for s in seqs.tolist() for i in range(11 - context_len)]
+            targets = [s[i + context_len] for s in seqs.tolist() for i in range(11 - context_len)]
+            loop_states = [int(np.ravel_multi_index(w[-order:], (5,) * order)) for w in windows]
+            if cap is not None:
+                kept = _dict_dedup(np.array(loop_states), cap)
+                assert 0 < kept.sum() < len(kept)
+                windows, targets, loop_states = (
+                    [x for x, k in zip(column, kept) if k] for column in (windows, targets, loop_states)
+                )
             assert ctx.tolist() == windows
-            assert tgt.tolist() == [s[i + context_len] for s in seqs.tolist() for i in range(11 - context_len)]
-            assert states.tolist() == [
-                int(np.ravel_multi_index(w[-order:], (5,) * order)) for w in windows
-            ]
+            assert tgt.tolist() == targets
+            assert states.tolist() == loop_states
 
 
 class TestSpecs:
@@ -264,6 +276,20 @@ class TestGenerateDomains:
         b = fb.generate_domains(fb.DomainSpec(seed=8), fb.ConflictSpec(), SMALL_SIZES)
         assert np.array_equal(a.finetune.targets, b.finetune.targets)
         assert np.array_equal(a.pretrain.contexts, b.pretrain.contexts)
+
+    def test_generation_peak(self):
+        # only the windows the corpora keep are copied: the fine-tune walks'
+        # other ~46k windows are read through a view of the walks
+        spec = fb.DomainSpec(peak_mass=0.99)
+        fb.generate_domains(spec, fb.ConflictSpec())  # first-call allocations stay out of the peak
+        tracemalloc.start()
+        try:
+            data = fb.generate_domains(spec, fb.ConflictSpec())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(data.finetune) > 0
+        assert peak <= GENERATION_PEAK_BYTES
 
 
 class TestInjectionLog:
