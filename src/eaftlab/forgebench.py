@@ -322,7 +322,8 @@ def generate_domains(
     order = domain.markov_order
     rows, dominant, peaked_mask = _build_tables(domain, rng)
     n_states = rows.shape[0]
-    cdf = _transition_cdf(rows)
+    # past the active tokens every CDF entry is 1.0, which no draw u < 1 crosses
+    cdf = _transition_cdf(rows[:, :m])
 
     def positions(n_walks: int, cap: int | None = None):
         seqs = _walks(rng, lambda w: cdf[_chain_state(w, order, m)], order, m, n_walks, sizes.sequence_len)
@@ -370,8 +371,8 @@ def generate_domains(
         label[s], novel_rows[s] = _peaked_row(
             rng, m, domain.vocab_size, conflict.novel_peak_mass, domain.tail_concentration
         )
-    novel_cdf = np.zeros_like(rows)
-    novel_cdf[novels] = _transition_cdf(novel_rows[novels])
+    novel_cdf = np.zeros((n_states, m))
+    novel_cdf[novels] = _transition_cdf(novel_rows[novels, :m])
 
     def novel_draws(states: np.ndarray) -> np.ndarray:
         return _sample(novel_cdf[states], rng.random(len(states)))

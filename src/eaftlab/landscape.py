@@ -11,8 +11,11 @@ from __future__ import annotations
 import bisect
 import contextlib
 import csv
+import hashlib
 import json
 import math
+import os
+import struct
 from array import array
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -240,7 +243,8 @@ def _fmt(value) -> str:
 
 def export_records(records: RecordTable, path) -> None:
     """Write records as JSONL, one line per record: the bytes of
-    ``json.dumps(record, sort_keys=True)`` with absent fields left out."""
+    ``json.dumps(record, sort_keys=True)`` with absent fields left out.
+    Then write the column file beside it (``_export_columns``)."""
     codes = np.zeros(len(records), dtype=np.int64)
     for bit, field in enumerate(OPTIONAL_FIELDS):
         codes |= records.present[field].astype(np.int64) << bit
@@ -249,6 +253,146 @@ def export_records(records: RecordTable, path) -> None:
             block = slice(start, start + _EXPORT_BLOCK)
             values = zip(*(_json_values(records.columns[f][block]) for f in RECORD_FIELDS))
             fh.write("".join([_LINE_FORMATS[c](*v) for c, v in zip(codes[block].tolist(), values)]))
+    _export_columns(records, path)
+
+
+# The column file ``<name>.jsonl.cols`` beside an exported JSONL file holds
+# the table a parse of that file gives, so ingest can read it instead of
+# decoding each line. Its header is the magic, a u32 version, the record
+# count as u64, the byte size of each text field's string array as u64, and
+# the sha256 of the JSONL and of the payload. The payload is each numeric
+# column as little-endian int64 or float64, then each presence mask as
+# bytes, the rows that lack a field holding its fill; then each text column
+# as u32 indices into its distinct strings, which follow as one JSON array
+# per field. The name must not end in ``.jsonl``, which ``dynamics`` reads.
+_COLUMNS_MAGIC = b"EAFTCOLS"
+_COLUMNS_VERSION = 1
+_TEXT_FIELDS = tuple(f for f, kind in RECORD_FIELDS.items() if kind is str)
+_COLUMNS_HEADER = struct.Struct(f"<8sIQ{len(_TEXT_FIELDS)}Q32s32s")
+_LITTLE_ENDIAN = {int: "<i8", float: "<f8", str: "<u4"}  # a text column stores indices
+# bytes per record of the numeric columns and the masks, read into one buffer
+_FIXED_BYTES = 8 * (len(RECORD_FIELDS) - len(_TEXT_FIELDS)) + len(OPTIONAL_FIELDS)
+# the JSONL is hashed through one buffer of this size, as hashlib.file_digest does
+_HASH_CHUNK = 1 << 18
+
+
+def _columns_path(path) -> str:
+    """The column file of the JSONL file ``path``."""
+    return f"{os.fspath(path)}.cols"
+
+
+def _sha256_of(path) -> bytes:
+    digest = hashlib.sha256()
+    chunk = bytearray(_HASH_CHUNK)
+    view = memoryview(chunk)
+    with open(path, "rb", buffering=0) as fh:
+        while size := fh.readinto(chunk):
+            digest.update(view[:size])
+    return digest.digest()
+
+
+def _casts_as_parsed(dtype: np.dtype, kind: type) -> bool:
+    """Whether a column of ``dtype``, exported and parsed as a ``kind`` field,
+    gives its own values cast to that field's dtype: an integer column that
+    int64 holds exactly, or a float field's float column of at most 64 bits.
+    The JSON of any other column parses to other values or not at all."""
+    if dtype.kind in "iu":
+        return bool(np.can_cast(dtype, np.int64))
+    return kind is float and dtype.kind == "f" and dtype.itemsize <= 8
+
+
+def _as_parsed(records: RecordTable, field: str) -> np.ndarray:
+    """The column of ``field`` with the fill in each row that lacks the field."""
+    column = records.columns[field]
+    if field in OPTIONAL_FIELDS and not records.present[field].all():
+        return np.where(records.present[field], column, _FILLS[RECORD_FIELDS[field]])
+    return column
+
+
+def _export_columns(records: RecordTable, path) -> None:
+    """Write the column file of the JSONL file ``path`` just exported from
+    ``records``, column by column; none is written when a numeric column's
+    dtype does not cast to the values a parse gives (``_casts_as_parsed``),
+    and an older one is then ignored, its JSONL digest being another's."""
+    kinds = RECORD_FIELDS.items()
+    if not all(_casts_as_parsed(records.columns[f].dtype, k) for f, k in kinds if k is not str):
+        return
+    payload = hashlib.sha256()
+    with atomic_write(_columns_path(path), "wb") as fh:
+
+        def put(data) -> None:
+            fh.write(data)
+            payload.update(data)
+
+        fh.write(bytes(_COLUMNS_HEADER.size))  # rewritten once the payload's digest is known
+        for field, kind in kinds:
+            if kind is not str:
+                put(np.ascontiguousarray(_as_parsed(records, field), _LITTLE_ENDIAN[kind]))
+        for field in OPTIONAL_FIELDS:
+            put(np.ascontiguousarray(records.present[field], bool))
+        strings = []
+        for field in _TEXT_FIELDS:
+            index = {}  # distinct string -> its place in the field's array
+            values = _as_parsed(records, field).tolist()
+            put(np.fromiter((index.setdefault(s, len(index)) for s in values), _LITTLE_ENDIAN[str], len(values)))
+            strings.append(json.dumps(list(index)).encode())
+        for data in strings:
+            put(data)
+        fh.seek(0)
+        fh.write(_COLUMNS_HEADER.pack(
+            _COLUMNS_MAGIC, _COLUMNS_VERSION, len(records), *map(len, strings),
+            _sha256_of(path), payload.digest(),
+        ))
+
+
+def _column_table(path, require) -> RecordTable | None:
+    """The table in the column file of ``path``, or None unless that file
+    exists, has this version, holds the payload its header declares, and
+    both its digests match: the JSONL's, over the bytes now in ``path``, and
+    the payload's. A bad record raises the parse's error for its line, which
+    is its row + 1: export writes no blank lines."""
+    try:
+        with open(_columns_path(path), "rb") as fh:
+            header = fh.read(_COLUMNS_HEADER.size)
+            if len(header) != _COLUMNS_HEADER.size:
+                return None
+            magic, version, n, *text_sizes, jsonl_digest, payload_digest = _COLUMNS_HEADER.unpack(header)
+            size = n * (_FIXED_BYTES + 4 * len(_TEXT_FIELDS)) + sum(text_sizes)
+            if (magic, version) != (_COLUMNS_MAGIC, _COLUMNS_VERSION):
+                return None
+            if os.fstat(fh.fileno()).st_size != len(header) + size or _sha256_of(path) != jsonl_digest:
+                return None
+            fixed = bytearray(n * _FIXED_BYTES)  # writable, as the parsed columns are
+            fh.readinto(fixed)
+            text = fh.read()
+    except OSError:
+        return None
+    digest = hashlib.sha256(fixed)
+    digest.update(text)
+    if digest.digest() != payload_digest:
+        return None
+    columns, at, index_at, strings_at = {}, 0, 0, 4 * n * len(_TEXT_FIELDS)
+    sizes = iter(text_sizes)
+    for field, kind in RECORD_FIELDS.items():
+        if kind is str:
+            index = np.frombuffer(text, _LITTLE_ENDIAN[str], n, index_at)
+            strings = json.loads(text[strings_at : strings_at + (size := next(sizes))])
+            columns[field] = np.array(strings, dtype=object)[index]  # one object per distinct string
+            index_at, strings_at = index_at + 4 * n, strings_at + size
+        else:
+            columns[field] = np.frombuffer(fixed, _LITTLE_ENDIAN[kind], n, at).astype(_DTYPES[kind], copy=False)
+            at += 8 * n
+    present = {f: np.frombuffer(fixed, bool, n, at + i * n) for i, f in enumerate(OPTIONAL_FIELDS)}
+    # the first record lacking a required field; the parse range-checks only the records before it
+    lacking = [(int(np.argmax(~present[f])), f) for f in OPTIONAL_FIELDS if f in require and not present[f].all()]
+    row, field = min(lacking, key=lambda pair: pair[0], default=(n, None))
+    try:
+        table = RecordTable({f: c[:row] for f, c in columns.items()}, {f: m[:row] for f, m in present.items()})
+    except RecordValidationError as exc:
+        raise RecordParseError(exc.message, exc.row + 1) from exc
+    if field is not None:
+        raise RecordParseError(f"missing required field {field!r}", row + 1)
+    return table
 
 
 def export_rows(rows, fieldnames, path) -> None:
@@ -266,7 +410,14 @@ def ingest_records(path, require=()) -> RecordTable:
     JSON type (``RECORD_FIELDS``), and an integer field lies in [0, 2**63).
     An optional field named in ``require`` must be present, as a required
     one must. ``NaN`` and ``Infinity`` literals are not JSON and are rejected. An
-    error names the earliest bad line, whatever kind of error it is."""
+    error names the earliest bad line, whatever kind of error it is.
+
+    When the column file of ``path`` (``_columns_path``) was written with the
+    bytes now in ``path``, the table is read from it, not parsed: the same
+    table, and the same error. Ingest never writes a column file."""
+    table = _column_table(path, require)
+    if table is not None:
+        return table
     columns = {
         f: array("d") if kind is float else array("q") if kind is int else []
         for f, kind in RECORD_FIELDS.items()

@@ -112,6 +112,7 @@ class TestTrain:
         assert (a / "trainlog.csv").read_bytes() == (b / "trainlog.csv").read_bytes()
         assert (a / "checkpoint.ckpt").read_bytes() == (b / "checkpoint.ckpt").read_bytes()
         assert (a / "records.jsonl").read_bytes() == (b / "records.jsonl").read_bytes()
+        assert (a / "records.jsonl.cols").read_bytes() == (b / "records.jsonl.cols").read_bytes()
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = train_config(tmp_path, extra_knob=1)
@@ -810,6 +811,36 @@ class TestDynamics:
         assert cli.main(argv) == 1
         assert f"{path}: line 3: missing required field {field!r}" in capsys.readouterr().err
         assert not out.exists()
+
+
+class NoDecoding:
+    def decode(self, line):
+        raise AssertionError("a line was parsed")
+
+
+class TestColumnFile:
+    def test_diagnostics_read_the_column_file_train_writes(self, tmp_path, monkeypatch):
+        # analyze --records and dynamics take the records from the column
+        # file, without decoding a line, and write the bytes the parse gives;
+        # dynamics reads only the *.jsonl files of the directory
+        run = tmp_path / "run"
+        assert cli.main(["train", str(train_config(tmp_path)), str(run)]) == 0
+        assert sorted(p.name for p in run.iterdir()) == [
+            "checkpoint.ckpt", "records.jsonl", "records.jsonl.cols", "trainlog.csv",
+        ]
+
+        def diagnostics(out, patch):
+            with monkeypatch.context() as m:
+                if patch:
+                    m.setattr(ls, "_DECODER", NoDecoding())
+                assert cli.main(["analyze", str(out / "a"), "--records", str(run / "records.jsonl")]) == 0
+                assert cli.main(["dynamics", str(run), str(out / "d")]) == 0
+            assert [p.name for p in (out / "d").iterdir()] == ["dynamics_records.csv"]
+            return {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*.csv"))}
+
+        hit = diagnostics(tmp_path / "hit", patch=True)
+        os.unlink(run / "records.jsonl.cols")
+        assert diagnostics(tmp_path / "parse", patch=False) == hit
 
 
 class TestNonUtf8Input:

@@ -27,10 +27,11 @@ SMALL_SIZES = fb.GenerationSizes(
     pretrain_sequences=120, finetune_walks=150, eval_sequences=100
 )
 
-# tracemalloc peak of generate_domains at default GenerationSizes: 3.24 MB
-# measured (CPython 3.11, numpy 2.4), 5.50 MB with every fine-tune window
-# copied before the visit cap and a rank array per position
-GENERATION_PEAK_BYTES = 4_000_000
+# tracemalloc peak of generate_domains at default GenerationSizes: 2.83 MB
+# measured (CPython 3.11, numpy 2.4), 3.24 MB with CDF rows over the whole
+# vocabulary, 5.50 MB with every fine-tune window copied before the visit
+# cap and a rank array per position
+GENERATION_PEAK_BYTES = 3_000_000
 
 
 def _choice_walks(rng, rows, order, active, n, length):
@@ -276,6 +277,18 @@ class TestGenerateDomains:
         b = fb.generate_domains(fb.DomainSpec(seed=8), fb.ConflictSpec(), SMALL_SIZES)
         assert np.array_equal(a.finetune.targets, b.finetune.targets)
         assert np.array_equal(a.pretrain.contexts, b.pretrain.contexts)
+
+    @pytest.mark.parametrize("name", sorted(DOMAINS))
+    def test_cdf_over_active_tokens(self, name):
+        # generation samples from CDF rows cut at the active tokens: the
+        # entries it drops are exactly 1.0, which no draw u < 1 crosses
+        domain, context_len, sizes, conflict = DOMAINS[name]
+        gt = fb.generate_domains(domain, conflict, sizes, context_len).ground_truth
+        novels = gt.kind == "novel"
+        for rows in (gt.rows, gt.novel_rows[novels]):
+            full = fb._transition_cdf(rows)
+            assert full[:, : gt.active].tobytes() == fb._transition_cdf(rows[:, : gt.active]).tobytes()
+            assert np.all(full[:, gt.active :] == 1.0)
 
     def test_generation_peak(self):
         # only the windows the corpora keep are copied: the fine-tune walks'

@@ -9,6 +9,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -68,16 +69,16 @@ def make_records(n, seed=0, with_step=False):
     return table(rows)
 
 
-# tracemalloc peak of ingesting write_repetitive_records' file: 119.3 bytes
+# tracemalloc peak of parsing write_repetitive_records' file: 119.3 bytes
 # per record measured (CPython 3.11, numpy 2.4), 127.5 with an array of
 # line numbers, 314 with the columns copied out of the parse buffers and a
-# string object per record
-INGEST_PEAK_BYTES_PER_RECORD = 160
+# string object per record; reading its column file: 110.2
+INGEST_PEAK_BYTES_PER_RECORD = {"parse": 160, "columns": 120}
 
 
-def write_repetitive_records(path, n=6000):
+def write_repetitive_records(path, n=6000, keep_columns=True):
     """Export ``n`` records whose text fields repeat, as captures do, and
-    return their table."""
+    return their table; the column file is deleted unless ``keep_columns``."""
     rng = np.random.default_rng(3)
     gate = rng.uniform(0, 1, n)
     recs = ls.RecordTable.of(
@@ -94,7 +95,44 @@ def write_repetitive_records(path, n=6000):
         step=np.arange(n) // 100,
     )
     ls.export_records(recs, path)
+    if not keep_columns:
+        drop_columns(path)
     return recs
+
+
+class NoDecoding:
+    """A JSON decoder that fails on any line: only a column file hit reads the file."""
+
+    def decode(self, line):
+        raise AssertionError(f"a line was parsed: {line!r}")
+
+
+def read_columns(path, require=()):
+    """``ingest_records`` with line decoding made to fail."""
+    with mock.patch.object(ls, "_DECODER", NoDecoding()):
+        return ls.ingest_records(path, require)
+
+
+def outcome(read, path, require=()):
+    """The table ``read`` returns, or the message and line of the parse error it raises."""
+    try:
+        return read(path, require)
+    except RecordParseError as exc:
+        return str(exc), exc.line
+
+
+def columns_of(path):
+    """The column file of the JSONL file ``path``."""
+    return path.with_name(path.name + ".cols")
+
+
+def drop_columns(path):
+    columns_of(path).unlink()
+
+
+# each way ingest reads an exported file: the parse, with its column file
+# deleted, and the column file, with line decoding made to fail
+READERS = {"parse": ls.ingest_records, "columns": read_columns}
 
 
 class TestTokenRecord:
@@ -347,16 +385,22 @@ class TestExportIngest:
     @given(rows=st.lists(record_rows(), min_size=1, max_size=12))
     def test_roundtrip_bytes_property(self, tmp_path_factory, rows):
         # export -> ingest -> export gives the same bytes, and those bytes are
-        # json.dumps(sort_keys=True) of each record with its absent fields left out
+        # json.dumps(sort_keys=True) of each record with its absent fields
+        # left out; the column file gives the parse's table, and the parsed
+        # table exports the same column file
         tmp = tmp_path_factory.mktemp("roundtrip")
         recs = table(rows)
         first, second = tmp / "a.jsonl", tmp / "b.jsonl"
         ls.export_records(recs, first)
+        hit = read_columns(first)
+        columns = columns_of(first).read_bytes()
+        drop_columns(first)
         back = ls.ingest_records(first)
         ls.export_records(back, second)
         oracle = "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
         assert first.read_bytes() == second.read_bytes() == oracle.encode()
-        assert back == recs
+        assert columns_of(second).read_bytes() == columns
+        assert hit == back == recs
         assert record_dicts(back) == rows
 
     @pytest.mark.parametrize("fmt", ["jsonl"])
@@ -418,23 +462,26 @@ class TestExportIngest:
         path.write_text("")
         assert len(ls.ingest_records(path)) == 0
 
-    def test_ingest_peak_per_record(self, tmp_path):
-        # the numeric columns are views of the parsed buffers and each
-        # distinct string is held once: a copy of either doubles the peak
-        n = len(write_repetitive_records(tmp_path / "r.jsonl"))
-        ls.ingest_records(tmp_path / "r.jsonl")  # first-call allocations stay out of the peak
+    @pytest.mark.parametrize("source", READERS)
+    def test_ingest_peak_per_record(self, tmp_path, source):
+        # the numeric columns are views of the parsed buffers, or of the one
+        # buffer the column file is read into, and each distinct string is
+        # held once: a copy of either doubles the peak
+        n = len(write_repetitive_records(tmp_path / "r.jsonl", keep_columns=source == "columns"))
+        READERS[source](tmp_path / "r.jsonl")  # first-call allocations stay out of the peak
         tracemalloc.start()
         try:
-            back = ls.ingest_records(tmp_path / "r.jsonl")
+            back = READERS[source](tmp_path / "r.jsonl")
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert len(back) == n
-        assert peak / n <= INGEST_PEAK_BYTES_PER_RECORD
+        assert peak / n <= INGEST_PEAK_BYTES_PER_RECORD[source]
 
-    def test_one_object_per_distinct_string(self, tmp_path):
-        recs = write_repetitive_records(tmp_path / "r.jsonl")
-        back = ls.ingest_records(tmp_path / "r.jsonl")
+    @pytest.mark.parametrize("source", READERS)
+    def test_one_object_per_distinct_string(self, tmp_path, source):
+        recs = write_repetitive_records(tmp_path / "r.jsonl", keep_columns=source == "columns")
+        back = READERS[source](tmp_path / "r.jsonl")
         assert back == recs
         for field in ("source_id", "token_text"):
             column = back.columns[field]
@@ -454,6 +501,124 @@ class TestExportIngest:
         path = tmp_path / "t.csv"
         ls.export_rows([], ("a", "b"), path)
         assert path.read_text().splitlines() == ["a,b"]
+
+
+def flip_byte(path, offset):
+    data = bytearray(path.read_bytes())
+    data[offset] ^= 1
+    path.write_bytes(bytes(data))
+
+
+def flip_line_3_p_target(path):
+    """Turn line 3's p_target 0.5 into 1.5."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    flip_byte(path, len(b"".join(lines[:2])) + lines[2].index(b'"p_target": 0.5') + len(b'"p_target": '))
+
+
+def header_field(path, name, value):
+    """Rewrite one field of the column file's header."""
+    data, header = columns_of(path).read_bytes(), ls._COLUMNS_HEADER
+    fields = list(header.unpack_from(data))
+    fields[{"magic": 0, "version": 1}[name]] = value
+    columns_of(path).write_bytes(header.pack(*fields) + data[header.size :])
+
+
+# each way a column file misses: it is gone, stale, cut short, corrupt or
+# of another format
+MISSES = {
+    "no_file": drop_columns,
+    "jsonl_byte": flip_line_3_p_target,
+    "truncated": lambda p: os.truncate(columns_of(p), columns_of(p).stat().st_size - 1),
+    "payload_byte": lambda p: flip_byte(columns_of(p), ls._COLUMNS_HEADER.size + 8 * 3 + 2),
+    "magic": lambda p: header_field(p, "magic", b"EAFTCKPT"),
+    "version": lambda p: header_field(p, "version", ls._COLUMNS_VERSION + 1),
+}
+
+
+class TestColumnFile:
+    """The column file ``export_records`` writes beside the JSONL, which
+    ingest reads in place of the parse when both digests match."""
+
+    @staticmethod
+    def records(n=12):
+        recs = make_records(n, with_step=True)
+        recs.columns["p_target"][:] = 0.5
+        return recs
+
+    def test_direct_table_with_other_dtypes(self, tmp_path):
+        # absent rows holding non-fill values, and numeric columns of other
+        # dtypes, are read back as the parse gives them: fills, int64, float64
+        n = 9
+        rng = np.random.default_rng(4)
+        absent = np.arange(n) % 3 == 0
+        columns = {
+            "source_id": np.array(["a", "b", "a"] * 3, dtype=object),
+            "position": np.arange(n, dtype=np.int32),
+            "token_id": np.arange(n, dtype=np.uint16),
+            "token_text": np.array([f"t{i % 2}" for i in range(n)], dtype=object),
+            "p_target": rng.uniform(0, 1, n).astype(np.float32),
+            "entropy_full": rng.uniform(0, 4, n).astype(np.float16),
+            "entropy_topk": np.arange(n, dtype=np.int8),
+            "gate": rng.uniform(0, 1, n),
+            "weight": rng.uniform(0, 1, n).astype(np.float32),
+            "grad_norm": rng.uniform(0, 2, n),
+            "step": np.arange(n, dtype=np.uint32) + 5,
+        }
+        recs = ls.RecordTable(columns, {f: ~absent for f in ls.OPTIONAL_FIELDS})
+        path = tmp_path / "r.jsonl"
+        ls.export_records(recs, path)
+        hit = read_columns(path)
+        drop_columns(path)
+        parsed = ls.ingest_records(path)
+        assert hit == parsed
+        assert hit.columns["step"][0] == 0 and hit.columns["token_text"][0] == ""
+        for field, kind in ls.RECORD_FIELDS.items():
+            assert hit.columns[field].dtype == ls._DTYPES[kind]
+        # writable, as the parsed columns are
+        assert all(a.flags.writeable for a in (*hit.columns.values(), *hit.present.values()))
+
+    @pytest.mark.parametrize("field,dtype", [("position", np.float64), ("step", np.uint64), ("gate", bool)])
+    def test_no_column_file_for_a_dtype_the_parse_reads_otherwise(self, tmp_path, field, dtype):
+        # the JSON of such columns parses to other values or fails: 0.0 is
+        # not an integer, a uint64 may hold 2**63, false is not a number
+        recs = self.records()
+        recs.columns[field] = np.zeros(len(recs), dtype)
+        path = tmp_path / "r.jsonl"
+        ls.export_records(recs, path)
+        assert not columns_of(path).exists()
+
+    @pytest.mark.parametrize("case", MISSES)
+    def test_miss_is_the_parse(self, tmp_path, case):
+        path = tmp_path / "r.jsonl"
+        ls.export_records(self.records(), path)
+        MISSES[case](path)
+        with pytest.raises(AssertionError, match="a line was parsed"):
+            read_columns(path)
+        got = outcome(ls.ingest_records, path)
+        if case != "no_file":
+            drop_columns(path)
+        assert outcome(ls.ingest_records, path) == got
+        if case == "jsonl_byte":
+            assert got == ("line 3: p_target 1.5 outside [0, 1]", 3)
+        else:
+            assert got == self.records()
+
+    @pytest.mark.parametrize("bad_row,line", [(None, 8), (3, 4), (7, 8), (9, 8)])
+    def test_missing_required_field(self, tmp_path, bad_row, line):
+        # record 7 lacks step; a range error on an earlier record wins, as
+        # the parse range-checks only the records before the failing line
+        recs = self.records()
+        recs.present["step"][7] = False
+        if bad_row is not None:
+            recs.columns["p_target"][bad_row] = 1.5
+        path = tmp_path / "r.jsonl"
+        ls.export_records(recs, path)
+        hit = outcome(read_columns, path, ("step",))
+        drop_columns(path)
+        assert outcome(ls.ingest_records, path, ("step",)) == hit
+        assert hit[1] == line
+        message = "p_target 1.5 outside [0, 1]" if line < 8 else "missing required field 'step'"
+        assert hit[0] == f"line {line}: {message}"
 
 
 class TestHistogram2D:
