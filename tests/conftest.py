@@ -28,6 +28,14 @@ DYNAMICS_LR = 0.015
 DYNAMICS_STEPS = 600
 DYNAMICS_CAPTURE = 50
 
+
+class NoDecoding:
+    """A JSON decoder that fails on any line, patched over
+    ``landscape._DECODER``: only a column file hit reads records then."""
+
+    def decode(self, line):
+        raise AssertionError(f"a line was parsed: {line!r}")
+
 _TIMINGS = {"pretrain": 0.0, "cells": 0.0}
 
 

@@ -12,6 +12,8 @@ import pytest
 
 from eaftlab import cli, forgebench as fb, landscape as ls, toylm
 
+from conftest import NoDecoding
+
 RNG = np.random.default_rng(20260810)
 
 
@@ -811,11 +813,6 @@ class TestDynamics:
         assert cli.main(argv) == 1
         assert f"{path}: line 3: missing required field {field!r}" in capsys.readouterr().err
         assert not out.exists()
-
-
-class NoDecoding:
-    def decode(self, line):
-        raise AssertionError("a line was parsed")
 
 
 class TestColumnFile:

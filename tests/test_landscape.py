@@ -28,6 +28,8 @@ from eaftlab.errors import (
     RecordValidationError,
 )
 
+from conftest import NoDecoding
+
 BLOCK = ls._ROW_BLOCK
 TINY = toylm.ModelConfig(vocab_size=8, context_len=3, embed_dim=2, hidden_dim=4, seed=5)
 
@@ -98,13 +100,6 @@ def write_repetitive_records(path, n=6000, keep_columns=True):
     if not keep_columns:
         drop_columns(path)
     return recs
-
-
-class NoDecoding:
-    """A JSON decoder that fails on any line: only a column file hit reads the file."""
-
-    def decode(self, line):
-        raise AssertionError(f"a line was parsed: {line!r}")
 
 
 def read_columns(path, require=()):
