@@ -72,12 +72,23 @@ class RecordTable:
     or object (Python ``str``) for the two text fields. ``present`` holds a
     boolean mask per optional field, true where a record has that field;
     the other rows hold 0 or "", which lie in every range. Construction
+    checks that every column and mask is there, 1-D and of one length, then
     checks every range at once and names the first bad record and field.
     """
 
     def __init__(self, columns: dict, present: dict):
         self.columns = columns
         self.present = present
+        shape = np.shape(columns.get("position"))
+        need = shape if len(shape) == 1 else "1-D"
+        # position first: the other columns and the masks take its length
+        checks = (("column", columns, ("position", *RECORD_FIELDS)), ("mask", present, OPTIONAL_FIELDS))
+        for kind, arrays, fields in checks:
+            for field in fields:
+                if field not in arrays:
+                    raise RecordValidationError(f"no {field} {kind}")
+                if np.shape(arrays[field]) != need:
+                    raise RecordValidationError(f"{field} {kind} has shape {np.shape(arrays[field])}, not {need}")
         violations = []
         for rule, (fields, ok) in _RANGES.items():
             for field in fields:
@@ -258,20 +269,22 @@ def export_records(records: RecordTable, path) -> None:
 
 # The column file ``<name>.jsonl.cols`` beside an exported JSONL file holds
 # the table a parse of that file gives, so ingest can read it instead of
-# decoding each line. Its header is the magic, a u32 version, the record
-# count as u64, the byte size of each text field's string array as u64, and
-# the sha256 of the JSONL and of the payload. The payload is each numeric
-# column as little-endian int64 or float64, then each presence mask as
-# bytes, the rows that lack a field holding its fill; then each text column
-# as u32 indices into its distinct strings, which follow as one JSON array
-# per field. The name must not end in ``.jsonl``, which ``dynamics`` reads.
+# decoding each line. Its header is the magic, a u32 version, as u64 the
+# record count, the JSONL's byte size and the byte size of each text field's
+# string array, and the sha256 of the JSONL and of the payload. The payload
+# is each numeric column as little-endian int64 or float64, then each
+# presence mask as bytes, the rows that lack a field holding its fill; then
+# each text column as u32 indices into its distinct strings, which follow as
+# one JSON array per field. The name must not end in ``.jsonl``, which
+# ``dynamics`` reads.
 _COLUMNS_MAGIC = b"EAFTCOLS"
-_COLUMNS_VERSION = 1
+_COLUMNS_VERSION = 2
 _TEXT_FIELDS = tuple(f for f, kind in RECORD_FIELDS.items() if kind is str)
-_COLUMNS_HEADER = struct.Struct(f"<8sIQ{len(_TEXT_FIELDS)}Q32s32s")
+_NUMERIC_FIELDS = {f: kind for f, kind in RECORD_FIELDS.items() if kind is not str}
+_COLUMNS_HEADER = struct.Struct(f"<8sIQQ{len(_TEXT_FIELDS)}Q32s32s")
 _LITTLE_ENDIAN = {int: "<i8", float: "<f8", str: "<u4"}  # a text column stores indices
 # bytes per record of the numeric columns and the masks, read into one buffer
-_FIXED_BYTES = 8 * (len(RECORD_FIELDS) - len(_TEXT_FIELDS)) + len(OPTIONAL_FIELDS)
+_FIXED_BYTES = 8 * len(_NUMERIC_FIELDS) + len(OPTIONAL_FIELDS)
 # the JSONL is hashed through one buffer of this size, as hashlib.file_digest does
 _HASH_CHUNK = 1 << 18
 
@@ -314,8 +327,7 @@ def _export_columns(records: RecordTable, path) -> None:
     ``records``, column by column; none is written when a numeric column's
     dtype does not cast to the values a parse gives (``_casts_as_parsed``),
     and an older one is then ignored, its JSONL digest being another's."""
-    kinds = RECORD_FIELDS.items()
-    if not all(_casts_as_parsed(records.columns[f].dtype, k) for f, k in kinds if k is not str):
+    if not all(_casts_as_parsed(records.columns[f].dtype, kind) for f, kind in _NUMERIC_FIELDS.items()):
         return
     payload = hashlib.sha256()
     with atomic_write(_columns_path(path), "wb") as fh:
@@ -325,9 +337,8 @@ def _export_columns(records: RecordTable, path) -> None:
             payload.update(data)
 
         fh.write(bytes(_COLUMNS_HEADER.size))  # rewritten once the payload's digest is known
-        for field, kind in kinds:
-            if kind is not str:
-                put(np.ascontiguousarray(_as_parsed(records, field), _LITTLE_ENDIAN[kind]))
+        for field, kind in _NUMERIC_FIELDS.items():
+            put(np.ascontiguousarray(_as_parsed(records, field), _LITTLE_ENDIAN[kind]))
         for field in OPTIONAL_FIELDS:
             put(np.ascontiguousarray(records.present[field], bool))
         strings = []
@@ -340,7 +351,7 @@ def _export_columns(records: RecordTable, path) -> None:
             put(data)
         fh.seek(0)
         fh.write(_COLUMNS_HEADER.pack(
-            _COLUMNS_MAGIC, _COLUMNS_VERSION, len(records), *map(len, strings),
+            _COLUMNS_MAGIC, _COLUMNS_VERSION, len(records), os.stat(path).st_size, *map(len, strings),
             _sha256_of(path), payload.digest(),
         ))
 
@@ -348,19 +359,19 @@ def _export_columns(records: RecordTable, path) -> None:
 def _column_table(path, require) -> RecordTable | None:
     """The table in the column file of ``path``, or None unless that file
     exists, has this version, holds the payload its header declares, and
-    both its digests match: the JSONL's, over the bytes now in ``path``, and
-    the payload's. A bad record raises the parse's error for its line, which
-    is its row + 1: export writes no blank lines."""
+    both its digests match: the JSONL's, over the bytes now in ``path`` if
+    they have the declared size, and the payload's. Record i is on line
+    i + 1: export writes no blank lines."""
     try:
         with open(_columns_path(path), "rb") as fh:
             header = fh.read(_COLUMNS_HEADER.size)
             if len(header) != _COLUMNS_HEADER.size:
                 return None
-            magic, version, n, *text_sizes, jsonl_digest, payload_digest = _COLUMNS_HEADER.unpack(header)
+            magic, version, n, jsonl_size, *text_sizes, jsonl_digest, payload_digest = _COLUMNS_HEADER.unpack(header)
             size = n * (_FIXED_BYTES + 4 * len(_TEXT_FIELDS)) + sum(text_sizes)
-            if (magic, version) != (_COLUMNS_MAGIC, _COLUMNS_VERSION):
-                return None
-            if os.fstat(fh.fileno()).st_size != len(header) + size or _sha256_of(path) != jsonl_digest:
+            found = magic, version, os.fstat(fh.fileno()).st_size, os.stat(path).st_size
+            declared = _COLUMNS_MAGIC, _COLUMNS_VERSION, len(header) + size, jsonl_size
+            if found != declared or _sha256_of(path) != jsonl_digest:
                 return None
             fixed = bytearray(n * _FIXED_BYTES)  # writable, as the parsed columns are
             fh.readinto(fixed)
@@ -371,28 +382,17 @@ def _column_table(path, require) -> RecordTable | None:
     digest.update(text)
     if digest.digest() != payload_digest:
         return None
-    columns, at, index_at, strings_at = {}, 0, 0, 4 * n * len(_TEXT_FIELDS)
-    sizes = iter(text_sizes)
-    for field, kind in RECORD_FIELDS.items():
-        if kind is str:
-            index = np.frombuffer(text, _LITTLE_ENDIAN[str], n, index_at)
-            strings = json.loads(text[strings_at : strings_at + (size := next(sizes))])
-            columns[field] = np.array(strings, dtype=object)[index]  # one object per distinct string
-            index_at, strings_at = index_at + 4 * n, strings_at + size
-        else:
-            columns[field] = np.frombuffer(fixed, _LITTLE_ENDIAN[kind], n, at).astype(_DTYPES[kind], copy=False)
-            at += 8 * n
-    present = {f: np.frombuffer(fixed, bool, n, at + i * n) for i, f in enumerate(OPTIONAL_FIELDS)}
-    # the first record lacking a required field; the parse range-checks only the records before it
-    lacking = [(int(np.argmax(~present[f])), f) for f in OPTIONAL_FIELDS if f in require and not present[f].all()]
-    row, field = min(lacking, key=lambda pair: pair[0], default=(n, None))
-    try:
-        table = RecordTable({f: c[:row] for f, c in columns.items()}, {f: m[:row] for f, m in present.items()})
-    except RecordValidationError as exc:
-        raise RecordParseError(exc.message, exc.row + 1) from exc
-    if field is not None:
-        raise RecordParseError(f"missing required field {field!r}", row + 1)
-    return table
+    numeric = {
+        f: np.frombuffer(fixed, _LITTLE_ENDIAN[kind], n, 8 * n * i).astype(_DTYPES[kind], copy=False)
+        for i, (f, kind) in enumerate(_NUMERIC_FIELDS.items())
+    }
+    present = {f: np.frombuffer(fixed, bool, n, 8 * n * len(numeric) + i * n) for i, f in enumerate(OPTIONAL_FIELDS)}
+    places, strings_at = {}, 4 * n * len(_TEXT_FIELDS)
+    for i, (field, size) in enumerate(zip(_TEXT_FIELDS, text_sizes)):
+        strings = json.loads(text[strings_at : strings_at + size])
+        places[field] = np.frombuffer(text, _LITTLE_ENDIAN[str], n, 4 * n * i).astype(np.uintc, copy=False), strings
+        strings_at += size
+    return _table(n, numeric, present, places, require, lambda row: row + 1)
 
 
 def export_rows(rows, fieldnames, path) -> None:
@@ -418,18 +418,21 @@ def ingest_records(path, require=()) -> RecordTable:
     table = _column_table(path, require)
     if table is not None:
         return table
-    columns = {
-        f: array("d") if kind is float else array("q") if kind is int else []
-        for f, kind in RECORD_FIELDS.items()
-    }
+    numeric = {f: array("d" if kind is float else "q") for f, kind in _NUMERIC_FIELDS.items()}
     present = {f: bytearray() for f in OPTIONAL_FIELDS}
+    text = {f: (array("I"), {}) for f in _TEXT_FIELDS}  # records' places; distinct string -> place
     slots = [
-        (f, kind, _sharing(columns[f].append) if kind is str else columns[f].append,
-         present[f].append if f in present else None, _FILLS[kind],
-         f not in present or f in require)
+        (f, kind,
+         numeric[f].append if kind is not str else
+         lambda value, put=text[f][0].append, strings=text[f][1]: put(strings.setdefault(value, len(strings))),
+         present[f].append if f in present else None, _FILLS[kind])
         for f, kind in RECORD_FIELDS.items()
     ]
     blanks = []  # the count of records before each blank line
+
+    def table(n: int) -> RecordTable:
+        return _table(n, numeric, present, text, require, lambda row: row + 1 + bisect.bisect_right(blanks, row))
+
     decode = _DECODER.decode
     try:
         with open(path, "rb") as fh:
@@ -452,10 +455,10 @@ def ingest_records(path, require=()) -> RecordTable:
                 if type(doc) is not dict:
                     raise RecordParseError("record must be a JSON object", lineno)
                 get = doc.get
-                for field, kind, append, mark, fill, required in slots:
+                for field, kind, append, mark, fill in slots:
                     value = get(field)
                     if value is None:
-                        if required:
+                        if mark is None:
                             raise RecordParseError(f"missing required field {field!r}", lineno)
                         append(fill)
                         mark(0)
@@ -473,37 +476,36 @@ def ingest_records(path, require=()) -> RecordTable:
                     if mark is not None:
                         mark(1)
     except RecordParseError:
-        # a range error on an earlier line wins over this line's error
-        for values in (*columns.values(), *present.values()):
-            del values[lineno - 1 - len(blanks):]
-        _lined_table(columns, present, blanks)
+        table(lineno - 1 - len(blanks))  # an earlier line's error wins over this line's
         raise
-    return _lined_table(columns, present, blanks)
+    return table(len(numeric["position"]))
 
 
-def _sharing(append):
-    """``append`` that stores one object per distinct string: a repeated
-    value appends the first object seen with it."""
-    setdefault = {}.setdefault
-    return lambda value: append(setdefault(value, value))
-
-
-def _lined_table(columns: dict, present: dict, blanks: list) -> RecordTable:
-    """The table of ingested columns; a range error names the record's line,
-    counting the blank lines before it (``blanks``, ascending record counts).
-    The numeric columns and the masks are views of the parsed buffers, not
-    copies; nothing appends to those buffers afterwards."""
+def _table(n: int, numeric: dict, present: dict, text: dict, require, line_of) -> RecordTable:
+    """The table of the first ``n`` ingested records, from the buffers both
+    readers fill: each numeric field's values in its dtype, each optional
+    field's presence bytes, and each text field's places (C unsigned ints)
+    among its distinct strings, with those strings, one object each. A mask
+    may hold one more entry, of a record whose line failed later: that
+    record lacked the field first. The table is cut at the first record
+    lacking a field of ``require``; the records before it are range-checked,
+    and an error names the line ``line_of(row)``. Columns and masks are
+    views of the buffers."""
+    masks = {f: np.frombuffer(mask, bool) for f, mask in present.items()}
+    lacking = [(int(np.argmax(~masks[f])), f) for f in OPTIONAL_FIELDS if f in require and not masks[f].all()]
+    cut, field = min(lacking, key=lambda pair: pair[0], default=(n, None))
+    columns = {
+        f: np.array(list(text[f][1]), object)[np.frombuffer(text[f][0], np.uintc, cut)] if f in text
+        else np.frombuffer(numeric[f], _DTYPES[RECORD_FIELDS[f]], cut)
+        for f in RECORD_FIELDS
+    }
     try:
-        return RecordTable(
-            {
-                f: np.array(c, dtype=object) if RECORD_FIELDS[f] is str
-                else np.frombuffer(c, _DTYPES[RECORD_FIELDS[f]])
-                for f, c in columns.items()
-            },
-            {f: np.frombuffer(m, bool) for f, m in present.items()},
-        )
+        table = RecordTable(columns, {f: mask[:cut] for f, mask in masks.items()})
     except RecordValidationError as exc:
-        raise RecordParseError(exc.message, exc.row + 1 + bisect.bisect_right(blanks, exc.row)) from exc
+        raise RecordParseError(exc.message, line_of(exc.row)) from exc
+    if field is not None:
+        raise RecordParseError(f"missing required field {field!r}", line_of(cut))
+    return table
 
 
 # ---------------------------------------------------------------------------

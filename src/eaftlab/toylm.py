@@ -540,9 +540,6 @@ def _capture_records(run: TrainRun, params: ToyModelParams, probe_idx, step: int
     _, terms = _step_terms(params, run.objective, run.corpus.contexts[probe_idx], targets, run.ref_params, pw, step)
     k = min(run.objective.k, terms.probs.shape[1])
     entropy_topk = probstats.topk_entropy_rows(terms.probs, k)
-    gates = terms.gates
-    if gates is None:
-        gates = probstats.gate_of_entropy(entropy_topk, k, run.objective.norm_mode)
     return RecordTable.of(
         source_id="probe",
         position=probe_idx,
@@ -550,7 +547,7 @@ def _capture_records(run: TrainRun, params: ToyModelParams, probe_idx, step: int
         p_target=terms.p_target,
         entropy_full=probstats.entropy_rows(terms.probs),
         entropy_topk=entropy_topk,
-        gate=gates,
+        gate=probstats.gate_of_entropy(entropy_topk, k, run.objective.norm_mode),
         weight=terms.weights,
         grad_norm=np.sqrt((terms.grad * terms.grad).sum(axis=1)),
         step=step,

@@ -2,6 +2,7 @@
 and the top-K fidelity study."""
 
 import inspect
+import itertools
 import json
 import math
 import os
@@ -71,11 +72,12 @@ def make_records(n, seed=0, with_step=False):
     return table(rows)
 
 
-# tracemalloc peak of parsing write_repetitive_records' file: 119.3 bytes
-# per record measured (CPython 3.11, numpy 2.4), 127.5 with an array of
-# line numbers, 314 with the columns copied out of the parse buffers and a
-# string object per record; reading its column file: 110.2
-INGEST_PEAK_BYTES_PER_RECORD = {"parse": 160, "columns": 120}
+# tracemalloc peak of parsing write_repetitive_records' file: 113.7 bytes
+# per record measured (CPython 3.11, numpy 2.4), 119.3 with a list of string
+# references beside each text column, 127.5 with an array of line numbers
+# too, 314 with the columns copied out of the parse buffers and a string
+# object per record; reading its column file: 111.7
+INGEST_PEAK_BYTES_PER_RECORD = {"parse": 117, "columns": 120}
 
 
 def write_repetitive_records(path, n=6000, keep_columns=True):
@@ -130,6 +132,17 @@ def drop_columns(path):
 READERS = {"parse": ls.ingest_records, "columns": read_columns}
 
 
+# each way a table's columns and masks can fail its shape check, and the
+# message naming the field
+MISSHAPEN = {
+    "short_column": (lambda c, p: c.update(gate=c["gate"][:3]), r"gate column has shape \(3,\), not \(5,\)"),
+    "2d_mask": (lambda c, p: p.update(step=p["step"][:, None]), r"step mask has shape \(5, 1\), not \(5,\)"),
+    "2d_position": (lambda c, p: c.update(position=c["position"][:, None]), r"position column has shape \(5, 1\), not 1-D"),
+    "no_column": (lambda c, p: c.pop("weight"), "no weight column"),
+    "no_mask": (lambda c, p: p.pop("grad_norm"), "no grad_norm mask"),
+}
+
+
 class TestTokenRecord:
     def test_validation(self):
         with pytest.raises(RecordValidationError, match="record 0: p_target 1.5 outside"):
@@ -144,6 +157,17 @@ class TestTokenRecord:
                 entropy_topk=0.1, gate=[0.1, 0.2, 1.1, 2.0],
             )
         assert err.value.row == 2
+
+    @pytest.mark.parametrize("case", MISSHAPEN)
+    def test_rejects_a_short_or_missing_column(self, case):
+        # a 5-record table whose gate column held 3 values exported 3 lines
+        # (zip stops at the shortest column) and ingested back as 3 records
+        good = make_records(5, with_step=True)
+        columns, present = dict(good.columns), dict(good.present)
+        change, message = MISSHAPEN[case]
+        change(columns, present)
+        with pytest.raises(RecordValidationError, match=message):
+            ls.RecordTable(columns, present)
 
     @pytest.mark.parametrize("field,value", [
         ("position", 2.7), ("position", [0, 1.5]), ("token_id", True),
@@ -301,6 +325,16 @@ class TestErrorPrecedence:
         with pytest.raises(RecordParseError, match="step must be a JSON integer") as err:
             ls.ingest_records(path)
         assert err.value.line == 4
+
+    def test_required_field_missing_before_a_failing_field(self, tmp_path):
+        # line 3 lacks the required entropy_full, then its step fails the
+        # type check: the field that comes first in the record is named
+        partial = json.dumps(dict(REQUIRED, step=2.5))
+        path = tmp_path / "r.jsonl"
+        path.write_text("\n".join([json.dumps(REQUIRED | {"entropy_full": 1.0}), "", partial]) + "\n")
+        with pytest.raises(RecordParseError) as err:
+            ls.ingest_records(path, ("entropy_full",))
+        assert (str(err.value), err.value.line) == ("line 3: missing required field 'entropy_full'", 3)
 
 
 class TestScoreCorpus:
@@ -614,6 +648,40 @@ class TestColumnFile:
         assert hit[1] == line
         message = "p_target 1.5 outside [0, 1]" if line < 8 else "missing required field 'step'"
         assert hit[0] == f"line {line}: {message}"
+
+    @pytest.mark.parametrize("order", list(itertools.permutations(["lacking", "malformed", "range"])))
+    def test_first_of_three_errors_wins(self, tmp_path, order):
+        # lines 3, 6 and 9 hold a record lacking the required step, a
+        # malformed line and a p_target out of range, in ``order``. The
+        # column file of the export, which has no malformed line, names the
+        # first of the other two; the parse of the edited JSONL, the first
+        lines = {kind: 3 * i + 3 for i, kind in enumerate(order)}
+        messages = {
+            "lacking": "missing required field 'step'", "malformed": "invalid JSON", "range": "p_target 1.5 outside [0, 1]",
+        }
+        recs = self.records()
+        recs.present["step"][lines["lacking"] - 1] = False
+        recs.columns["p_target"][lines["range"] - 1] = 1.5
+        path = tmp_path / "r.jsonl"
+        ls.export_records(recs, path)
+        hit = outcome(read_columns, path, ("step",))
+        text = path.read_bytes().splitlines(keepends=True)
+        text[lines["malformed"] - 1] = b"{not json\n"
+        path.write_bytes(b"".join(text))
+        parsed = outcome(ls.ingest_records, path, ("step",))
+        for (message, line), first in ((hit, [k for k in order if k != "malformed"][0]), (parsed, order[0])):
+            assert line == lines[first] and message.startswith(f"line {line}: {messages[first]}")
+
+    def test_stale_size_misses_before_hashing(self, tmp_path):
+        # a JSONL whose size differs from the one the column file declares
+        # is parsed without being hashed
+        path = tmp_path / "r.jsonl"
+        ls.export_records(self.records(), path)
+        with open(path, "ab") as fh:
+            fh.write(b"\n")
+        with mock.patch.object(ls, "_sha256_of", side_effect=AssertionError("hashed")):
+            got = ls.ingest_records(path)
+        assert got == self.records()
 
 
 class TestHistogram2D:
