@@ -48,12 +48,12 @@ def _require_keys(doc: dict, allowed, where: str) -> None:
         raise ConfigError(f"unknown keys {sorted(unknown)} in {where}")
 
 
-def _construct(cls, where: str, **kwargs):
-    """``cls(**kwargs)`` for a config section ``where``. The checks of the
+def _construct(cls, where: str, *args, **kwargs):
+    """``cls(*args, **kwargs)`` for a config section ``where``. The checks of the
     dataclasses and factory functions start their message with the field
     name, so a rejected field is named ``where.<field>``."""
     try:
-        return cls(**kwargs)
+        return cls(*args, **kwargs)
     except InvalidArgumentError as exc:
         raise ConfigError(f"{where}.{exc}") from exc
     except EaftLabError:
@@ -125,17 +125,8 @@ def _pretrain_stages(stages) -> tuple:
         where = f"protocol.pretrain_stages[{i}]"
         if not isinstance(stage, list) or len(stage) != 3:
             raise ConfigError(f"{where} must be [steps, optimizer, learning_rate], got {stage!r}")
-        steps, optimizer, lr = stage
-        if not is_int(steps) or steps < 0:
-            raise ConfigError(f"{where} steps must be a non-negative integer, got {steps!r}")
-        kind, rate = _optimizer(optimizer, lr, f"{where} optimizer", f"{where} learning_rate")
-        out.append(forgebench.TrainStage(steps, kind, rate))
+        out.append(_construct(forgebench.TrainStage, where, *stage))
     return tuple(out)
-
-
-def _optimizer(kind, lr, kind_field: str, lr_field: str) -> tuple[str, float]:
-    toylm.check_optimizer(kind, lr, kind_field, lr_field)
-    return kind, float(lr)
 
 
 def _load_json(path) -> dict:
@@ -214,10 +205,8 @@ def cmd_train(args) -> int:
         ) from exc
     opt = doc.get("optimizer", {})
     _require_keys(opt, ("kind", "learning_rate"), "optimizer")
-    kind, lr = _optimizer(
-        opt.get("kind", "adam-lite"), opt.get("learning_rate", 3e-3),
-        "optimizer.kind", "optimizer.learning_rate",
-    )
+    kind, lr = opt.get("kind", "adam-lite"), opt.get("learning_rate", 3e-3)
+    toylm.check_optimizer(kind, lr, "optimizer.kind", "optimizer.learning_rate")
     tr = doc.get("train", {})
     _require_keys(
         tr, ("steps", "batch_size", "capture_every", "seed", "probe_size"), "train"
@@ -437,8 +426,13 @@ def _check_out_dir(path) -> None:
         raise ConfigError(f"output directory {out} cannot be made: {found} is not a directory")
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is a configuration error: exit 1, not argparse's 2
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="eaftlab",
         description="Entropy-gated fine-tuning laboratory (toy scale: defaults "
         "are calibrated for minute-long desk runs, not LLM training)",
@@ -486,9 +480,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         _check_out_dir(args.out_dir)
         return args.run(args)
     except TrainingDivergedError as exc:

@@ -143,6 +143,10 @@ class TrainStage:
     optimizer: str
     learning_rate: float
 
+    def __post_init__(self):
+        check_ints(self, 0, "steps")
+        toylm.check_optimizer(self.optimizer, self.learning_rate, "optimizer", "learning_rate")
+
 
 @dataclass(frozen=True)
 class BenchProtocol:
@@ -170,6 +174,8 @@ class BenchProtocol:
             self, 1, "embed_dim", "hidden_dim", "context_len", "pretrain_batch", "finetune_batch", "k"
         )
         check_ints(self, 0, "finetune_steps")
+        if not all(isinstance(stage, TrainStage) for stage in self.pretrain_stages):
+            raise InvalidArgumentError(f"pretrain_stages must hold TrainStages, got {self.pretrain_stages!r}")
         toylm.check_optimizer(
             self.finetune_optimizer, self.finetune_lr, "finetune_optimizer", "finetune_lr"
         )

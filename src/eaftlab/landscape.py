@@ -65,6 +65,32 @@ _RANGES = {
 }
 
 
+def _check_arrays(columns: dict, present: dict) -> None:
+    """Reject a table whose JSON would not parse back to it: a column or
+    mask that is missing, not 1-D of the position column's length, or not of
+    its field's dtype (``_DTYPES``; bool for a mask), or a record that lacks
+    an optional field but holds other than its fill (``_FILLS``)."""
+    shape = np.shape(columns.get("position"))
+    need = shape if len(shape) == 1 else "1-D"
+    # position first: the other columns and the masks take its length
+    dtypes = {f: _DTYPES[RECORD_FIELDS[f]] for f in ("position", *RECORD_FIELDS)}
+    for kind, arrays, dtypes in (("column", columns, dtypes), ("mask", present, dict.fromkeys(OPTIONAL_FIELDS, bool))):
+        for field, dtype in dtypes.items():
+            if field not in arrays:
+                raise RecordValidationError(f"no {field} {kind}")
+            if np.shape(arrays[field]) != need:
+                raise RecordValidationError(f"{field} {kind} has shape {np.shape(arrays[field])}, not {need}")
+            if (found := getattr(arrays[field], "dtype", None)) != dtype:
+                raise RecordValidationError(f"{field} {kind} has dtype {found}, not {np.dtype(dtype)}")
+    for field in OPTIONAL_FIELDS:
+        column = columns[field]
+        # bits, not values: a float field's fill is 0.0, not -0.0
+        held = column != "" if column.dtype == object else column.view(np.int64) != 0
+        np.greater(held, present[field], out=held)  # held by a record that lacks the field
+        if held.any():
+            raise RecordValidationError(f"lacks {field} but holds {column.item(held.argmax())!r}", int(held.argmax()))
+
+
 class RecordTable:
     """Scored token positions as one table of columns.
 
@@ -72,23 +98,14 @@ class RecordTable:
     or object (Python ``str``) for the two text fields. ``present`` holds a
     boolean mask per optional field, true where a record has that field;
     the other rows hold 0 or "", which lie in every range. Construction
-    checks that every column and mask is there, 1-D and of one length, then
-    checks every range at once and names the first bad record and field.
+    checks the arrays (``_check_arrays``), then checks every range at once
+    and names the first bad record and field.
     """
 
     def __init__(self, columns: dict, present: dict):
+        _check_arrays(columns, present)
         self.columns = columns
         self.present = present
-        shape = np.shape(columns.get("position"))
-        need = shape if len(shape) == 1 else "1-D"
-        # position first: the other columns and the masks take its length
-        checks = (("column", columns, ("position", *RECORD_FIELDS)), ("mask", present, OPTIONAL_FIELDS))
-        for kind, arrays, fields in checks:
-            for field in fields:
-                if field not in arrays:
-                    raise RecordValidationError(f"no {field} {kind}")
-                if np.shape(arrays[field]) != need:
-                    raise RecordValidationError(f"{field} {kind} has shape {np.shape(arrays[field])}, not {need}")
         violations = []
         for rule, (fields, ok) in _RANGES.items():
             for field in fields:
@@ -115,6 +132,9 @@ class RecordTable:
                 raise RecordValidationError(f"{field} holds {np.asarray(value).dtype} values")
             # a text column keeps the given strings: numpy's own drop trailing NULs
             arrays[field] = np.asarray(value, object if kind is str else None)
+            # checked before the cast to int64, which would wrap a uint64 from 2**63
+            if kind is int and (big := np.ravel(value) >= 2**63).any():
+                raise RecordValidationError(f"{field} {np.ravel(value)[big.argmax()]} outside [0, 2**63)", int(big.argmax()))
         shape = np.broadcast_shapes((1,), *(a.shape for a in arrays.values()))
         columns = {
             f: np.array(np.broadcast_to(a, shape), _DTYPES[RECORD_FIELDS[f]])
@@ -255,7 +275,9 @@ def _fmt(value) -> str:
 def export_records(records: RecordTable, path) -> None:
     """Write records as JSONL, one line per record: the bytes of
     ``json.dumps(record, sort_keys=True)`` with absent fields left out.
-    Then write the column file beside it (``_export_columns``)."""
+    Then write the column file beside it (``_export_columns``). The arrays
+    are checked again first, as they can change after the table is built."""
+    _check_arrays(records.columns, records.present)
     codes = np.zeros(len(records), dtype=np.int64)
     for bit, field in enumerate(OPTIONAL_FIELDS):
         codes |= records.present[field].astype(np.int64) << bit
@@ -304,31 +326,9 @@ def _sha256_of(path) -> bytes:
     return digest.digest()
 
 
-def _casts_as_parsed(dtype: np.dtype, kind: type) -> bool:
-    """Whether a column of ``dtype``, exported and parsed as a ``kind`` field,
-    gives its own values cast to that field's dtype: an integer column that
-    int64 holds exactly, or a float field's float column of at most 64 bits.
-    The JSON of any other column parses to other values or not at all."""
-    if dtype.kind in "iu":
-        return bool(np.can_cast(dtype, np.int64))
-    return kind is float and dtype.kind == "f" and dtype.itemsize <= 8
-
-
-def _as_parsed(records: RecordTable, field: str) -> np.ndarray:
-    """The column of ``field`` with the fill in each row that lacks the field."""
-    column = records.columns[field]
-    if field in OPTIONAL_FIELDS and not records.present[field].all():
-        return np.where(records.present[field], column, _FILLS[RECORD_FIELDS[field]])
-    return column
-
-
 def _export_columns(records: RecordTable, path) -> None:
     """Write the column file of the JSONL file ``path`` just exported from
-    ``records``, column by column; none is written when a numeric column's
-    dtype does not cast to the values a parse gives (``_casts_as_parsed``),
-    and an older one is then ignored, its JSONL digest being another's."""
-    if not all(_casts_as_parsed(records.columns[f].dtype, kind) for f, kind in _NUMERIC_FIELDS.items()):
-        return
+    ``records``, column by column."""
     payload = hashlib.sha256()
     with atomic_write(_columns_path(path), "wb") as fh:
 
@@ -338,13 +338,13 @@ def _export_columns(records: RecordTable, path) -> None:
 
         fh.write(bytes(_COLUMNS_HEADER.size))  # rewritten once the payload's digest is known
         for field, kind in _NUMERIC_FIELDS.items():
-            put(np.ascontiguousarray(_as_parsed(records, field), _LITTLE_ENDIAN[kind]))
+            put(np.ascontiguousarray(records.columns[field], _LITTLE_ENDIAN[kind]))
         for field in OPTIONAL_FIELDS:
             put(np.ascontiguousarray(records.present[field], bool))
         strings = []
         for field in _TEXT_FIELDS:
             index = {}  # distinct string -> its place in the field's array
-            values = _as_parsed(records, field).tolist()
+            values = records.columns[field].tolist()
             put(np.fromiter((index.setdefault(s, len(index)) for s in values), _LITTLE_ENDIAN[str], len(values)))
             strings.append(json.dumps(list(index)).encode())
         for data in strings:

@@ -320,9 +320,9 @@ class TestBench:
         [
             ("pretrain_stages", [[300, "adam-lite"]], "pretrain_stages[0]"),
             ("pretrain_stages", [[300, "adam-lite", 0.003], "x"], "pretrain_stages[1]"),
-            ("pretrain_stages", [[1.5, "adam-lite", 0.003]], "pretrain_stages[0] steps"),
-            ("pretrain_stages", [[300, "adam", 0.003]], "pretrain_stages[0] optimizer"),
-            ("pretrain_stages", [[300, "adam-lite", "x"]], "pretrain_stages[0] learning_rate"),
+            ("pretrain_stages", [[1.5, "adam-lite", 0.003]], "pretrain_stages[0].steps"),
+            ("pretrain_stages", [[300, "adam", 0.003]], "pretrain_stages[0].optimizer"),
+            ("pretrain_stages", [[300, "adam-lite", "x"]], "pretrain_stages[0].learning_rate"),
             ("pretrain_stages", {"steps": 300}, "pretrain_stages"),
             ("seeds", [0, "a"], "seeds[1]"),
             ("seeds", [0, 1.5], "seeds[1]"),
@@ -924,6 +924,27 @@ class TestWarmStartWorkflow:
         assert cli.main(["dynamics", str(rec_dir), str(tmp_path / "dyn")]) == 0
         table = (tmp_path / "dyn" / "dynamics_eaft.csv").read_text().splitlines()
         assert len(table) == 1 + 4  # header + captures at 0,10,20 + final
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv,message", [
+        (["analyze", "OUT", "--bins", "abc"], "argument --bins: invalid int value: 'abc'"),
+        (["bogus"], "argument command: invalid choice: 'bogus'"),
+        (["train"], "eaftlab train: the following arguments are required: config, out_dir"),
+    ], ids=["bad_int", "unknown_command", "missing_arguments"])
+    def test_usage_error_exits_1(self, tmp_path, monkeypatch, capsys, argv, message):
+        # argparse printed its usage and raised SystemExit(2) out of main
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["analyze", "--help"])
+        assert exit_info.value.code == 0
+        assert "usage: eaftlab analyze" in capsys.readouterr().out
 
 
 class TestNoStrayOutputs:

@@ -212,6 +212,17 @@ class TestSpecs:
         with pytest.raises(InvalidArgumentError):
             fb.GenerationSizes(pretrain_sequences=50)
 
+    @pytest.mark.parametrize("stage,field", [
+        ((-5, "adam-lite", 3e-3), "steps"), ((10, "adam", 3e-3), "optimizer"), ((10, "adam-lite", 0), "learning_rate"),
+    ])
+    def test_bad_pretrain_stage_rejected_on_construction(self, stage, field):
+        # such a stage failed only inside pretrain_snapshot, after domain
+        # generation, with a message that named no stage
+        with pytest.raises(InvalidArgumentError, match=f"^{field} must be"):
+            fb.BenchProtocol(pretrain_stages=(fb.TrainStage(*stage),))
+        with pytest.raises(InvalidArgumentError, match="^pretrain_stages must hold TrainStages"):
+            fb.BenchProtocol(pretrain_stages=(stage,))
+
 
 class TestGenerateDomains:
     def test_no_injection_means_unchanged(self):

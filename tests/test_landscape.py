@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 import threading
 import time
@@ -143,6 +144,31 @@ MISSHAPEN = {
 }
 
 
+def lacking_weight_holds(value):
+    """Make record 2 lack weight while its weight column holds ``value``."""
+    def change(columns, present):
+        present.update(weight=present["weight"] & (np.arange(5) != 2))
+        columns.update(weight=np.where(np.arange(5) == 2, value, columns["weight"]))
+    return change
+
+
+# each way a table's arrays can have a dtype, or an absent field a value,
+# that its JSON would not parse back to, and the message naming the field
+MISTYPED = {
+    "bool_gate": (lambda c, p: c.update(gate=c["gate"] > 0.5), "gate column has dtype bool, not float64"),
+    "uint64_position": (
+        lambda c, p: c.update(position=np.full(5, 2**63, np.uint64)), "position column has dtype uint64, not int64"
+    ),
+    "float_position": (
+        lambda c, p: c.update(position=c["position"].astype(float)), "position column has dtype float64, not int64"
+    ),
+    "int32_step": (lambda c, p: c.update(step=c["step"].astype(np.int32)), "step column has dtype int32, not int64"),
+    "uint8_mask": (lambda c, p: p.update(step=p["step"].astype(np.uint8)), "step mask has dtype uint8, not bool"),
+    "held_weight": (lacking_weight_holds(0.3), "record 2: lacks weight but holds 0.3"),
+    "negative_zero_weight": (lacking_weight_holds(-0.0), "record 2: lacks weight but holds -0.0"),
+}
+
+
 class TestTokenRecord:
     def test_validation(self):
         with pytest.raises(RecordValidationError, match="record 0: p_target 1.5 outside"):
@@ -168,6 +194,22 @@ class TestTokenRecord:
         change(columns, present)
         with pytest.raises(RecordValidationError, match=message):
             ls.RecordTable(columns, present)
+
+    @pytest.mark.parametrize("case", MISTYPED)
+    def test_direct_table_with_other_dtypes_rejected(self, case):
+        # export wrote a bool gate as true and a uint64 2**63 or a float
+        # position as JSON that ingest rejects, and no column file for them
+        good = make_records(5, with_step=True)
+        columns, present = dict(good.columns), dict(good.present)
+        change, message = MISTYPED[case]
+        change(columns, present)
+        with pytest.raises(RecordValidationError, match=re.escape(message)):
+            ls.RecordTable(columns, present)
+
+    def test_of_names_a_uint64_it_was_given(self):
+        # the cast to int64 turned 2**64 - 1 into -1 before the range check
+        with pytest.raises(RecordValidationError, match=re.escape("record 0: position 18446744073709551615 outside")):
+            ls.RecordTable.of(**dict(REQUIRED, position=np.array([2**64 - 1], np.uint64)))
 
     @pytest.mark.parametrize("field,value", [
         ("position", 2.7), ("position", [0, 1.5]), ("token_id", True),
@@ -421,6 +463,7 @@ class TestExportIngest:
         recs = table(rows)
         first, second = tmp / "a.jsonl", tmp / "b.jsonl"
         ls.export_records(recs, first)
+        assert columns_of(first).exists()  # every export writes one
         hit = read_columns(first)
         columns = columns_of(first).read_bytes()
         drop_columns(first)
@@ -431,6 +474,8 @@ class TestExportIngest:
         assert columns_of(second).read_bytes() == columns
         assert hit == back == recs
         assert record_dicts(back) == rows
+        # writable, as the parsed columns are
+        assert all(a.flags.writeable for a in (*hit.columns.values(), *hit.present.values()))
 
     @pytest.mark.parametrize("fmt", ["jsonl"])
     def test_failed_export_keeps_old_file(self, tmp_path, monkeypatch, fmt):
@@ -574,47 +619,21 @@ class TestColumnFile:
         recs.columns["p_target"][:] = 0.5
         return recs
 
-    def test_direct_table_with_other_dtypes(self, tmp_path):
-        # absent rows holding non-fill values, and numeric columns of other
-        # dtypes, are read back as the parse gives them: fills, int64, float64
-        n = 9
-        rng = np.random.default_rng(4)
-        absent = np.arange(n) % 3 == 0
-        columns = {
-            "source_id": np.array(["a", "b", "a"] * 3, dtype=object),
-            "position": np.arange(n, dtype=np.int32),
-            "token_id": np.arange(n, dtype=np.uint16),
-            "token_text": np.array([f"t{i % 2}" for i in range(n)], dtype=object),
-            "p_target": rng.uniform(0, 1, n).astype(np.float32),
-            "entropy_full": rng.uniform(0, 4, n).astype(np.float16),
-            "entropy_topk": np.arange(n, dtype=np.int8),
-            "gate": rng.uniform(0, 1, n),
-            "weight": rng.uniform(0, 1, n).astype(np.float32),
-            "grad_norm": rng.uniform(0, 2, n),
-            "step": np.arange(n, dtype=np.uint32) + 5,
-        }
-        recs = ls.RecordTable(columns, {f: ~absent for f in ls.OPTIONAL_FIELDS})
-        path = tmp_path / "r.jsonl"
-        ls.export_records(recs, path)
-        hit = read_columns(path)
-        drop_columns(path)
-        parsed = ls.ingest_records(path)
-        assert hit == parsed
-        assert hit.columns["step"][0] == 0 and hit.columns["token_text"][0] == ""
-        for field, kind in ls.RECORD_FIELDS.items():
-            assert hit.columns[field].dtype == ls._DTYPES[kind]
-        # writable, as the parsed columns are
-        assert all(a.flags.writeable for a in (*hit.columns.values(), *hit.present.values()))
-
     @pytest.mark.parametrize("field,dtype", [("position", np.float64), ("step", np.uint64), ("gate", bool)])
     def test_no_column_file_for_a_dtype_the_parse_reads_otherwise(self, tmp_path, field, dtype):
         # the JSON of such columns parses to other values or fails: 0.0 is
-        # not an integer, a uint64 may hold 2**63, false is not a number
+        # not an integer, a uint64 may hold 2**63, false is not a number.
+        # Export checks the arrays again, as they can be replaced after the
+        # table is built, and writes neither file
+        path = tmp_path / "r.jsonl"
+        ls.export_records(self.records(), path)
+        old = path.read_bytes(), columns_of(path).read_bytes()
         recs = self.records()
         recs.columns[field] = np.zeros(len(recs), dtype)
-        path = tmp_path / "r.jsonl"
-        ls.export_records(recs, path)
-        assert not columns_of(path).exists()
+        with pytest.raises(RecordValidationError, match=f"{field} column has dtype"):
+            ls.export_records(recs, path)
+        assert (path.read_bytes(), columns_of(path).read_bytes()) == old
+        assert sorted(os.listdir(tmp_path)) == ["r.jsonl", "r.jsonl.cols"]
 
     @pytest.mark.parametrize("case", MISSES)
     def test_miss_is_the_parse(self, tmp_path, case):
@@ -638,6 +657,7 @@ class TestColumnFile:
         # the parse range-checks only the records before the failing line
         recs = self.records()
         recs.present["step"][7] = False
+        recs.columns["step"][7] = 0
         if bad_row is not None:
             recs.columns["p_target"][bad_row] = 1.5
         path = tmp_path / "r.jsonl"
@@ -661,6 +681,7 @@ class TestColumnFile:
         }
         recs = self.records()
         recs.present["step"][lines["lacking"] - 1] = False
+        recs.columns["step"][lines["lacking"] - 1] = 0
         recs.columns["p_target"][lines["range"] - 1] = 1.5
         path = tmp_path / "r.jsonl"
         ls.export_records(recs, path)
